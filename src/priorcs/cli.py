@@ -2,9 +2,9 @@
 
 Subcommands: gen-matrix, analyze, solve, bounds, fig1, fig2, fig3, fig4,
 verify. Exit codes: 0 success, 2 configuration/usage error, 3 assertion
-failure (fig3 ratio hook, verify violations), for CI use. The output
-directory resolves as --out-dir flag, then the PRIORCS_OUT_DIR environment
-variable, then the config value.
+failure (fig3 ratio hook, verify violations or non-converged trials), for CI
+use. The output directory resolves as --out-dir flag, then the
+PRIORCS_OUT_DIR environment variable, then the config value.
 """
 
 from __future__ import annotations
@@ -222,6 +222,10 @@ def _cmd_experiment(name: str, args) -> int:
         )
         if data["violations"] > 0:
             print("assertion failed: local bound violated on converged trials", file=sys.stderr)
+        if data["nonconverged"] > 0:
+            print(f"assertion failed: {data['nonconverged']} trial(s) did not converge",
+                  file=sys.stderr)
+        if data["violations"] > 0 or data["nonconverged"] > 0:
             return 3
     return 0
 

@@ -7,8 +7,12 @@ The convex solver is a first-order primal-dual splitting on the saddle form
 of ``min sum_i w_i |x_i|  s.t.  ||A x - y||_2 <= eps``: the dual step is a
 shrink against the noise-ball support function, the primal step a weighted
 soft threshold. eps = 0 (equality constraint) falls out of the same prox
-formulas. Step sizes come from the operator norm, estimated by power
-iteration.
+formulas. The step sizes satisfy tau*sigma*||A||^2 = 0.99^2 with the exact
+operator norm, and their ratio sigma/tau = (||w|| / ||y||)^2 follows the
+problem's scale (the initial primal weight of PDLP, arXiv:2105.12715):
+scaling y and eps by c scales every primal iterate by c and leaves the
+multiplier unchanged. The stop test reads unscaled first-order residuals, so
+it means the same thing at any step ratio.
 
 The exhaustive l0 oracle and the first-order optimality check exist to keep
 the convex solver honest on tiny instances.
@@ -17,10 +21,10 @@ the convex solver honest on tiny instances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BudgetExceededError,
@@ -84,8 +88,12 @@ class RecoveryProblem:
 class SolveTolerances:
     """Stopping control for the primal-dual solver.
 
-    opt_tol is a relative bound on the scaled primal and dual residuals;
-    feas_tol is an absolute slack on the noise-ball constraint.
+    opt_tol bounds the first-order residuals of the returned pair (x, lam),
+    neither of them multiplied by a step size, so it means the same at any
+    step ratio: the primal residual (an element of the weighted l1
+    subdifferential plus A^T lam, in units of the weights) and the dual
+    residual (relative to max(1, ||y||)). feas_tol is an absolute slack on
+    the noise-ball constraint.
     """
 
     opt_tol: float = 1e-8
@@ -104,31 +112,13 @@ class SolveReport:
     dual: np.ndarray
 
 
-def operator_norm(entries: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 50_000) -> float:
-    """Largest singular value by power iteration on A^T A, deterministic start."""
-    n = entries.shape[1]
-    gram_mul = lambda v: entries.T @ (entries @ v)
-    v = np.ones(n) / np.sqrt(n)
-    if np.linalg.norm(gram_mul(v)) == 0.0:
-        v = np.zeros(n)
-        v[0] = 1.0  # unit diagonal of the Gram matrix makes e_1 safe
-    estimate = 0.0
-    for _ in range(max_iter):
-        u = gram_mul(v)
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            return 0.0
-        v = u / norm_u
-        new_estimate = float(v @ gram_mul(v))
-        if abs(new_estimate - estimate) <= rel_tol * max(new_estimate, 1e-300):
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return float(np.sqrt(estimate))
+def operator_norm(entries: np.ndarray) -> float:
+    """Largest singular value of the matrix."""
+    return float(np.linalg.norm(entries, 2))
 
 
 def _soft_threshold(v, thresholds):
-    return np.sign(v) * np.maximum(np.abs(v) - thresholds, 0.0)
+    return v - np.maximum(np.minimum(v, thresholds), -thresholds)
 
 
 def solve_weighted_l1(problem: RecoveryProblem, tolerances: SolveTolerances | None = None) -> SolveReport:
@@ -144,46 +134,53 @@ def solve_weighted_l1(problem: RecoveryProblem, tolerances: SolveTolerances | No
     eps = problem.epsilon
     weights = problem.weights
 
+    norm_y = math.sqrt(y @ y)
     ls_solution, *_ = np.linalg.lstsq(a, y, rcond=None)
     min_residual = float(np.linalg.norm(a @ ls_solution - y))
-    if min_residual > eps + max(tol.feas_tol, 1e-8 * max(1.0, float(np.linalg.norm(y)))):
+    if min_residual > eps + max(tol.feas_tol, 1e-8 * max(1.0, norm_y)):
         raise InfeasibleProblemError(
             f"no x satisfies ||Ax - y|| <= {eps} (best achievable {min_residual:.3e})"
         )
 
     norm_a = operator_norm(a)
     step = 0.99 / norm_a if norm_a > 0.0 else 1.0
-    sigma = tau = step
+    norm_w = math.sqrt(weights @ weights)
+    omega = norm_w / norm_y if norm_w > 0.0 and norm_y > 0.0 else 1.0
+    tau, sigma = step / omega, step * omega
 
     n = a.shape[1]
     x = np.zeros(n)
     ax = np.zeros(a.shape[0])
     lam = np.zeros(a.shape[0])
-    atl = np.zeros(n)
     ax_prev = ax.copy()
+    tau_w = tau * weights
+    sigma_y = sigma * y
+    sigma_eps = sigma * eps
+    dual_scale = max(1.0, norm_y)
 
     iterations = 0
     converged = False
-    opt_residual = np.inf
+    opt_residual = math.inf
     for iterations in range(1, tol.max_iter + 1):
         ax_bar = 2.0 * ax - ax_prev
-        shift = lam + sigma * ax_bar - sigma * y
-        shift_norm = np.linalg.norm(shift)
-        scale = max(0.0, 1.0 - sigma * eps / shift_norm) if shift_norm > 0.0 else 0.0
+        shift = lam + sigma * ax_bar - sigma_y
+        shift_norm = math.sqrt(shift @ shift)
+        scale = max(0.0, 1.0 - sigma_eps / shift_norm) if shift_norm > 0.0 else 0.0
         lam_new = shift * scale
-        atl_new = a.T @ lam_new
-        x_new = _soft_threshold(x - tau * atl_new, tau * weights)
+        x_new = _soft_threshold(x - tau * (a.T @ lam_new), tau_w)
         ax_new = a @ x_new
 
-        primal = np.linalg.norm((x - x_new) / tau - (atl - atl_new))
-        dual = np.linalg.norm((lam - lam_new) / sigma - (ax - ax_new))
-        r_p = tau * primal / max(1.0, np.linalg.norm(x_new))
-        r_d = sigma * dual / max(1.0, np.linalg.norm(lam_new))
-        feas = max(float(np.linalg.norm(ax_new - y)) - eps, 0.0)
+        # Both residuals belong to the pair (x_new, lam_new) that is returned:
+        # primal lies in the subdifferential of ||.||_{1,w} at x_new plus
+        # A^T lam_new, dual in the subdifferential of the noise-ball support
+        # function at lam_new minus A x_new.
+        primal = (x - x_new) / tau
+        dual = (lam - lam_new) / sigma + (ax_bar - ax_new)
+        residual = ax_new - y
+        opt_residual = max(math.sqrt(primal @ primal), math.sqrt(dual @ dual) / dual_scale)
+        feas = max(math.sqrt(residual @ residual) - eps, 0.0)
 
-        x, ax_prev, ax = x_new, ax, ax_new
-        lam, atl = lam_new, atl_new
-        opt_residual = max(r_p, r_d)
+        x, ax_prev, ax, lam = x_new, ax, ax_new, lam_new
         if opt_residual <= tol.opt_tol and feas <= tol.feas_tol:
             converged = True
             break
@@ -200,18 +197,8 @@ def solve_weighted_l1(problem: RecoveryProblem, tolerances: SolveTolerances | No
 
 
 def _min_norm_lstsq(block: np.ndarray, y: np.ndarray):
-    """Least squares via column-pivoted QR; minimal-norm solution when rank-deficient."""
-    if block.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(y))
-    q, r, piv = scipy.linalg.qr(block, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    full_rank = diag.size > 0 and diag[-1] > max(block.shape) * np.finfo(float).eps * diag[0]
-    if full_rank:
-        coeffs = scipy.linalg.solve_triangular(r, q.T @ y)
-        x = np.empty_like(coeffs)
-        x[piv] = coeffs
-    else:
-        x, *_ = scipy.linalg.lstsq(block, y)  # SVD path: minimal-norm solution
+    """Least squares with the minimal-norm solution when rank-deficient."""
+    x, *_ = np.linalg.lstsq(block, y, rcond=None)
     return x, float(np.linalg.norm(block @ x - y))
 
 

@@ -140,6 +140,17 @@ class TestExperimentCommands:
         assert (tmp_path / "verify.csv").exists()
         assert (tmp_path / "verify_summary.csv").exists()
 
+    def test_verify_nonconverged_exits_3(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--out-dir", str(tmp_path),
+            "-o", "m=16", "-o", "n=32", "-o", "trials=1",
+            "-o", "rho_list=1", "-o", "w_grid=0.5", "-o", "seed=5", "-o", "max_iter=3",
+        )
+        assert code == 3
+        assert "converged=0" in out
+        assert "did not converge" in err
+        assert (tmp_path / "verify.csv").exists()
+
     def test_unknown_override_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fig1", "--out-dir", str(tmp_path), "-o", "sigma=1")
         assert code == 2

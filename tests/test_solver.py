@@ -140,6 +140,41 @@ class TestSolveWeightedL1:
         scaled = solve_weighted_l1(RecoveryProblem.create(matrix, c * y, c * eps, np.ones(32)))
         assert np.allclose(scaled.x_star, c * base.x_star, atol=1e-6)
 
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    def test_converged_means_kkt_small_at_any_scale(self, c, eps):
+        # scaling y and eps by c moves the step ratio (||w|| / ||y||)^2 by 1/c^2,
+        # six decades over this grid; the stop test must not depend on it
+        matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
+        rng = np.random.default_rng(13)
+        x = np.zeros(32)
+        x[[2, 17]] = rng.standard_normal(2)
+        noise = rng.standard_normal(16)
+        noise *= eps / np.linalg.norm(noise)
+        y = c * (matrix.entries @ x + noise)
+        problem = RecoveryProblem.with_prior_support(matrix, y, c * eps, (2, 5), 0.5)
+        report = solve_weighted_l1(problem)
+        assert report.converged
+        assert kkt_check(problem, report.x_star) <= 1e-6
+
+    def test_dual_certifies_the_returned_point(self):
+        # the stop test reads residuals of the returned pair (x_star, dual), so
+        # -A^T dual lies within opt_tol of the weighted l1 subdifferential
+        rng = np.random.default_rng(4)
+        matrix = generate_matrix("gaussian-normalized", 8, 16, 2)
+        for _ in range(5):
+            x = np.zeros(16)
+            x[rng.choice(16, 2, replace=False)] = rng.standard_normal(2)
+            weights = rng.uniform(0.1, 1.0, size=16)
+            problem = RecoveryProblem.create(matrix, matrix.entries @ x, 0.0, weights)
+            report = solve_weighted_l1(problem)
+            assert report.converged
+            cert = -(matrix.entries.T @ report.dual)
+            active = report.x_star != 0.0
+            bound = 1e-8 + 1e-12  # opt_tol plus rounding
+            assert np.all(np.abs(cert - weights * np.sign(report.x_star))[active] <= bound)
+            assert np.all(np.abs(cert[~active]) <= weights[~active] + bound)
+
     def test_w1_identical_for_any_prior_support(self):
         matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
         x = np.zeros(32)
