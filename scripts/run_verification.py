@@ -2,7 +2,7 @@
 """Run the Monte-Carlo check of the local recovery bound.
 
 Defaults to the full 510-trial sweep on the 64x128 identity-plus-orthobasis
-matrix (about 20 seconds); use --quick for a small smoke run. Exits 3 if any
+matrix (about 8 seconds); use --quick for a small smoke run. Exits 3 if any
 converged trial violates the bound or any trial fails to converge.
 """
 

@@ -6,8 +6,9 @@ Library layout:
   restricted isometry/orthogonality constants, matrix file format.
 - ``supports``: best k-term approximations, prior-support geometry
   (rho, alpha), error-multiplier terms.
-- ``solver``: the weighted l1 primal-dual solver, the exhaustive l0 oracle,
-  first-order optimality checks, problem file format.
+- ``solver``: the weighted l1 primal-dual solver (one problem, or a batch
+  that shares one matrix), the exhaustive l0 oracle, first-order
+  optimality checks, problem file format.
 - ``bounds``: the local recovery guarantee and five global guarantees, plus
   coherence-scale substitutions and the admissible-sparsity ratios.
 - ``experiments``: deterministic sweeps and the Monte-Carlo verification.
@@ -56,6 +57,7 @@ from .solver import (
     read_problem_file,
     solve_l0_oracle,
     solve_weighted_l1,
+    solve_weighted_l1_batch,
     write_problem_file,
 )
 from .supports import (
@@ -113,6 +115,7 @@ __all__ = [
     "roc_exact",
     "solve_l0_oracle",
     "solve_weighted_l1",
+    "solve_weighted_l1_batch",
     "support_model",
     "write_matrix_file",
     "write_problem_file",

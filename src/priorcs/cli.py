@@ -4,7 +4,9 @@ Subcommands: gen-matrix, analyze, solve, bounds, fig1, fig2, fig3, fig4,
 verify. Exit codes: 0 success, 2 configuration/usage error, 3 assertion
 failure (fig3 ratio hook, verify violations or non-converged trials), for CI
 use. The output directory resolves as --out-dir flag, then the
-PRIORCS_OUT_DIR environment variable, then the config value.
+PRIORCS_OUT_DIR environment variable, then the config value. verify prints
+one line of solve statistics on stderr; stdout and the CSVs never carry
+timings.
 """
 
 from __future__ import annotations
@@ -198,11 +200,17 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
+def _nearest_rank(ordered: list, q: float):
+    """The q-quantile of sorted values by the nearest-rank rule."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
 def _cmd_experiment(name: str, args) -> int:
     kind = _FIG_KINDS[name]
     cfg = load_config(kind, path=args.config, overrides=_parse_overrides(args.override))
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or cfg.out_dir
-    table = run_experiment(cfg)
+    timings = {}
+    table = run_experiment(cfg, timings)
     written = emit_experiment_outputs(cfg, table, out_dir)
     for path in written:
         print(f"wrote {path}")
@@ -214,6 +222,13 @@ def _cmd_experiment(name: str, args) -> int:
             return 3
         print(f"all {len(table.rows)} k-ratios > 1")
     if kind == "verify-local":
+        iterations = sorted(table.column("iterations"))
+        print(
+            f"verify: {len(iterations)} solves in one batch, iterations "
+            f"p50={_nearest_rank(iterations, 0.5)} p90={_nearest_rank(iterations, 0.9)} "
+            f"max={iterations[-1]}, {timings['solve_s']:.3f} s",
+            file=sys.stderr,
+        )
         summary = summarize_verify(table)
         data = dict(zip(summary.columns, summary.rows[0]))
         print(

@@ -9,6 +9,7 @@ byte-reproducible and independent of scheduling order.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -17,7 +18,15 @@ import numpy as np
 from . import bounds
 from .errors import ConfigError, InvalidInputError
 from .matrices import MATRIX_KINDS, generate_matrix
-from .solver import RecoveryProblem, SolveTolerances, solve_weighted_l1
+# solve_weighted_l1 stays importable from this module: bench/traced_cli.py
+# looks it up here when it installs its wrappers, so without it every traced
+# run fails.
+from .solver import (  # noqa: F401
+    RecoveryProblem,
+    SolveTolerances,
+    solve_weighted_l1,
+    solve_weighted_l1_batch,
+)
 from .supports import error_terms, format_index_set, prior_support_for, support_model
 from .tables import PlotSpec, SweepTable, emit_csv, emit_svg
 
@@ -338,14 +347,17 @@ VERIFY_COLUMNS = [
 ]
 
 
-def run_verify_local(cfg: ExperimentConfig) -> SweepTable:
+def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> SweepTable:
     """Monte-Carlo check of the local bound: solve, then compare
     ||x*_T - x_T||_2 against c0*eps + c1*e per trial.
 
+    Every trial is drawn first and all are solved in one batch (they share A
+    and eps), which gives each trial the bits of a solve on its own.
     Violations are only counted on converged trials whose premises hold; the
     expected count is zero. violation_tol absorbs the solver's finite
     accuracy, which matters only when the right-hand side is exactly zero
     (eps = 0 with the prior support containing the whole signal support).
+    If timings is a dict, the batch's wall seconds go to timings["solve_s"].
     """
     matrix = generate_matrix(cfg.matrix_kind, cfg.m, cfg.n, cfg.seed)
     mu = matrix.mu
@@ -356,12 +368,10 @@ def run_verify_local(cfg: ExperimentConfig) -> SweepTable:
         for alpha in _alphas_for(cfg, rho)
         for w in w_values(cfg)
     ]
-    tolerances = SolveTolerances(max_iter=cfg.max_iter)
-    table = SweepTable(columns=VERIFY_COLUMNS)
-    trial = 0
+    trials = []  # (w, x, T, problem) in trial order
     for rho, alpha, w in combos:
         for _ in range(cfg.trials):
-            rng = np.random.default_rng([cfg.seed, trial])
+            rng = np.random.default_rng([cfg.seed, len(trials)])
             x = _draw_signal(cfg, rng)
             noise = np.zeros(cfg.m)
             if cfg.epsilon > 0.0 and cfg.noise_scale > 0.0:
@@ -369,27 +379,35 @@ def run_verify_local(cfg: ExperimentConfig) -> SweepTable:
                 noise = direction / np.linalg.norm(direction) * (cfg.noise_scale * cfg.epsilon)
             y = a @ x + noise
             t = prior_support_for(x, cfg.k, rho, alpha)
-            problem = RecoveryProblem.with_prior_support(matrix, y, cfg.epsilon, t, w)
-            report = solve_weighted_l1(problem, tolerances)
-            model = support_model(x, t, cfg.k, w)
-            terms = error_terms(x, model)
-            params = bounds.GuaranteeParams(mu=mu, k=cfg.k, rho=model.rho, alpha=model.alpha, w=w)
-            res = bounds.local_bound(params)
-            premise_k = cfg.k < res.k_max
-            premise_d = bounds.local_denominator(mu, cfg.k, model.rho, model.alpha, w) > 0.0
-            t_idx = np.asarray(t, dtype=int)
-            lhs = float(np.linalg.norm(report.x_star[t_idx] - x[t_idx]))
-            rhs = res.c0 * cfg.epsilon + res.c1 * terms.e_local
-            violation = bool(
-                report.converged and premise_k and premise_d and lhs > rhs + cfg.violation_tol
-            )
-            table.add_row([
-                trial, model.rho, model.alpha, w, format_index_set(t),
-                report.converged, report.iterations,
-                premise_k, premise_d, res.k_max, res.c0, res.c1,
-                terms.e_local, lhs, rhs, rhs - lhs, violation,
-            ])
-            trial += 1
+            trials.append((w, x, t, RecoveryProblem.with_prior_support(matrix, y, cfg.epsilon, t, w)))
+
+    start = time.perf_counter()
+    reports = solve_weighted_l1_batch(
+        [problem for *_, problem in trials], SolveTolerances(max_iter=cfg.max_iter)
+    )
+    if timings is not None:
+        timings["solve_s"] = time.perf_counter() - start
+
+    table = SweepTable(columns=VERIFY_COLUMNS)
+    for trial, ((w, x, t, _), report) in enumerate(zip(trials, reports)):
+        model = support_model(x, t, cfg.k, w)
+        terms = error_terms(x, model)
+        params = bounds.GuaranteeParams(mu=mu, k=cfg.k, rho=model.rho, alpha=model.alpha, w=w)
+        res = bounds.local_bound(params)
+        premise_k = cfg.k < res.k_max
+        premise_d = bounds.local_denominator(mu, cfg.k, model.rho, model.alpha, w) > 0.0
+        t_idx = np.asarray(t, dtype=int)
+        lhs = float(np.linalg.norm(report.x_star[t_idx] - x[t_idx]))
+        rhs = res.c0 * cfg.epsilon + res.c1 * terms.e_local
+        violation = bool(
+            report.converged and premise_k and premise_d and lhs > rhs + cfg.violation_tol
+        )
+        table.add_row([
+            trial, model.rho, model.alpha, w, format_index_set(t),
+            report.converged, report.iterations,
+            premise_k, premise_d, res.k_max, res.c0, res.c1,
+            terms.e_local, lhs, rhs, rhs - lhs, violation,
+        ])
     return table
 
 
@@ -416,13 +434,15 @@ def summarize_verify(table: SweepTable) -> SweepTable:
     return summary
 
 
-def run_experiment(cfg: ExperimentConfig) -> SweepTable:
+def run_experiment(cfg: ExperimentConfig, timings: dict | None = None) -> SweepTable:
+    """The kind's table; verify records its solve time in timings."""
+    if cfg.kind == "verify-local":
+        return run_verify_local(cfg, timings)
     runner = {
         "fig1-coeffs": run_fig1,
         "fig2-error-terms": run_fig2,
         "fig3-kratio": run_fig3,
         "fig4-comparison": run_fig4,
-        "verify-local": run_verify_local,
     }[cfg.kind]
     return runner(cfg)
 

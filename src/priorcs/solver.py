@@ -14,6 +14,14 @@ scaling y and eps by c scales every primal iterate by c and leaves the
 multiplier unchanged. The stop test reads unscaled first-order residuals, so
 it means the same thing at any step ratio.
 
+Problems that share A and eps are solved as one batch, and a single problem
+is the batch of one, so there is one iteration loop. The batch contract: a
+row's report does not depend on the batch it ran in, bit for bit. Rows are
+(B, k, 1) stacks, so ``A @ X`` runs one gemv per row and each norm one ddot
+per row, the very calls a lone solve makes; a 2-D gemm over an n x B block
+would round a column differently at each batch width. Elementwise steps
+round the same either way, and a row leaves the batch when it converges.
+
 The exhaustive l0 oracle and the first-order optimality check exist to keep
 the convex solver honest on tiny instances.
 """
@@ -117,8 +125,13 @@ def operator_norm(entries: np.ndarray) -> float:
     return float(np.linalg.norm(entries, 2))
 
 
-def _soft_threshold(v, thresholds):
-    return v - np.maximum(np.minimum(v, thresholds), -thresholds)
+def _norms(v):
+    """2-norm of each row of a (B, k, 1) stack, as a (B, 1, 1) stack.
+
+    The stacked matmul runs one ddot per row, the same bits as
+    sqrt(v_i @ v_i); einsum and (v*v).sum round differently.
+    """
+    return np.sqrt(v.transpose(0, 2, 1) @ v)
 
 
 def solve_weighted_l1(problem: RecoveryProblem, tolerances: SolveTolerances | None = None) -> SolveReport:
@@ -126,74 +139,121 @@ def solve_weighted_l1(problem: RecoveryProblem, tolerances: SolveTolerances | No
 
     Deterministic for fixed inputs. Non-convergence within the iteration cap
     is reported (converged=False), not raised; an eps = 0 system with y
-    outside the range of A raises InfeasibleProblemError.
+    outside the range of A raises InfeasibleProblemError. This is the batch
+    of one.
     """
-    tol = tolerances or SolveTolerances()
-    a = problem.matrix.entries
-    y = problem.y
-    eps = problem.epsilon
-    weights = problem.weights
+    return solve_weighted_l1_batch([problem], tolerances)[0]
 
-    norm_y = math.sqrt(y @ y)
-    ls_solution, *_ = np.linalg.lstsq(a, y, rcond=None)
-    min_residual = float(np.linalg.norm(a @ ls_solution - y))
-    if min_residual > eps + max(tol.feas_tol, 1e-8 * max(1.0, norm_y)):
+
+def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None) -> list[SolveReport]:
+    """Solve problems that share A and eps; one report per problem, in order.
+
+    Each report is bit for bit the one the problem gets when solved alone:
+    rows are stacked gemv and ddot calls, and a row leaves the batch as soon
+    as it converges. An empty list, or problems with different matrices or
+    eps, raise InvalidInputError; a row that no x can satisfy raises
+    InfeasibleProblemError naming its index.
+    """
+    problems = list(problems)
+    if not problems:
+        raise InvalidInputError("no problems to solve")
+    tol = tolerances or SolveTolerances()
+    matrix = problems[0].matrix
+    a = matrix.entries
+    eps = problems[0].epsilon
+    for p in problems:
+        if p.matrix is not matrix and not np.array_equal(p.matrix.entries, a):
+            raise InvalidInputError("a batch must share one sensing matrix")
+        if p.epsilon != eps:
+            raise InvalidInputError(f"a batch must share one eps, got {eps} and {p.epsilon}")
+
+    ys = np.array([p.y for p in problems])
+    y = ys[:, :, None]
+    norm_y = _norms(y)
+    dual_scale = np.maximum(1.0, norm_y)
+    ls_solution, *_ = np.linalg.lstsq(a, ys.T, rcond=None)
+    min_residual = _norms(a @ ls_solution.T[:, :, None] - y)[:, 0, 0]
+    bad = np.flatnonzero(min_residual > eps + np.maximum(tol.feas_tol, 1e-8 * dual_scale[:, 0, 0]))
+    if bad.size:
+        i = int(bad[0])
+        where = f"problem {i}: " if len(problems) > 1 else ""
         raise InfeasibleProblemError(
-            f"no x satisfies ||Ax - y|| <= {eps} (best achievable {min_residual:.3e})"
+            f"{where}no x satisfies ||Ax - y|| <= {eps} (best achievable {min_residual[i]:.3e})"
         )
 
+    m, n = a.shape
+    a_t = a.T
     norm_a = operator_norm(a)
     step = 0.99 / norm_a if norm_a > 0.0 else 1.0
-    norm_w = math.sqrt(weights @ weights)
-    omega = norm_w / norm_y if norm_w > 0.0 and norm_y > 0.0 else 1.0
-    tau, sigma = step / omega, step * omega
-
-    n = a.shape[1]
-    x = np.zeros(n)
-    ax = np.zeros(a.shape[0])
-    lam = np.zeros(a.shape[0])
+    weights = np.array([p.weights for p in problems])[:, :, None]
+    x = np.zeros((len(problems), n, 1))
+    ax = np.zeros((len(problems), m, 1))
     ax_prev = ax.copy()
-    tau_w = tau * weights
-    sigma_y = sigma * y
-    sigma_eps = sigma * eps
-    dual_scale = max(1.0, norm_y)
-
+    lam = ax.copy()
+    rows = np.arange(len(problems))  # index in `problems` of each live row
+    reports = [None] * len(problems)
     iterations = 0
-    converged = False
-    opt_residual = math.inf
-    for iterations in range(1, tol.max_iter + 1):
-        ax_bar = 2.0 * ax - ax_prev
-        shift = lam + sigma * ax_bar - sigma_y
-        shift_norm = math.sqrt(shift @ shift)
-        scale = max(0.0, 1.0 - sigma_eps / shift_norm) if shift_norm > 0.0 else 0.0
-        lam_new = shift * scale
-        x_new = _soft_threshold(x - tau * (a.T @ lam_new), tau_w)
-        ax_new = a @ x_new
+    opt_residual = np.full((len(problems), 1, 1), math.inf)
 
-        # Both residuals belong to the pair (x_new, lam_new) that is returned:
-        # primal lies in the subdifferential of ||.||_{1,w} at x_new plus
-        # A^T lam_new, dual in the subdifferential of the noise-ball support
-        # function at lam_new minus A x_new.
-        primal = (x - x_new) / tau
-        dual = (lam - lam_new) / sigma + (ax_bar - ax_new)
-        residual = ax_new - y
-        opt_residual = max(math.sqrt(primal @ primal), math.sqrt(dual @ dual) / dual_scale)
-        feas = max(math.sqrt(residual @ residual) - eps, 0.0)
+    def retire(done, converged):
+        for i in np.flatnonzero(done):
+            problem, x_i = problems[rows[i]], x[i, :, 0].copy()
+            reports[rows[i]] = SolveReport(
+                x_star=x_i,
+                objective=problem.objective(x_i),
+                feasibility_residual=problem.feasibility_residual(x_i),
+                iterations=iterations,
+                converged=converged,
+                opt_residual=float(opt_residual[i, 0, 0]),
+                dual=lam[i, :, 0].copy(),
+            )
 
-        x, ax_prev, ax, lam = x_new, ax, ax_new, lam_new
-        if opt_residual <= tol.opt_tol and feas <= tol.feas_tol:
-            converged = True
-            break
+    # y = 0 or w = 0 leaves 0/0 in omega, which np.where drops; shift = 0
+    # leaves sigma_eps/0, which fmax maps to a zero multiplier
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm_w = _norms(weights)
+        omega = np.where((norm_w > 0.0) & (norm_y > 0.0), norm_w / norm_y, 1.0)
+        tau, sigma = step / omega, step * omega
+        tau_w = tau * weights
+        neg_tau_w = -tau_w
+        sigma_y = sigma * y
+        sigma_eps = sigma * eps
 
-    return SolveReport(
-        x_star=x,
-        objective=problem.objective(x),
-        feasibility_residual=problem.feasibility_residual(x),
-        iterations=iterations,
-        converged=converged,
-        opt_residual=float(opt_residual),
-        dual=lam,
-    )
+        for iterations in range(1, tol.max_iter + 1):
+            ax_bar = 2.0 * ax - ax_prev
+            shift = lam + sigma * ax_bar - sigma_y
+            lam_new = shift * np.fmax(0.0, 1.0 - sigma_eps / _norms(shift))
+            x_half = x - tau * (a_t @ lam_new)
+            x_new = x_half - np.maximum(np.minimum(x_half, tau_w), neg_tau_w)  # soft threshold
+            ax_new = a @ x_new
+
+            # Both residuals belong to the pair (x_new, lam_new) that is
+            # returned: primal lies in the subdifferential of ||.||_{1,w} at
+            # x_new plus A^T lam_new, dual in the subdifferential of the
+            # noise-ball support function at lam_new minus A x_new.
+            primal = (x - x_new) / tau
+            dual = (lam - lam_new) / sigma + (ax_bar - ax_new)
+            opt_residual = np.maximum(_norms(primal), _norms(dual) / dual_scale)
+
+            x, ax_prev, ax, lam = x_new, ax, ax_new, lam_new
+            # the feasibility norm is needed only once some row is optimal
+            done = opt_residual <= tol.opt_tol
+            if not np.count_nonzero(done):
+                continue
+            done &= np.maximum(_norms(ax - y) - eps, 0.0) <= tol.feas_tol
+            if not np.count_nonzero(done):
+                continue
+            retire(done, True)
+            keep = ~done[:, 0, 0]
+            if not keep.any():
+                return reports
+            (rows, x, ax, ax_prev, lam, opt_residual,
+             y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale) = (
+                arr[keep] for arr in (rows, x, ax, ax_prev, lam, opt_residual, y, tau, sigma,
+                                      tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale)
+            )
+    retire(np.ones(len(rows), dtype=bool), False)
+    return reports
 
 
 def _min_norm_lstsq(block: np.ndarray, y: np.ndarray):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import priorcs.experiments as experiments
 from priorcs import SensingMatrix, generate_matrix
 
 SQRT2 = float(np.sqrt(2.0))
@@ -21,3 +22,18 @@ def tri_matrix() -> SensingMatrix:
 @pytest.fixture
 def small_ipo() -> SensingMatrix:
     return generate_matrix("identity-plus-orthobasis", 16, 32, 0)
+
+
+@pytest.fixture
+def batch_solves(monkeypatch):
+    """(problems, reports) of every batch the verify run solves."""
+    calls = []
+    solve = experiments.solve_weighted_l1_batch
+
+    def record(problems, tolerances=None):
+        reports = solve(problems, tolerances)
+        calls.append((list(problems), reports))
+        return reports
+
+    monkeypatch.setattr(experiments, "solve_weighted_l1_batch", record)
+    return calls

@@ -7,6 +7,7 @@ produced by these functions.
 """
 
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -137,3 +138,44 @@ def min_weighted_l1_by_vertex_enumeration(entries, y, weights, feas_tol=1e-9):
             if best_value is None or value < best_value - 1e-15:
                 best_value, best_x = value, x
     return best_value, best_x
+
+
+def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1e-9, max_iter=200_000):
+    """The weighted l1 primal-dual iteration on one problem with 1-D vectors.
+
+    The reference the batched solver must match bit for bit: the same
+    operations in the same order, on plain vectors, with a gemv per matrix
+    product and a ddot per norm. Returns (x, lam, iterations, converged,
+    opt_residual).
+    """
+    a = np.asarray(entries, dtype=float)
+    norm_y = math.sqrt(y @ y)
+    norm_a = float(np.linalg.norm(a, 2))
+    step = 0.99 / norm_a if norm_a > 0.0 else 1.0
+    norm_w = math.sqrt(weights @ weights)
+    omega = norm_w / norm_y if norm_w > 0.0 and norm_y > 0.0 else 1.0
+    tau, sigma = step / omega, step * omega
+    tau_w, sigma_y, sigma_eps = tau * weights, sigma * y, sigma * eps
+    dual_scale = max(1.0, norm_y)
+
+    x = np.zeros(a.shape[1])
+    ax, ax_prev, lam = np.zeros(a.shape[0]), np.zeros(a.shape[0]), np.zeros(a.shape[0])
+    iterations, converged, opt_residual = 0, False, math.inf
+    for iterations in range(1, max_iter + 1):
+        ax_bar = 2.0 * ax - ax_prev
+        shift = lam + sigma * ax_bar - sigma_y
+        shift_norm = math.sqrt(shift @ shift)
+        lam_new = shift * (max(0.0, 1.0 - sigma_eps / shift_norm) if shift_norm > 0.0 else 0.0)
+        v = x - tau * (a.T @ lam_new)
+        x_new = v - np.maximum(np.minimum(v, tau_w), -tau_w)
+        ax_new = a @ x_new
+        primal = (x - x_new) / tau
+        dual = (lam - lam_new) / sigma + (ax_bar - ax_new)
+        residual = ax_new - y
+        opt_residual = max(math.sqrt(primal @ primal), math.sqrt(dual @ dual) / dual_scale)
+        feas = max(math.sqrt(residual @ residual) - eps, 0.0)
+        x, ax_prev, ax, lam = x_new, ax, ax_new, lam_new
+        if opt_residual <= opt_tol and feas <= feas_tol:
+            converged = True
+            break
+    return x, lam, iterations, converged, opt_residual

@@ -1,5 +1,7 @@
+import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -130,7 +132,7 @@ class TestExperimentCommands:
         assert "k-ratios > 1" in out
 
     def test_verify_small_run(self, tmp_path, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "verify", "--out-dir", str(tmp_path),
             "-o", "m=16", "-o", "n=32", "-o", "trials=2",
             "-o", "rho_list=1", "-o", "w_grid=0,1", "-o", "seed=5",
@@ -139,6 +141,16 @@ class TestExperimentCommands:
         assert "violations=0" in out
         assert (tmp_path / "verify.csv").exists()
         assert (tmp_path / "verify_summary.csv").exists()
+        # solve statistics go to stderr, one line, never into stdout or the CSVs
+        (line,) = err.splitlines()
+        match = re.fullmatch(
+            r"verify: 12 solves in one batch, iterations p50=\d+ p90=\d+ max=(\d+), \d+\.\d{3} s", line
+        )
+        assert match
+        with open(tmp_path / "verify.csv", newline="") as fh:
+            iterations = [int(row["iterations"]) for row in csv.DictReader(fh)]
+        assert int(match.group(1)) == max(iterations)
+        assert "solves" not in out
 
     def test_verify_nonconverged_exits_3(self, tmp_path, capsys):
         code, out, err = run_cli(

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from priorcs import GuaranteeParams, local_bound
+from priorcs import GuaranteeParams, kkt_check, local_bound
 from priorcs.errors import ConfigError
 from priorcs.experiments import (
     ExperimentConfig,
@@ -34,6 +34,22 @@ def small_verify_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def dual_certificate_residual(problem, report) -> float:
+    """Optimality residual of x_star certified by the report's own multiplier.
+
+    With eps = 0 every multiplier is admissible, so x_star is optimal when it
+    is feasible and -A^T dual lies in the weighted l1 subdifferential there.
+    kkt_check rebuilds the minimal-norm multiplier instead, which need not be
+    a certificate when the support is smaller than m.
+    """
+    x, w = report.x_star, problem.weights
+    cert = -(problem.matrix.entries.T @ report.dual)
+    active = np.abs(x) > 1e-7 * max(1.0, float(np.abs(x).max(initial=0.0)))
+    on = np.abs(cert - w * np.sign(x))[active].max(initial=0.0)
+    off = np.maximum(np.abs(cert) - w, 0.0)[~active].max(initial=0.0)
+    return max(problem.feasibility_residual(x), float(on), float(off))
 
 
 class TestConfig:
@@ -236,6 +252,23 @@ class TestVerifyLocal:
     def test_deterministic(self):
         cfg = small_verify_config()
         assert to_csv_text(run_verify_local(cfg)) == to_csv_text(run_verify_local(cfg))
+
+    @pytest.mark.parametrize("overrides", [
+        {"trials": "2"},
+        {"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0", "trials": "20"},
+    ], ids=["verify-noisy", "verify-noiseless-gauss"])
+    def test_every_batched_solve_is_optimal(self, batch_solves, overrides):
+        # the benchmark's verify configs; its traced runs wrap solve_weighted_l1,
+        # which verify does not call, so this is where their solves get checked
+        table = run_verify_local(load_config("verify-local", overrides=overrides))
+        ((problems, reports),) = batch_solves
+        assert len(reports) == len(table.rows)
+        for problem, report in zip(problems, reports):
+            assert report.converged
+            residual = kkt_check(problem, report.x_star)
+            if residual > 1e-6 and problem.epsilon == 0.0:
+                residual = dual_certificate_residual(problem, report)
+            assert residual <= 1e-6
 
     def test_rho_half_alpha_grid(self):
         cfg = small_verify_config(rho_list=(0.5,), w_grid=(0.5,), trials=2)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from priorcs import (
     kkt_check,
     solve_l0_oracle,
     solve_weighted_l1,
+    solve_weighted_l1_batch,
 )
+from priorcs.experiments import load_config, run_verify_local
 from priorcs.solver import operator_norm, read_problem_text, write_problem_text
 
-from oracles import min_weighted_l1_by_vertex_enumeration
+from oracles import min_weighted_l1_by_vertex_enumeration, primal_dual_one_at_a_time
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,12 +35,28 @@ def tri_problem(weights, epsilon=0.0):
     return RecoveryProblem.create(matrix, y, epsilon, np.asarray(weights, dtype=float))
 
 
+def report_bits(report):
+    """Every field a solve decides, as exact bits."""
+    return (report.x_star.tobytes(), report.dual.tobytes(), report.iterations,
+            report.converged, struct.pack("<d", report.opt_residual))
+
+
 class TestOperatorNorm:
     def test_matches_svd(self):
+        # the largest singular value is the root of the largest eigenvalue of A A^T
         rng = np.random.default_rng(0)
         for _ in range(5):
             a = rng.standard_normal((6, 11))
-            assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-9)
+            expected = math.sqrt(np.linalg.eigvalsh(a @ a.T).max())
+            assert operator_norm(a) == pytest.approx(expected, rel=1e-9)
+
+    def test_planted_singular_values(self):
+        rng = np.random.default_rng(1)
+        for top in (0.5, 3.0, 40.0):
+            q1, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            q2, _ = np.linalg.qr(rng.standard_normal((11, 6)))
+            s = top * np.array([1.0, 0.9, 0.5, 0.1, 0.01, 0.0])
+            assert operator_norm(q1 @ np.diag(s) @ q2.T) == pytest.approx(top, rel=1e-12)
 
     def test_identity_plus_orthobasis_is_sqrt2(self):
         a = generate_matrix("identity-plus-orthobasis", 32, 64, 0)
@@ -213,6 +232,77 @@ class TestSolveWeightedL1:
         b = solve_weighted_l1(problem)
         assert np.array_equal(a.x_star, b.x_star)
         assert a.iterations == b.iterations
+
+
+class TestBatch:
+    @pytest.mark.parametrize("overrides", [
+        {"trials": "2"},
+        {"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0", "trials": "2"},
+    ], ids=["default-eps0.05", "gauss32x64-eps0"])
+    def test_rows_do_not_depend_on_the_batch(self, batch_solves, overrides):
+        run_verify_local(load_config("verify-local", overrides=overrides))
+        problems = batch_solves[-1][0][::5]  # six rows spread over the (rho, alpha, w) grid
+        alone = [report_bits(solve_weighted_l1(p)) for p in problems]
+        assert len({bits[2] for bits in alone}) > 1  # rows retire at different iterations
+        for problem, bits in zip(problems, alone):
+            x, lam, iterations, converged, opt_residual = primal_dual_one_at_a_time(
+                problem.matrix.entries, problem.y, problem.epsilon, problem.weights
+            )
+            assert bits == (x.tobytes(), lam.tobytes(), iterations, converged,
+                            struct.pack("<d", opt_residual))
+        assert [report_bits(r) for r in solve_weighted_l1_batch(problems)] == alone
+        reversed_sub = problems[4:0:-1]
+        assert [report_bits(r) for r in solve_weighted_l1_batch(reversed_sub)] == alone[4:0:-1]
+
+    def test_iteration_cap_stops_exactly_the_unfinished_rows(self):
+        matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
+        rng = np.random.default_rng(21)
+        problems = [RecoveryProblem.create(matrix, np.zeros(16), 0.0, np.ones(32))]
+        for _ in range(6):
+            x = np.zeros(32)
+            x[rng.choice(32, 2, replace=False)] = rng.standard_normal(2)
+            problems.append(RecoveryProblem.create(matrix, matrix.entries @ x, 0.0, np.ones(32)))
+        uncapped = [solve_weighted_l1(p).iterations for p in problems]
+        cap = sorted(uncapped)[3]
+        tol = SolveTolerances(max_iter=cap)
+        reports = solve_weighted_l1_batch(problems, tol)
+        unfinished = [it > cap for it in uncapped]
+        assert 0 < sum(unfinished) < len(problems)
+        for problem, report, late in zip(problems, reports, unfinished):
+            assert report.converged is not late
+            if late:
+                assert report.iterations == cap
+            assert report_bits(report) == report_bits(solve_weighted_l1(problem, tol))
+
+    def test_equal_matrices_may_be_distinct_objects(self):
+        problems = [tri_problem(np.ones(3)), tri_problem([1.0, 1.0, 10.0])]
+        assert problems[0].matrix is not problems[1].matrix
+        reports = solve_weighted_l1_batch(problems)
+        assert [report_bits(r) for r in reports] == [
+            report_bits(solve_weighted_l1(p)) for p in problems
+        ]
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InvalidInputError):
+            solve_weighted_l1_batch([])
+
+    def test_mixed_matrix_or_eps_rejected(self, identity4):
+        base = RecoveryProblem.create(identity4, np.ones(4), 0.0, np.ones(4))
+        flipped = SensingMatrix.from_array(np.eye(4)[::-1])
+        with pytest.raises(InvalidInputError):
+            solve_weighted_l1_batch([base, RecoveryProblem.create(flipped, np.ones(4), 0.0, np.ones(4))])
+        with pytest.raises(InvalidInputError):
+            solve_weighted_l1_batch([base, RecoveryProblem.create(identity4, np.ones(4), 0.1, np.ones(4))])
+
+    def test_infeasible_row_is_named(self):
+        # both columns equal e1: y = e2 is out of reach
+        rank_deficient = SensingMatrix.from_array(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        problems = [
+            RecoveryProblem.create(rank_deficient, np.array(y), 0.0, np.ones(2))
+            for y in ([1.0, 0.0], [2.0, 0.0], [0.0, 1.0])
+        ]
+        with pytest.raises(InfeasibleProblemError, match="problem 2"):
+            solve_weighted_l1_batch(problems)
 
 
 class TestRecoveryProblemValidation:
