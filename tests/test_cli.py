@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import re
@@ -197,3 +198,50 @@ class TestExperimentCommands:
         assert code == 0
         text = (tmp_path / "fig1.csv").read_text()
         assert "\n1," not in text  # rho = 1 rows overridden away
+
+
+# sha256 of every file each sweep writes with its default config, in the
+# order the "wrote" lines name them; any change to a number, a file name, a
+# title or the SVG layout shows up here
+PINNED_OUTPUTS = {
+    "fig1": [
+        ("fig1.csv", "54e4b92e9f87487bb969bb2563daa94da02d00b8d80628a001da6d05448c4b29"),
+        ("fig1_c0_rho0.5.svg", "a019a8bffa77eb305278b10b041a2ef3fef08919dee95dfe25f7211a860593b5"),
+        ("fig1_c1_rho0.5.svg", "9cd188e42cbe81fea82570d9d478f2c445b15508917c3969079c351fecc1fcb2"),
+        ("fig1_c0_rho1.svg", "b1bfa0ccacd790cd8c87124af9e4aa7cd9f6180035b6e4b6355a88b9ec12beee"),
+        ("fig1_c1_rho1.svg", "906eee754b05543c92c7e424c4f01a9c701f2f39e2236335c2a8564ffffc7ca6"),
+    ],
+    "fig2": [
+        ("fig2.csv", "ed4c659b8a76405dc31939f9af9c2c2f092f527d81df024bd6d76eed4614234a"),
+        ("fig2_e_local.svg", "e7ef56129be7b6c51fa3444382e45b17d57037533de615380d5d9b6dcfe89626"),
+        ("fig2_c1_e.svg", "285d3015cc94e80b3f53db2439a55daf3e1c43d178476acbb3c2af00a6431cab"),
+    ],
+    "fig3": [
+        ("fig3.csv", "c2f291e867a87136c6e896853f24e9771aeb7ab320138f0fb64169b9e29bc04b"),
+        ("fig3_ratio_standard_rho0.5.svg",
+         "d2f40b537bdf0b7d4821b1a886f2b1c2a1e74671efee8f511a5e69eadc0bc065"),
+        ("fig3_ratio_weighted_rho0.5.svg",
+         "3f57def6e3f8d0ef5615d0405ec4759d822f6683d6bbf9e9c5b439cad857c72c"),
+        ("fig3_ratio_standard_rho0.75.svg",
+         "fd1b917ac4df064285825348851476271485adaba67439198c5e9ba236a74317"),
+        ("fig3_ratio_weighted_rho0.75.svg",
+         "69cca967089e97f8adbee0f82f58c7bc81284b2b5f251f9a01f3168d598abd8e"),
+    ],
+    "fig4": [
+        ("fig4.csv", "c227a55cfbc01e6d99b0dbfbd4833623361338538bb308ccc60ca3f601f890d2"),
+        ("fig4_c0.svg", "0496a882e67ea35d13b20a0e556b2c98eaaaa6df7dc17c529f853dc07aa1aa92"),
+        ("fig4_c1.svg", "fe28cf3e6169fced84a918a362c3b11b2022f511e4d190bb993538be9dd4620d"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
+def test_default_sweep_outputs_are_pinned(command, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, command, "--out-dir", str(tmp_path))
+    assert code == 0
+    expected = PINNED_OUTPUTS[command]
+    wrote = [line for line in out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {os.path.join(str(tmp_path), name)}" for name, _ in expected]
+    assert sorted(os.listdir(tmp_path)) == sorted(name for name, _ in expected)
+    for name, digest in expected:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
