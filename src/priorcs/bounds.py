@@ -12,7 +12,9 @@ computable (they can be negative outside the premises).
 The calculators taking restricted-isometry or orthogonality constants accept
 them as explicit arguments; the ``*_coherence`` companions substitute the
 standard upper bounds delta_j <= (j-1)*mu and theta_{a,b} <= (a+b-1)*mu so
-that everything can be compared on the coherence scale alone.
+that everything can be compared on the coherence scale alone. ``THEOREMS``
+lists the six by name, and ``evaluate`` picks a theorem's explicit or
+coherence-scale form from the constants it is given.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class GuaranteeParams:
     a: float | None = None
     b: float | None = None
     t: float | None = None
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.mu <= 1.0) or not math.isfinite(self.mu):
@@ -61,8 +62,6 @@ class GuaranteeParams:
             )
         if not 0.0 <= self.w <= 1.0:
             raise InvalidInputError(f"w must be in [0, 1], got {self.w}")
-        if self.epsilon < 0:
-            raise InvalidInputError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -379,7 +378,36 @@ def ge_bound_coherence(p: GuaranteeParams, c1_form: str = "c0-denominator") -> G
     return ge_bound(p, delta_tk=delta_tk, c1_form=c1_form)
 
 
-K_RATIO_BASELINES = ("standard", "weighted")
+# name -> (coherence-scale calculator, explicit calculator, names of the isometry
+# constants the explicit one takes), in report order; the first three take none
+THEOREMS = {
+    "local": (local_bound, None, ()),
+    "cai": (cai_bound, None, ()),
+    "haixiao": (haixiao_bound, None, ()),
+    "friedlander": (friedlander_bound_coherence, friedlander_bound, ("delta_ak", "delta_a1k")),
+    "chen": (chen_bound_coherence, chen_bound, ("delta_a", "theta_ab")),
+    "ge": (ge_bound_coherence, ge_bound, ("delta_tk",)),
+}
+
+
+def evaluate(name: str, p: GuaranteeParams, **constants) -> GuaranteeResult:
+    """The named theorem at p: its explicit form when every isometry constant it
+    takes is given (not None) in constants, its coherence-scale form when none
+    is. A partial set is an error; constants of other theorems are ignored."""
+    if name not in THEOREMS:
+        raise InvalidInputError(f"unknown theorem {name!r}; choose from {tuple(THEOREMS)}")
+    coherence_form, explicit_form, own = THEOREMS[name]
+    given = {c: constants[c] for c in own if constants.get(c) is not None}
+    if not given:
+        return coherence_form(p)
+    if len(given) < len(own):
+        missing = ", ".join(c for c in own if c not in given)
+        raise InvalidInputError(f"{name} takes {' and '.join(own)} together; missing {missing}")
+    return explicit_form(p, **given)
+
+
+# baseline name -> guarantee whose k_max the local one is compared with
+K_RATIO_BASELINES = {"standard": cai_bound, "weighted": haixiao_bound}
 
 
 def k_ratio(p: GuaranteeParams, baseline: str) -> float:
@@ -389,12 +417,11 @@ def k_ratio(p: GuaranteeParams, baseline: str) -> float:
     (1 + 1/mu)/2; baseline="weighted" against the weighted coherence bound
     (L/2)(1 + 1/mu) at the same (rho, alpha, w).
     """
-    if baseline == "standard":
-        base = cai_bound(p).k_max
-    elif baseline == "weighted":
-        base = haixiao_bound(p).k_max
-    else:
-        raise InvalidInputError(f"unknown baseline {baseline!r}; choose from {K_RATIO_BASELINES}")
+    if baseline not in K_RATIO_BASELINES:
+        raise InvalidInputError(
+            f"unknown baseline {baseline!r}; choose from {tuple(K_RATIO_BASELINES)}"
+        )
+    base = K_RATIO_BASELINES[baseline](p).k_max
     if not base > 0.0:
         raise InvalidInputError(f"baseline k_max must be positive, got {base}")
     return local_k_max(p.mu, p.rho, p.alpha, p.w) / base
@@ -413,5 +440,4 @@ def _with_default(p: GuaranteeParams, **defaults) -> GuaranteeParams:
     return GuaranteeParams(
         mu=p.mu, k=p.k, rho=p.rho, alpha=p.alpha, w=p.w,
         a=updates.get("a", p.a), b=updates.get("b", p.b), t=updates.get("t", p.t),
-        epsilon=p.epsilon,
     )

@@ -16,11 +16,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from .errors import ConfigError, InvalidInputError, PriorCSError
 from .experiments import (
+    EXPERIMENT_KINDS,
     check_fig3,
     emit_experiment_outputs,
     load_config,
@@ -39,15 +38,13 @@ from .solver import SolveTolerances, read_problem_file, solve_weighted_l1
 
 OUT_DIR_ENV = "PRIORCS_OUT_DIR"
 
-_FIG_KINDS = {
-    "fig1": "fig1-coeffs",
-    "fig2": "fig2-error-terms",
-    "fig3": "fig3-kratio",
-    "fig4": "fig4-comparison",
-    "verify": "verify-local",
-}
+# subcommand -> experiment kind: fig1 -> fig1-coeffs, ..., verify -> verify-local
+_FIG_KINDS = {kind.split("-")[0]: kind for kind in EXPERIMENT_KINDS}
 
-THEOREMS = ("local", "cai", "haixiao", "friedlander", "chen", "ge")
+THEOREMS = tuple(bounds_mod.THEOREMS)
+
+# isometry constants any theorem takes, each a --flag of the bounds command
+_CONSTANTS = [c for *_, own in bounds_mod.THEOREMS.values() for c in own]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,11 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--a", type=float, default=None)
     bnd.add_argument("--b", type=float, default=None)
     bnd.add_argument("--t", type=float, default=None)
-    bnd.add_argument("--delta-ak", type=float, default=None)
-    bnd.add_argument("--delta-a1k", type=float, default=None)
-    bnd.add_argument("--delta-a", type=float, default=None)
-    bnd.add_argument("--theta-ab", type=float, default=None)
-    bnd.add_argument("--delta-tk", type=float, default=None)
+    for name in _CONSTANTS:
+        bnd.add_argument("--" + name.replace("_", "-"), type=float, default=None)
 
     for name in _FIG_KINDS:
         fig = sub.add_parser(name, help=f"run the {name} experiment")
@@ -145,39 +139,16 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _bounds_rows(args):
+def _cmd_bounds(args) -> int:
+    print("theorem,c0,c1,k_max,valid,reason")
     p = bounds_mod.GuaranteeParams(
         mu=args.mu, k=args.k, rho=args.rho, alpha=args.alpha, w=args.w,
         a=args.a, b=args.b, t=args.t,
     )
+    constants = {name: getattr(args, name) for name in _CONSTANTS}
     wanted = THEOREMS if args.theorem == "all" else (args.theorem,)
-    for name in wanted:
-        if name == "local":
-            yield bounds_mod.local_bound(p)
-        elif name == "cai":
-            yield bounds_mod.cai_bound(p)
-        elif name == "haixiao":
-            yield bounds_mod.haixiao_bound(p)
-        elif name == "friedlander":
-            if args.delta_ak is not None and args.delta_a1k is not None:
-                yield bounds_mod.friedlander_bound(p, args.delta_ak, args.delta_a1k)
-            else:
-                yield bounds_mod.friedlander_bound_coherence(p)
-        elif name == "chen":
-            if args.delta_a is not None and args.theta_ab is not None:
-                yield bounds_mod.chen_bound(p, args.delta_a, args.theta_ab)
-            else:
-                yield bounds_mod.chen_bound_coherence(p)
-        elif name == "ge":
-            if args.delta_tk is not None:
-                yield bounds_mod.ge_bound(p, args.delta_tk)
-            else:
-                yield bounds_mod.ge_bound_coherence(p)
-
-
-def _cmd_bounds(args) -> int:
-    print("theorem,c0,c1,k_max,valid,reason")
-    for res in _bounds_rows(args):
+    # every row is evaluated before any is printed, so an error leaves no partial table
+    for res in [bounds_mod.evaluate(name, p, **constants) for name in wanted]:
         cells = [
             res.theorem,
             f"{res.c0:.12g}",
@@ -205,8 +176,8 @@ def _nearest_rank(ordered: list, q: float):
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
-def _cmd_experiment(name: str, args) -> int:
-    kind = _FIG_KINDS[name]
+def _cmd_experiment(args) -> int:
+    kind = _FIG_KINDS[args.command]
     cfg = load_config(kind, path=args.config, overrides=_parse_overrides(args.override))
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or cfg.out_dir
     timings = {}
@@ -245,19 +216,19 @@ def _cmd_experiment(name: str, args) -> int:
     return 0
 
 
+# every other subcommand is an experiment
+_COMMANDS = {
+    "gen-matrix": _cmd_gen_matrix,
+    "analyze": _cmd_analyze,
+    "solve": _cmd_solve,
+    "bounds": _cmd_bounds,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    np.seterr(all="ignore")  # invalid regions evaluate to nan/inf by design
     try:
-        if args.command == "gen-matrix":
-            return _cmd_gen_matrix(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        return _cmd_experiment(args.command, args)
+        return _COMMANDS.get(args.command, _cmd_experiment)(args)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

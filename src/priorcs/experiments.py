@@ -8,6 +8,7 @@ byte-reproducible and independent of scheduling order.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -29,8 +30,6 @@ from .solver import (  # noqa: F401
 )
 from .supports import error_terms, format_index_set, prior_support_for, support_model
 from .tables import PlotSpec, SweepTable, emit_csv, emit_svg
-
-EXPERIMENT_KINDS = ("fig1-coeffs", "fig2-error-terms", "fig3-kratio", "fig4-comparison", "verify-local")
 
 SIGNAL_KINDS = ("gaussian", "sparse-gaussian")
 
@@ -60,53 +59,50 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
+# kind -> its departures from the ExperimentConfig defaults
+_KIND_DEFAULTS = {
+    "fig1-coeffs": {},
+    # n small enough that the top-k entries carry a visible share of the l1
+    # mass; with a long dense tail the smallest c1*e moves away from
+    # (alpha=1, w=0) because c1 keeps shrinking toward (alpha=0, w=1)
+    "fig2-error-terms": dict(n=16),
+    "fig3-kratio": dict(rho_list=(0.5, 0.75)),
+    "fig4-comparison": dict(k=2, rho_list=(1.0,), alpha_list=(1.0,)),
+    "verify-local": dict(k=2, w_grid=(0.0, 0.5, 1.0), m=64, n=128, signal="sparse-gaussian"),
+}
+
+EXPERIMENT_KINDS = tuple(_KIND_DEFAULTS)
+
+# field name -> declared type as written in ExperimentConfig ("float", "int",
+# "str", "tuple" or "tuple | None"; annotations are strings in this module)
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
 def default_config(kind: str) -> ExperimentConfig:
-    if kind == "fig1-coeffs":
-        return ExperimentConfig(kind=kind, mu=0.1, k=4, rho_list=(0.5, 1.0))
-    if kind == "fig2-error-terms":
-        # n small enough that the top-k entries carry a visible share of the
-        # l1 mass; with a long dense tail the smallest c1*e moves away from
-        # (alpha=1, w=0) because c1 keeps shrinking toward (alpha=0, w=1)
-        return ExperimentConfig(kind=kind, mu=0.1, k=4, rho=1.0, n=16)
-    if kind == "fig3-kratio":
-        return ExperimentConfig(kind=kind, mu=0.1, k=4, rho_list=(0.5, 0.75))
-    if kind == "fig4-comparison":
-        return ExperimentConfig(kind=kind, mu=0.1, k=2, rho_list=(1.0,), alpha_list=(1.0,))
-    if kind == "verify-local":
-        return ExperimentConfig(
-            kind=kind, k=2, rho_list=(0.5, 1.0), w_grid=(0.0, 0.5, 1.0),
-            m=64, n=128, matrix_kind="identity-plus-orthobasis",
-            signal="sparse-gaussian", trials=34, epsilon=0.05,
-        )
-    raise ConfigError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
-
-
-def _parse_float_list(text: str):
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"bad list value {text!r}") from exc
+    if kind not in _KIND_DEFAULTS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
+    return ExperimentConfig(kind=kind, **_KIND_DEFAULTS[kind])
 
 
 def _parse_value(name: str, text: str):
+    """One config value, parsed by the type ExperimentConfig declares for it;
+    'auto' stands for None where the type allows None."""
+    declared = _FIELD_TYPES[name]
     text = text.strip()
-    if name in ("mu", "rho", "w_step", "epsilon", "noise_scale", "violation_tol"):
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric value for {name}: {text!r}") from exc
-    if name in ("k", "n", "m", "seed", "trials", "max_iter"):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer value for {name}: {text!r}") from exc
-    if name in ("rho_list",):
-        return _parse_float_list(text)
-    if name in ("alpha_list", "w_grid"):
-        return None if text == "auto" else _parse_float_list(text)
-    if name in ("kind", "matrix_kind", "signal", "out_dir"):
+    if declared == "str":
         return text
-    raise ConfigError(f"unknown config key {name!r}")
+    if declared.startswith("tuple"):
+        if text == "auto" and declared.endswith("| None"):
+            return None
+        try:
+            return tuple(float(p) for p in text.split(",") if p.strip() != "")
+        except ValueError as exc:
+            raise ConfigError(f"bad list value {text!r}") from exc
+    try:
+        return float(text) if declared == "float" else int(text)
+    except ValueError as exc:
+        noun = "numeric" if declared == "float" else "integer"
+        raise ConfigError(f"bad {noun} value for {name}: {text!r}") from exc
 
 
 def parse_config_text(text: str) -> dict:
@@ -134,10 +130,9 @@ def load_config(kind: str, path=None, overrides=None) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     pairs.update(overrides or {})
-    known = {f.name for f in fields(ExperimentConfig)} | {"experiment"}
     updates = {}
     for key, raw in pairs.items():
-        if key not in known:
+        if key not in _FIELD_TYPES and key != "experiment":
             raise ConfigError(f"unknown config key {key!r}")
         if key in ("kind", "experiment"):
             if raw != kind:
@@ -150,8 +145,13 @@ def load_config(kind: str, path=None, overrides=None) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    for name in _FIELD_TYPES:
+        value = getattr(cfg, name)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if not 0.0 < cfg.mu <= 1.0:
         raise ConfigError(f"mu must be in (0, 1], got {cfg.mu}")
     if cfg.k < 1:
@@ -176,13 +176,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("alpha_list must be non-empty (or 'auto')")
     if cfg.alpha_list is not None and any(not 0.0 <= a <= 1.0 for a in cfg.alpha_list):
         raise ConfigError(f"alpha values must lie in [0, 1], got {cfg.alpha_list}")
+    if not 0.0 < cfg.w_step <= 1.0:
+        raise ConfigError(f"w_step must be in (0, 1], got {cfg.w_step}")
     for w in w_values(cfg):
         if not 0.0 <= w <= 1.0:
             raise ConfigError(f"w values must lie in [0, 1], got {w}")
     if cfg.w_grid is not None and len(cfg.w_grid) == 0:
         raise ConfigError("w_grid must be non-empty (or 'auto')")
-    if not 0.0 < cfg.w_step <= 1.0:
-        raise ConfigError(f"w_step must be in (0, 1], got {cfg.w_step}")
 
 
 def float_grid(step: float) -> tuple:
@@ -301,6 +301,9 @@ def check_fig3(table: SweepTable) -> list:
     return problems
 
 
+# every theorem but cai, the one global bound that ignores the prior support
+_FIG4_THEOREMS = tuple(name for name in bounds.THEOREMS if name != "cai")
+
 FIG4_COLUMNS = [
     "w",
     "local_c0", "local_c1", "local_valid",
@@ -323,11 +326,7 @@ def run_fig4(cfg: ExperimentConfig) -> SweepTable:
     table = SweepTable(columns=FIG4_COLUMNS)
     for w in w_values(cfg):
         p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
-        local = bounds.local_bound(p)
-        hx = bounds.haixiao_bound(p)
-        fr = bounds.friedlander_bound_coherence(p)
-        ch = bounds.chen_bound_coherence(p)
-        ge = bounds.ge_bound_coherence(p)
+        local, hx, fr, ch, ge = (bounds.evaluate(name, p) for name in _FIG4_THEOREMS)
         ge_printed = bounds.ge_bound_coherence(p, c1_form="printed")
         table.add_row([
             w,
@@ -449,14 +448,8 @@ def run_experiment(cfg: ExperimentConfig, timings: dict | None = None) -> SweepT
 
 def _series_pivot(table: SweepTable, x_col: str, y_col: str, group_col: str) -> SweepTable:
     """Wide table with one column per group value, for plotting."""
-    groups = []
-    for value in table.column(group_col):
-        if value not in groups:
-            groups.append(value)
-    xs = []
-    for value in table.column(x_col):
-        if value not in xs:
-            xs.append(value)
+    groups = list(dict.fromkeys(table.column(group_col)))  # first-seen order
+    xs = list(dict.fromkeys(table.column(x_col)))
     wide = SweepTable(columns=[x_col] + [f"{group_col}={g:g}" for g in groups])
     lookup = {}
     for row in table.rows:
@@ -465,6 +458,14 @@ def _series_pivot(table: SweepTable, x_col: str, y_col: str, group_col: str) -> 
     for x in xs:
         wide.add_row([x] + [lookup.get((x, g), float("nan")) for g in groups])
     return wide
+
+
+# kind -> (quantities drawn against w, one curve per alpha; one panel per rho?)
+_PANELS = {
+    "fig1-coeffs": (("c0", "c1"), True),
+    "fig2-error-terms": (("e_local", "c1_e"), False),
+    "fig3-kratio": (("ratio_standard", "ratio_weighted"), True),
+}
 
 
 def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir) -> list:
@@ -484,38 +485,21 @@ def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir) -
         written.append(path)
 
     save_csv(f"{short}.csv", table)
-    if cfg.kind == "fig1-coeffs":
-        for rho in cfg.rho_list:
-            sub = table.select(rho=rho)
-            for coeff in ("c0", "c1"):
-                wide = _series_pivot(sub, "w", coeff, "alpha")
+    if cfg.kind in _PANELS:
+        quantities, per_rho = _PANELS[cfg.kind]
+        for rho in cfg.rho_list if per_rho else (None,):
+            sub = table if rho is None else table.select(rho=rho)
+            suffix, note = ("", "") if rho is None else (f"_rho{rho:g}", f" (rho={rho:g})")
+            for quantity in quantities:
+                wide = _series_pivot(sub, "w", quantity, "alpha")
                 save_svg(
-                    f"{short}_{coeff}_rho{rho:g}.svg", wide,
+                    f"{short}_{quantity}{suffix}.svg", wide,
                     PlotSpec(x="w", series=tuple(wide.columns[1:]),
-                             title=f"{coeff} vs w (rho={rho:g})", x_label="w", y_label=coeff),
-                )
-    elif cfg.kind == "fig2-error-terms":
-        for quantity in ("e_local", "c1_e"):
-            wide = _series_pivot(table, "w", quantity, "alpha")
-            save_svg(
-                f"{short}_{quantity}.svg", wide,
-                PlotSpec(x="w", series=tuple(wide.columns[1:]),
-                         title=f"{quantity} vs w", x_label="w", y_label=quantity),
-            )
-    elif cfg.kind == "fig3-kratio":
-        for rho in cfg.rho_list:
-            sub = table.select(rho=rho)
-            for ratio in ("ratio_standard", "ratio_weighted"):
-                wide = _series_pivot(sub, "w", ratio, "alpha")
-                save_svg(
-                    f"{short}_{ratio}_rho{rho:g}.svg", wide,
-                    PlotSpec(x="w", series=tuple(wide.columns[1:]),
-                             title=f"{ratio} vs w (rho={rho:g})", x_label="w", y_label=ratio),
+                             title=f"{quantity} vs w{note}", x_label="w", y_label=quantity),
                 )
     elif cfg.kind == "fig4-comparison":
         for coeff in ("c0", "c1"):
-            series = [f"local_{coeff}", f"haixiao_{coeff}", f"friedlander_{coeff}",
-                      f"chen_{coeff}", f"ge_{coeff}"]
+            series = [f"{name}_{coeff}" for name in _FIG4_THEOREMS]
             if coeff == "c1":
                 series.append("ge_c1_printed")
             save_svg(

@@ -36,12 +36,6 @@ class SweepTable:
     rows: list = field(default_factory=list)
 
     def add_row(self, values) -> None:
-        if isinstance(values, dict):
-            missing = [c for c in self.columns if c not in values]
-            extra = [c for c in values if c not in self.columns]
-            if missing or extra:
-                raise InvalidInputError(f"row keys mismatch: missing {missing}, extra {extra}")
-            values = [values[c] for c in self.columns]
         values = list(values)
         if len(values) != len(self.columns):
             raise InvalidInputError(
@@ -94,64 +88,6 @@ def to_csv_text(table: SweepTable) -> str:
 def emit_csv(table: SweepTable, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(to_csv_text(table))
-
-
-def _parse_cell(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _split_csv_line(line: str) -> list:
-    cells = []
-    current = []
-    quoted = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quoted:
-            if ch == '"':
-                if i + 1 < len(line) and line[i + 1] == '"':
-                    current.append('"')
-                    i += 1
-                else:
-                    quoted = False
-            else:
-                current.append(ch)
-        elif ch == '"' and not current:
-            quoted = True
-        elif ch == ",":
-            cells.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    cells.append("".join(current))
-    return cells
-
-
-def parse_csv_text(text: str) -> SweepTable:
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines:
-        raise InvalidInputError("empty CSV text")
-    table = SweepTable(columns=_split_csv_line(lines[0]))
-    for line in lines[1:]:
-        table.add_row([_parse_cell(c) for c in _split_csv_line(line)])
-    return table
-
-
-def read_csv_file(path) -> SweepTable:
-    with open(path) as fh:
-        return parse_csv_text(fh.read())
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from priorcs import (
     local_bound,
     local_k_max,
 )
-from priorcs.bounds import local_denominator
+from priorcs.bounds import THEOREMS, evaluate, local_denominator
 
 import oracles
 
@@ -343,6 +343,38 @@ class TestKRatio:
             k_ratio(params(), "tightest")
 
 
+class TestEvaluate:
+    def test_without_constants_each_theorem_is_its_coherence_form(self):
+        p = params(k=2, rho=1.0, alpha=1.0, w=0.5)
+        forms = [local_bound, cai_bound, haixiao_bound,
+                 friedlander_bound_coherence, chen_bound_coherence, ge_bound_coherence]
+        assert list(THEOREMS) == ["local", "cai", "haixiao", "friedlander", "chen", "ge"]
+        for name, form in zip(THEOREMS, forms):
+            assert evaluate(name, p) == form(p)
+
+    def test_full_sets_use_the_explicit_form(self):
+        p = params(k=2, rho=1.0, alpha=1.0, w=0.5, a=2.0, b=2.0, t=3.0)
+        assert evaluate("friedlander", p, delta_ak=0.1, delta_a1k=0.2) \
+            == friedlander_bound(p, 0.1, 0.2)
+        assert evaluate("chen", p, delta_a=0.1, theta_ab=0.2) == chen_bound(p, 0.1, 0.2)
+        assert evaluate("ge", p, delta_tk=0.1) == ge_bound(p, 0.1)
+
+    def test_constants_of_other_theorems_and_none_are_ignored(self):
+        p = params(k=2, rho=1.0, alpha=1.0, w=0.5)
+        assert evaluate("chen", p, delta_ak=0.1, delta_tk=0.1, delta_a=None) \
+            == chen_bound_coherence(p)
+        assert evaluate("local", p, delta_tk=0.1) == local_bound(p)
+
+    def test_partial_set_and_unknown_name_rejected(self):
+        p = params(k=2, rho=1.0, alpha=1.0, w=0.5)
+        with pytest.raises(InvalidInputError, match="missing theta_ab"):
+            evaluate("chen", p, delta_a=0.9)
+        with pytest.raises(InvalidInputError, match="missing delta_ak"):
+            evaluate("friedlander", p, delta_ak=None, delta_a1k=0.2)
+        with pytest.raises(InvalidInputError):
+            evaluate("candes", p)
+
+
 class TestValidityMonotoneInMu:
     def test_shrinking_mu_preserves_validity(self):
         mus = (0.3, 0.2, 0.1, 0.05, 0.01)
@@ -380,7 +412,5 @@ class TestParamsValidation:
             GuaranteeParams(mu=0.1, k=2, w=-0.1)
         with pytest.raises(InvalidInputError):
             GuaranteeParams(mu=0.1, k=2, rho=-1.0)
-        with pytest.raises(InvalidInputError):
-            GuaranteeParams(mu=0.1, k=2, epsilon=-1.0)
         with pytest.raises(InvalidInputError):
             GuaranteeParams(mu=0.1, k=2, rho=2.0, alpha=1.0)  # overlap exceeds k

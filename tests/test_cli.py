@@ -117,6 +117,36 @@ class TestBoundsCommand:
         c0 = float(out.strip().splitlines()[1].split(",")[1])
         assert c0 == pytest.approx(2 * math.sqrt(2.0), abs=1e-9)
 
+    def test_constants_of_one_theorem_leave_the_others_on_the_coherence_scale(self, capsys):
+        base = ("bounds", "--mu", "0.1", "--k", "2", "--rho", "1", "--alpha", "1", "--w", "0.5")
+        _, plain, _ = run_cli(capsys, *base)
+        code, out, _ = run_cli(capsys, *base, "--t", "2", "--delta-tk", "0")
+        assert code == 0
+        assert out.splitlines()[:6] == plain.splitlines()[:6]
+        ge = out.splitlines()[6].split(",")
+        assert ge[0] == "ge" and float(ge[1]) == pytest.approx(2 * math.sqrt(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("theorem, flags", [
+        ("chen", ("--delta-a", "0.9")),
+        ("friedlander", ("--a", "2", "--delta-a1k", "0.2")),
+        ("all", ("--delta-ak", "0.1")),
+    ])
+    def test_partial_constant_set_exits_2_before_any_row(self, capsys, theorem, flags):
+        code, out, err = run_cli(capsys, "bounds", "--mu", "0.1", "--k", "2", "--rho", "1",
+                                 "--alpha", "1", "--w", "0.5", "--theorem", theorem, *flags)
+        assert code == 2
+        assert out == "theorem,c0,c1,k_max,valid,reason\n"
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "missing" in line
+
+
+def test_main_leaves_numpy_error_state_alone(tmp_path, capsys):
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        assert main(["bounds", "--mu", "0.1", "--k", "2"]) == 0
+        assert main(["fig4", "-o", "w_grid=0,1", "--out-dir", str(tmp_path)]) == 0
+        assert np.geterr() == before
+
 
 class TestExperimentCommands:
     def test_fig1_writes_outputs(self, tmp_path, capsys):
@@ -168,6 +198,25 @@ class TestExperimentCommands:
         code, _, err = run_cli(capsys, "fig1", "--out-dir", str(tmp_path), "-o", "sigma=1")
         assert code == 2
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize("command, override", [
+        ("fig1", "rho_list=nan"),
+        ("fig1", "rho_list=inf"),
+        ("fig2", "rho=nan"),
+        ("fig2", "seed=-1"),
+        ("verify", "seed=-1"),
+        ("verify", "violation_tol=nan"),
+        ("fig4", "w_step=nan"),
+        ("fig4", "w_step=0"),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, command, override):
+        small = ("-o", "m=16", "-o", "n=32", "-o", "trials=1", "-o", "w_grid=0.5")
+        code, out, err = run_cli(capsys, command, "--out-dir", str(tmp_path), "-o", override,
+                                 *(small if command == "verify" else ()))
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+        assert out == "" and os.listdir(tmp_path) == []
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
