@@ -7,8 +7,8 @@ Library layout:
 - ``supports``: best k-term approximations, prior-support geometry
   (rho, alpha), error-multiplier terms.
 - ``solver``: the weighted l1 primal-dual solver (one problem, or a batch
-  that shares one matrix), the exhaustive l0 oracle, first-order
-  optimality checks, problem file format.
+  that shares one matrix), the first-order optimality check, problem file
+  reader.
 - ``bounds``: the local recovery guarantee and five global guarantees, plus
   coherence-scale substitutions and the admissible-sparsity ratios.
 - ``experiments``: deterministic sweeps and the Monte-Carlo verification.
@@ -35,7 +35,6 @@ from .errors import (
     ConfigError,
     InfeasibleProblemError,
     InvalidInputError,
-    NoSparseSolutionError,
     PriorCSError,
 )
 from .matrices import (
@@ -55,10 +54,8 @@ from .solver import (
     SolveTolerances,
     kkt_check,
     read_problem_file,
-    solve_l0_oracle,
     solve_weighted_l1,
     solve_weighted_l1_batch,
-    write_problem_file,
 )
 from .supports import (
     ErrorTerms,
@@ -66,57 +63,8 @@ from .supports import (
     best_k_term,
     error_terms,
     format_index_set,
-    parse_index_set,
     prior_support_for,
     support_model,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceededError",
-    "ConfigError",
-    "ErrorTerms",
-    "GuaranteeParams",
-    "GuaranteeResult",
-    "InfeasibleProblemError",
-    "InvalidInputError",
-    "IsometryReport",
-    "NoSparseSolutionError",
-    "PriorCSError",
-    "RecoveryProblem",
-    "SensingMatrix",
-    "SolveReport",
-    "SolveTolerances",
-    "SupportModel",
-    "best_k_term",
-    "cai_bound",
-    "chen_bound",
-    "chen_bound_coherence",
-    "coherence",
-    "error_terms",
-    "format_index_set",
-    "friedlander_bound",
-    "friedlander_bound_coherence",
-    "ge_bound",
-    "ge_bound_coherence",
-    "generate_matrix",
-    "haixiao_bound",
-    "isometry_report",
-    "k_ratio",
-    "kkt_check",
-    "local_bound",
-    "local_k_max",
-    "parse_index_set",
-    "prior_support_for",
-    "read_matrix_file",
-    "read_problem_file",
-    "ric_exact",
-    "roc_exact",
-    "solve_l0_oracle",
-    "solve_weighted_l1",
-    "solve_weighted_l1_batch",
-    "support_model",
-    "write_matrix_file",
-    "write_problem_file",
-]

@@ -33,7 +33,8 @@ class GuaranteeParams:
 
     mu is the coherence of the sensing matrix (a free scalar here: the bounds
     only see the value, never a concrete matrix). a, b, t are the free
-    constants some of the guarantees carry; they stay None unless needed.
+    constants some of the guarantees carry; they stay None unless needed and
+    must be finite when given.
     """
 
     mu: float
@@ -62,6 +63,10 @@ class GuaranteeParams:
             )
         if not 0.0 <= self.w <= 1.0:
             raise InvalidInputError(f"w must be in [0, 1], got {self.w}")
+        for name in ("a", "b", "t"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -242,6 +247,8 @@ def friedlander_bound_coherence(p: GuaranteeParams) -> GuaranteeResult:
     """
     p = _with_default(p, a=2.0)
     a, k, mu = p.a, p.k, p.mu
+    if not a > 1.0:
+        raise InvalidInputError(f"a must be > 1, got {a}")
     beta = p.w + (1.0 - p.w) * _spread_root(p.rho, p.alpha)
     k_max = (a * (1.0 + mu) - beta * beta * (1.0 - mu)) / (mu * a * (beta * beta + a + 1.0))
     delta_ak = (a * k - 1.0) * mu

@@ -71,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sol = sub.add_parser("solve", help="solve a weighted l1 problem file")
     sol.add_argument("--problem", required=True)
-    sol.add_argument("--opt-tol", type=float, default=1e-8)
-    sol.add_argument("--feas-tol", type=float, default=1e-9)
-    sol.add_argument("--max-iter", type=int, default=200_000)
+    sol.add_argument("--opt-tol", type=float, default=SolveTolerances.opt_tol)
+    sol.add_argument("--feas-tol", type=float, default=SolveTolerances.feas_tol)
+    sol.add_argument("--max-iter", type=int, default=SolveTolerances.max_iter)
 
     bnd = sub.add_parser("bounds", help="evaluate recovery guarantees at one parameter point")
     bnd.add_argument("--theorem", choices=THEOREMS + ("all",), default="all")

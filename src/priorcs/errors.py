@@ -17,9 +17,5 @@ class InfeasibleProblemError(PriorCSError):
     """No point satisfies the measurement constraint."""
 
 
-class NoSparseSolutionError(PriorCSError):
-    """Support enumeration found no feasible support within the sparsity cap."""
-
-
 class ConfigError(PriorCSError, ValueError):
     """Experiment configuration is missing, malformed, or inconsistent."""

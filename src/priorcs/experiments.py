@@ -12,7 +12,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,6 +31,11 @@ from .supports import error_terms, format_index_set, prior_support_for, support_
 from .tables import PlotSpec, SweepTable, emit_csv, emit_svg
 
 SIGNAL_KINDS = ("gaussian", "sparse-gaussian")
+
+# lhs may exceed rhs by this much before a verify trial counts as a violation;
+# it absorbs the solver's finite accuracy, which matters only when rhs is
+# exactly zero (eps = 0 with the prior support holding the whole signal)
+VIOLATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,7 @@ class ExperimentConfig:
     seed: int = 20240901
     trials: int = 34
     epsilon: float = 0.05
-    noise_scale: float = 1.0
-    max_iter: int = 200_000
-    violation_tol: float = 1e-6
+    max_iter: int = SolveTolerances.max_iter
     out_dir: str = "out"
 
 
@@ -160,10 +162,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.epsilon < 0:
         raise ConfigError(f"epsilon must be >= 0, got {cfg.epsilon}")
-    if not 0.0 <= cfg.noise_scale <= 1.0:
-        raise ConfigError(f"noise_scale must be in [0, 1], got {cfg.noise_scale}")
-    if cfg.violation_tol < 0:
-        raise ConfigError(f"violation_tol must be >= 0, got {cfg.violation_tol}")
+    if cfg.max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter}")
     if cfg.kind in ("fig2-error-terms", "verify-local") and cfg.k > cfg.n:
         raise ConfigError(f"k = {cfg.k} exceeds the signal dimension n = {cfg.n}")
     if cfg.matrix_kind not in MATRIX_KINDS:
@@ -176,8 +176,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("alpha_list must be non-empty (or 'auto')")
     if cfg.alpha_list is not None and any(not 0.0 <= a <= 1.0 for a in cfg.alpha_list):
         raise ConfigError(f"alpha values must lie in [0, 1], got {cfg.alpha_list}")
+    if cfg.kind == "fig4-comparison" and (len(cfg.rho_list) > 1 or len(cfg.alpha_list or ()) > 1):
+        raise ConfigError("fig4 compares at one (rho, alpha); give one value of each")
     if not 0.0 < cfg.w_step <= 1.0:
         raise ConfigError(f"w_step must be in (0, 1], got {cfg.w_step}")
+    if cfg.w_step < 1e-6:
+        raise ConfigError(f"w_step {cfg.w_step} would make a grid of over a million points")
     for w in w_values(cfg):
         if not 0.0 <= w <= 1.0:
             raise ConfigError(f"w values must lie in [0, 1], got {w}")
@@ -204,7 +208,7 @@ def admissible_alphas(rho: float, k: int) -> tuple:
         raise ConfigError(f"rho*k must be a positive integer, got rho={rho}, k={k}")
     t_size = int(round(t_size))
     top = min(t_size, k)
-    return tuple(float(Fraction(j, t_size)) for j in range(top + 1))
+    return tuple(j / t_size for j in range(top + 1))
 
 
 def _alphas_for(cfg: ExperimentConfig, rho: float) -> tuple:
@@ -351,11 +355,9 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     ||x*_T - x_T||_2 against c0*eps + c1*e per trial.
 
     Every trial is drawn first and all are solved in one batch (they share A
-    and eps), which gives each trial the bits of a solve on its own.
-    Violations are only counted on converged trials whose premises hold; the
-    expected count is zero. violation_tol absorbs the solver's finite
-    accuracy, which matters only when the right-hand side is exactly zero
-    (eps = 0 with the prior support containing the whole signal support).
+    and eps), which gives each trial the bits of a solve on its own. The
+    noise has norm exactly eps. Violations are only counted on converged
+    trials whose premises hold; the expected count is zero.
     If timings is a dict, the batch's wall seconds go to timings["solve_s"].
     """
     matrix = generate_matrix(cfg.matrix_kind, cfg.m, cfg.n, cfg.seed)
@@ -373,9 +375,9 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
             rng = np.random.default_rng([cfg.seed, len(trials)])
             x = _draw_signal(cfg, rng)
             noise = np.zeros(cfg.m)
-            if cfg.epsilon > 0.0 and cfg.noise_scale > 0.0:
+            if cfg.epsilon > 0.0:
                 direction = rng.standard_normal(cfg.m)
-                noise = direction / np.linalg.norm(direction) * (cfg.noise_scale * cfg.epsilon)
+                noise = direction / np.linalg.norm(direction) * cfg.epsilon
             y = a @ x + noise
             t = prior_support_for(x, cfg.k, rho, alpha)
             trials.append((w, x, t, RecoveryProblem.with_prior_support(matrix, y, cfg.epsilon, t, w)))
@@ -399,7 +401,7 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
         lhs = float(np.linalg.norm(report.x_star[t_idx] - x[t_idx]))
         rhs = res.c0 * cfg.epsilon + res.c1 * terms.e_local
         violation = bool(
-            report.converged and premise_k and premise_d and lhs > rhs + cfg.violation_tol
+            report.converged and premise_k and premise_d and lhs > rhs + VIOLATION_TOL
         )
         table.add_row([
             trial, model.rho, model.alpha, w, format_index_set(t),

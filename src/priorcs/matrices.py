@@ -31,13 +31,10 @@ MATRIX_KINDS = ("gaussian-normalized", "identity-plus-orthobasis", "explicit")
 class SensingMatrix:
     """A real m x n measurement matrix with unit-norm columns.
 
-    ``entries`` stores the column-normalized matrix (read-only);
-    ``column_norms`` keeps the norms of the columns as supplied, so an
-    explicit matrix can be recovered up to that scaling.
+    ``entries`` stores the column-normalized matrix (read-only).
     """
 
     entries: np.ndarray
-    column_norms: np.ndarray
     _mu: float | None = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -52,15 +49,17 @@ class SensingMatrix:
             raise InvalidInputError(f"matrix must have m <= n, got {m}x{n}")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("matrix entries must be finite")
-        norms = np.linalg.norm(arr, axis=0)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(arr, axis=0)
         if np.any(norms <= 0.0):
             bad = int(np.argmin(norms))
             raise InvalidInputError(f"column {bad + 1} has zero norm")
+        if not np.all(np.isfinite(norms)):
+            raise InvalidInputError(f"column {int(np.argmax(norms)) + 1} has a norm that overflows")
         scale = np.where(np.abs(norms - 1.0) <= _UNIT_NORM_SLACK, 1.0, norms)
         entries = arr / scale
         entries.flags.writeable = False
-        norms.flags.writeable = False
-        return cls(entries=entries, column_norms=norms)
+        return cls(entries=entries)
 
     @property
     def m(self) -> int:

@@ -22,28 +22,19 @@ per row, the very calls a lone solve makes; a 2-D gemm over an n x B block
 would round a column differently at each batch width. Elementwise steps
 round the same either way, and a row leaves the batch when it converges.
 
-The exhaustive l0 oracle and the first-order optimality check exist to keep
-the convex solver honest on tiny instances.
+The first-order optimality check rebuilds a multiplier from x alone, so it
+judges a solution independently of the solver that produced it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    InfeasibleProblemError,
-    InvalidInputError,
-    NoSparseSolutionError,
-)
-from .matrices import SensingMatrix, read_matrix_text, write_matrix_text, format_real
-
-L0_MAX_N = 14
-L0_MAX_K = 5
+from .errors import InfeasibleProblemError, InvalidInputError
+from .matrices import SensingMatrix, read_matrix_text
 
 
 @dataclass(eq=False)
@@ -256,44 +247,6 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
     return reports
 
 
-def _min_norm_lstsq(block: np.ndarray, y: np.ndarray):
-    """Least squares with the minimal-norm solution when rank-deficient."""
-    x, *_ = np.linalg.lstsq(block, y, rcond=None)
-    return x, float(np.linalg.norm(block @ x - y))
-
-
-def solve_l0_oracle(problem: RecoveryProblem, k_max: int, feas_tol: float = 1e-8):
-    """Sparsest feasible x by exhausting all supports of size 0..k_max.
-
-    Per support, the coefficients come from least squares; a support is
-    feasible when its residual is within eps (plus feas_tol slack). Among
-    supports of the smallest feasible size the one with the smallest residual
-    wins, ties going to the lexicographically first support. Returns (x0, k0).
-    """
-    a = problem.matrix.entries
-    n = a.shape[1]
-    if k_max < 0:
-        raise InvalidInputError(f"k_max must be >= 0, got {k_max}")
-    if n > L0_MAX_N or k_max > L0_MAX_K:
-        raise BudgetExceededError(
-            f"l0 oracle budget is n <= {L0_MAX_N}, k_max <= {L0_MAX_K}; got n={n}, k_max={k_max}"
-        )
-    limit = problem.epsilon + feas_tol
-    for size in range(0, k_max + 1):
-        best = None
-        for support in itertools.combinations(range(n), size):
-            idx = np.asarray(support, dtype=int)
-            coeffs, residual = _min_norm_lstsq(a[:, idx], problem.y)
-            if residual <= limit and (best is None or residual < best[0]):
-                best = (residual, support, coeffs)
-        if best is not None:
-            _, support, coeffs = best
-            x0 = np.zeros(n)
-            x0[list(support)] = coeffs
-            return x0, len(support)
-    raise NoSparseSolutionError(f"no support of size <= {k_max} fits within eps = {problem.epsilon}")
-
-
 def kkt_check(problem: RecoveryProblem, x, support_tol: float = 1e-7, boundary_tol: float = 1e-9) -> float:
     """First-order optimality residual of x for the weighted l1 program.
 
@@ -341,22 +294,6 @@ def kkt_check(problem: RecoveryProblem, x, support_tol: float = 1e-7, boundary_t
     on_support = float(np.abs(certificate - target)[active | (weights == 0.0)].max(initial=0.0))
     off_support = float(np.maximum(np.abs(certificate) - weights, 0.0)[~active].max(initial=0.0))
     return max(feas, on_support, off_support)
-
-
-def write_problem_text(problem: RecoveryProblem) -> str:
-    parts = ["MATRIX", write_matrix_text(problem.matrix).rstrip("\n")]
-    parts.append("VECTOR")
-    parts.append(" ".join(format_real(v) for v in problem.y))
-    parts.append("EPSILON")
-    parts.append(format_real(problem.epsilon))
-    parts.append("WEIGHTS")
-    parts.append(" ".join(format_real(v) for v in problem.weights))
-    return "\n".join(parts) + "\n"
-
-
-def write_problem_file(problem: RecoveryProblem, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(write_problem_text(problem))
 
 
 def read_problem_text(text: str) -> RecoveryProblem:

@@ -9,7 +9,6 @@ the l1 error terms that multiply the guarantee coefficients. Indices are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,8 +38,7 @@ def best_k_term(x, k: int):
 class SupportModel:
     """Prior-support geometry: |T| = rho*k and |T inter T0| = alpha*|T|.
 
-    rho and alpha are stored both as floats and as exact rationals; the
-    rationals satisfy the integer identities exactly.
+    rho and alpha are the correctly rounded quotients of those counts.
     """
 
     n: int
@@ -50,12 +48,6 @@ class SupportModel:
     rho: float
     alpha: float
     w: float
-    rho_exact: Fraction
-    alpha_exact: Fraction
-
-    @property
-    def overlap(self) -> int:
-        return len(set(self.T) & set(self.T0))
 
 
 def support_model(x, T, k: int, w: float) -> SupportModel:
@@ -70,31 +62,23 @@ def support_model(x, T, k: int, w: float) -> SupportModel:
     if not 0.0 <= w <= 1.0:
         raise InvalidInputError(f"w must be in [0, 1], got {w}")
     _, t0 = best_k_term(x, k)
-    rho = Fraction(len(t), k)
-    alpha = Fraction(len(set(t) & set(t0)), len(t)) if t else Fraction(0)
-    return SupportModel(
-        n=n, k=k, T=t, T0=t0,
-        rho=float(rho), alpha=float(alpha), w=float(w),
-        rho_exact=rho, alpha_exact=alpha,
-    )
+    alpha = len(set(t) & set(t0)) / len(t) if t else 0.0
+    return SupportModel(n=n, k=k, T=t, T0=t0, rho=len(t) / k, alpha=alpha, w=float(w))
 
 
 @dataclass(frozen=True)
 class ErrorTerms:
     """The l1 error pieces multiplying C1 in the recovery guarantees.
 
-    e_local adds the missed-top-support mass that the local bound carries;
-    e_global is the multiplier shared by the global bounds. e_proof is the
-    equivalent form w*|x on T minus T0|_1 + |x off T|_1, kept separate so the
-    algebraic identity e_proof == e_local can be tested directly.
+    e_local = w*tail_k + (1-w)*off_prior_off_top + missed_top is the
+    multiplier of the local bound: the global bounds' multiplier plus the
+    mass of the top-k support that T misses.
     """
 
     tail_k: float
     off_prior_off_top: float
     missed_top: float
     e_local: float
-    e_global: float
-    e_proof: float
 
 
 def error_terms(x, model: SupportModel) -> ErrorTerms:
@@ -111,16 +95,12 @@ def error_terms(x, model: SupportModel) -> ErrorTerms:
     tail_k = float(ax[~in_t0].sum())
     off_prior_off_top = float(ax[~in_t & ~in_t0].sum())
     missed_top = float(ax[~in_t & in_t0].sum())
-    on_prior_off_top = float(ax[in_t & ~in_t0].sum())
-    off_prior = float(ax[~in_t].sum())
     w = model.w
     return ErrorTerms(
         tail_k=tail_k,
         off_prior_off_top=off_prior_off_top,
         missed_top=missed_top,
         e_local=w * tail_k + (1.0 - w) * off_prior_off_top + missed_top,
-        e_global=w * tail_k + (1.0 - w) * off_prior_off_top,
-        e_proof=w * on_prior_off_top + off_prior,
     )
 
 
@@ -166,22 +146,3 @@ def _as_count(value: float, label: str) -> int:
 def format_index_set(indices) -> str:
     """Serialize 0-based indices as sorted 1-based comma-separated integers."""
     return ",".join(str(i + 1) for i in sorted(indices))
-
-
-def parse_index_set(text: str, n: int):
-    """Parse a 1-based comma-separated index list into a sorted 0-based tuple."""
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for part in text.split(","):
-        try:
-            one_based = int(part)
-        except ValueError as exc:
-            raise InvalidInputError(f"bad index {part!r} in index set") from exc
-        if not 1 <= one_based <= n:
-            raise InvalidInputError(f"index {one_based} out of range 1..{n}")
-        out.append(one_based - 1)
-    if len(set(out)) != len(out):
-        raise InvalidInputError("duplicate indices in index set")
-    return tuple(sorted(out))

@@ -110,6 +110,15 @@ def best_tail_by_enumeration(x, k):
     return best
 
 
+def proof_error_multiplier(x, t, t0, w):
+    """The local bound's multiplier in the form its proof uses:
+    w*|x on T minus T0|_1 + |x off T|_1."""
+    x = np.abs(np.asarray(x, dtype=float))
+    on_t = np.isin(np.arange(x.size), list(t))
+    off_top = ~np.isin(np.arange(x.size), list(t0))
+    return w * x[on_t & off_top].sum() + x[~on_t].sum()
+
+
 def min_weighted_l1_by_vertex_enumeration(entries, y, weights, feas_tol=1e-9):
     """Exact minimum of sum w_i |x_i| over {x : Ax = y} by vertex enumeration.
 
@@ -138,6 +147,33 @@ def min_weighted_l1_by_vertex_enumeration(entries, y, weights, feas_tol=1e-9):
             if best_value is None or value < best_value - 1e-15:
                 best_value, best_x = value, x
     return best_value, best_x
+
+
+def solve_l0_oracle(entries, y, eps, k_max, feas_tol=1e-8):
+    """Sparsest x with ||Ax - y|| <= eps + feas_tol, by exhausting all supports
+    of size 0..k_max (tiny n only).
+
+    Per support the coefficients are the minimal-norm least-squares fit. Among
+    the feasible supports of the smallest size the one with the smallest
+    residual wins, ties going to the lexicographically first support. Returns
+    (x0, k0), or None when no support of size <= k_max fits.
+    """
+    entries = np.asarray(entries, dtype=float)
+    n = entries.shape[1]
+    for size in range(k_max + 1):
+        best = None
+        for support in itertools.combinations(range(n), size):
+            block = entries[:, list(support)]
+            coeffs, *_ = np.linalg.lstsq(block, y, rcond=None)
+            residual = float(np.linalg.norm(block @ coeffs - y))
+            if residual <= eps + feas_tol and (best is None or residual < best[0]):
+                best = (residual, support, coeffs)
+        if best is not None:
+            _, support, coeffs = best
+            x0 = np.zeros(n)
+            x0[list(support)] = coeffs
+            return x0, size
+    return None
 
 
 def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1e-9, max_iter=200_000):

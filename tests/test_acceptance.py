@@ -138,8 +138,9 @@ class TestCriterion5AlgebraicIdentities:
             t_size = int(rng.integers(0, n + 1))
             t = tuple(sorted(rng.choice(n, size=t_size, replace=False).tolist()))
             w = float(rng.uniform())
-            terms = pc.error_terms(x, pc.support_model(x, t, k, w))
-            assert abs(terms.e_proof - terms.e_local) <= 1e-12
+            model = pc.support_model(x, t, k, w)
+            e_proof = oracles.proof_error_multiplier(x, t, model.T0, w)
+            assert abs(e_proof - pc.error_terms(x, model).e_local) <= 1e-12
         for mu in (0.02, 0.05, 0.1, 0.2, 0.3, 0.45):
             for k in (1, 2, 3, 4, 6, 10):
                 for rho, alpha in ((0.5, 0.0), (1.0, 0.5), (2.0, 0.5)):
@@ -172,7 +173,7 @@ class TestCriterion6SolverOracleEquivalence:
             report = pc.solve_weighted_l1(problem)
             assert report.converged
             assert np.max(np.abs(report.x_star - x)) <= 1e-6
-            x0, k0 = pc.solve_l0_oracle(problem, k)
+            x0, k0 = oracles.solve_l0_oracle(matrix.entries, y, 0.0, k)
             assert k0 == k
             assert np.max(np.abs(x0 - x)) <= 1e-6
             assert np.max(np.abs(report.x_star - x0)) <= 1e-6

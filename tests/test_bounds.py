@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorcs import (
     GuaranteeParams,
@@ -33,6 +35,11 @@ FRIEDLANDER_W1_DEN = -0.099118993643307441
 CHEN_FIG4_W1 = (4.9441323247304420, 2.4142135623730950)
 GE_FIG4_W1 = (5.6013580602907139, 2.7528033365105276, 2.1927120970564062)
 GE_W0_A1_R1 = (4.6070044275991712, 2.3400336621456465)
+
+
+# free and isometry constants the CLI can pass: None (flag not given), edges,
+# and non-finite values
+EDGE_VALUES = [None, 0.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan]
 
 
 def params(mu=0.1, k=4, rho=0.5, alpha=0.0, w=0.0, **kw):
@@ -373,6 +380,26 @@ class TestEvaluate:
             evaluate("friedlander", p, delta_ak=None, delta_a1k=0.2)
         with pytest.raises(InvalidInputError):
             evaluate("candes", p)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        name=st.sampled_from(list(THEOREMS)),
+        point=st.sampled_from([(0.01, 1, 0.0, 0.0, 1.0), (0.1, 2, 1.0, 0.5, 0.5),
+                               (0.25, 3, 2.0, 0.25, 0.0), (0.5, 6, 0.5, 1.0, 1.0),
+                               (1.0, 4, 1.0, 0.0, 0.0)]),
+        free=st.tuples(*[st.sampled_from(EDGE_VALUES)] * 3),
+        constants=st.fixed_dictionaries(
+            {c: st.sampled_from(EDGE_VALUES) for *_, own in THEOREMS.values() for c in own}),
+    )
+    def test_any_constants_give_a_result_or_invalid_input(self, name, point, free, constants):
+        mu, k, rho, alpha, w = point
+        a, b, t = free
+        try:
+            res = evaluate(name, GuaranteeParams(mu=mu, k=k, rho=rho, alpha=alpha, w=w,
+                                                 a=a, b=b, t=t), **constants)
+        except InvalidInputError:
+            return
+        assert res.theorem == name
 
 
 class TestValidityMonotoneInMu:

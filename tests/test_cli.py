@@ -139,6 +139,23 @@ class TestBoundsCommand:
         (line,) = err.splitlines()
         assert line.startswith("error: ") and "missing" in line
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--theorem", "chen", "--b", "inf"), "b must be finite"),
+        (("--theorem", "chen", "--b", "nan"), "b must be finite"),
+        (("--theorem", "friedlander", "--a", "inf", "--delta-ak", "0.1", "--delta-a1k", "0.2"),
+         "a must be finite"),
+        (("--theorem", "friedlander", "--a", "0"), "a must be > 1"),
+        (("--theorem", "all", "--a", "0"), "a must be > 1"),
+        (("--theorem", "ge", "--t", "nan"), "t must be finite"),
+    ], ids=["chen-b-inf", "chen-b-nan", "friedlander-a-inf", "friedlander-a-0", "all-a-0",
+            "ge-t-nan"])
+    def test_bad_free_constant_exits_2(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "bounds", "--mu", "0.1", "--k", "2", *flags)
+        assert code == 2
+        assert out == "theorem,c0,c1,k_max,valid,reason\n"
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and message in line
+
 
 def test_main_leaves_numpy_error_state_alone(tmp_path, capsys):
     with np.errstate(all="warn"):
@@ -205,9 +222,14 @@ class TestExperimentCommands:
         ("fig2", "rho=nan"),
         ("fig2", "seed=-1"),
         ("verify", "seed=-1"),
-        ("verify", "violation_tol=nan"),
+        ("verify", "epsilon=nan"),
+        ("verify", "max_iter=0"),
+        ("verify", "max_iter=-1"),
         ("fig4", "w_step=nan"),
         ("fig4", "w_step=0"),
+        ("fig1", "w_step=5e-324"),
+        ("fig4", "rho_list=0.5,1"),
+        ("fig4", "alpha_list=0.5,1"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, override):
         small = ("-o", "m=16", "-o", "n=32", "-o", "trials=1", "-o", "w_grid=0.5")
@@ -217,6 +239,12 @@ class TestExperimentCommands:
         (line,) = err.splitlines()
         assert line.startswith("error: ")
         assert out == "" and os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("key", ["noise_scale", "violation_tol"])
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys, key):
+        code, _, err = run_cli(capsys, "verify", "--out-dir", str(tmp_path), "-o", f"{key}=0.5")
+        assert code == 2
+        assert "unknown config key" in err
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

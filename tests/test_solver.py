@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from priorcs import (
-    BudgetExceededError,
     InfeasibleProblemError,
     InvalidInputError,
-    NoSparseSolutionError,
     RecoveryProblem,
     SensingMatrix,
     SolveTolerances,
@@ -16,14 +14,18 @@ from priorcs import (
     GuaranteeParams,
     generate_matrix,
     kkt_check,
-    solve_l0_oracle,
     solve_weighted_l1,
     solve_weighted_l1_batch,
 )
 from priorcs.experiments import load_config, run_verify_local
-from priorcs.solver import operator_norm, read_problem_text, write_problem_text
+from priorcs.matrices import format_real, write_matrix_text
+from priorcs.solver import operator_norm, read_problem_text
 
-from oracles import min_weighted_l1_by_vertex_enumeration, primal_dual_one_at_a_time
+from oracles import (
+    min_weighted_l1_by_vertex_enumeration,
+    primal_dual_one_at_a_time,
+    solve_l0_oracle,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -326,52 +328,36 @@ class TestRecoveryProblemValidation:
 
 
 class TestL0Oracle:
-    def test_zero_right_hand_side(self, identity4):
-        problem = RecoveryProblem.create(identity4, np.zeros(4), 0.0, np.ones(4))
-        x0, k0 = solve_l0_oracle(problem, 2)
+    def test_zero_right_hand_side(self):
+        x0, k0 = solve_l0_oracle(np.eye(4), np.zeros(4), 0.0, 2)
         assert k0 == 0
         assert np.array_equal(x0, np.zeros(4))
 
-    def test_identity_single_spike(self, identity4):
-        problem = RecoveryProblem.create(identity4, np.array([0.0, 2.0, 0.0, 0.0]), 0.0, np.ones(4))
-        x0, k0 = solve_l0_oracle(problem, 3)
+    def test_identity_single_spike(self):
+        x0, k0 = solve_l0_oracle(np.eye(4), np.array([0.0, 2.0, 0.0, 0.0]), 0.0, 3)
         assert k0 == 1
         assert np.array_equal(x0, [0.0, 2.0, 0.0, 0.0])
 
     def test_tri_matrix_prefers_single_support(self):
-        x0, k0 = solve_l0_oracle(tri_problem(np.ones(3)), 2)
+        problem = tri_problem(np.ones(3))
+        x0, k0 = solve_l0_oracle(problem.matrix.entries, problem.y, 0.0, 2)
         assert k0 == 1
         assert np.allclose(x0, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_lexicographic_tie_break(self):
         # duplicate columns: supports {0} and {1} fit equally well
-        matrix = SensingMatrix.from_array(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        problem = RecoveryProblem.create(matrix, np.array([3.0, 0.0]), 0.0, np.ones(2))
-        x0, k0 = solve_l0_oracle(problem, 2)
+        x0, k0 = solve_l0_oracle(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([3.0, 0.0]), 0.0, 2)
         assert k0 == 1
         assert x0[0] == pytest.approx(3.0)
         assert x0[1] == 0.0
 
     def test_rank_deficient_support_minimal_norm(self):
-        matrix = SensingMatrix.from_array(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        problem = RecoveryProblem.create(matrix, np.array([2.0, 0.0]), 0.0, np.ones(2))
-        x0, k0 = solve_l0_oracle(problem, 2)
+        x0, k0 = solve_l0_oracle(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([2.0, 0.0]), 0.0, 2)
         assert k0 == 1  # a single column already fits exactly
 
     def test_no_solution(self):
-        wide = SensingMatrix.from_array(np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]]))
-        problem = RecoveryProblem.create(wide, np.array([1.0, 1.0]), 0.0, np.ones(2))
-        with pytest.raises(NoSparseSolutionError):
-            solve_l0_oracle(problem, 0)
-
-    def test_budget(self):
-        matrix = generate_matrix("gaussian-normalized", 8, 15, 0)
-        problem = RecoveryProblem.create(matrix, np.zeros(8), 0.0, np.ones(15))
-        with pytest.raises(BudgetExceededError):
-            solve_l0_oracle(problem, 2)
-        small = generate_matrix("gaussian-normalized", 8, 14, 0)
-        with pytest.raises(BudgetExceededError):
-            solve_l0_oracle(RecoveryProblem.create(small, np.zeros(8), 0.0, np.ones(14)), 6)
+        wide = np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]])
+        assert solve_l0_oracle(wide, np.array([1.0, 1.0]), 0.0, 0) is None
 
 
 class TestKktCheck:
@@ -414,6 +400,16 @@ class TestKktCheck:
             kkt_check(problem, np.zeros(3))
         with pytest.raises(InvalidInputError):
             kkt_check(problem, np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
+def write_problem_text(problem):
+    """The problem in the text format read_problem_text reads."""
+    return "\n".join([
+        "MATRIX", write_matrix_text(problem.matrix).rstrip("\n"),
+        "VECTOR", " ".join(format_real(v) for v in problem.y),
+        "EPSILON", format_real(problem.epsilon),
+        "WEIGHTS", " ".join(format_real(v) for v in problem.weights),
+    ]) + "\n"
 
 
 class TestProblemFiles:
