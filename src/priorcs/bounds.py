@@ -9,6 +9,14 @@ structured results rather than raised, so sweeps can chart validity
 boundaries; coefficient values are still filled in whenever they are
 computable (they can be negative outside the premises).
 
+Every calculator evaluates a grid: rho, alpha and w may be numpy arrays,
+broadcast together (mu, k and the free constants a, b, t are scalars), and
+the result's fields are arrays of the grid's shape. Each point goes through
+the same elementwise operations whatever grid holds it, so its bits do not
+depend on the grid; numbers for rho, alpha and w make the grid of one, whose
+result holds Python values. An input error reports the first failing point
+in grid order, with the message that point alone would give.
+
 The calculators taking restricted-isometry or orthogonality constants accept
 them as explicit arguments; the ``*_coherence`` companions substitute the
 standard upper bounds delta_j <= (j-1)*mu and theta_{a,b} <= (a+b-1)*mu so
@@ -22,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 _INT_TOL = 1e-9
@@ -29,19 +39,20 @@ _INT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GuaranteeParams:
-    """Parameter point shared by all guarantee calculators.
+    """Parameter grid shared by all guarantee calculators.
 
     mu is the coherence of the sensing matrix (a free scalar here: the bounds
-    only see the value, never a concrete matrix). a, b, t are the free
+    only see the value, never a concrete matrix). rho, alpha and w are numbers
+    or arrays broadcast together into the grid of points. a, b, t are the free
     constants some of the guarantees carry; they stay None unless needed and
     must be finite when given.
     """
 
     mu: float
     k: int
-    rho: float = 0.0
-    alpha: float = 0.0
-    w: float = 1.0
+    rho: float | np.ndarray = 0.0
+    alpha: float | np.ndarray = 0.0
+    w: float | np.ndarray = 1.0
     a: float | None = None
     b: float | None = None
     t: float | None = None
@@ -51,32 +62,28 @@ class GuaranteeParams:
             raise InvalidInputError(f"mu must be in (0, 1], got {self.mu}")
         if self.k < 1 or int(self.k) != self.k:
             raise InvalidInputError(f"k must be an integer >= 1, got {self.k}")
-        if self.rho < 0 or not math.isfinite(self.rho):
-            raise InvalidInputError(f"rho must be >= 0, got {self.rho}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidInputError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.alpha * self.rho > 1.0 + 1e-9:
-            # overlap alpha*rho*k cannot exceed the top-k support size k
-            raise InvalidInputError(
-                f"alpha*rho must be <= 1, got {self.alpha * self.rho} "
-                f"(alpha={self.alpha}, rho={self.rho})"
-            )
-        if not 0.0 <= self.w <= 1.0:
-            raise InvalidInputError(f"w must be in [0, 1], got {self.w}")
-        for name in ("a", "b", "t"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value}")
+        rho, alpha, w = np.broadcast_arrays(*(np.asarray(v) for v in (self.rho, self.alpha, self.w)))
+        with np.errstate(all="ignore"):
+            _raise_first(rho.shape, [
+                ((rho < 0) | ~np.isfinite(rho), "rho must be >= 0, got {rho}"),
+                (~((0.0 <= alpha) & (alpha <= 1.0)), "alpha must be in [0, 1], got {alpha}"),
+                # overlap alpha*rho*k cannot exceed the top-k support size k
+                (alpha * rho > 1.0 + 1e-9,
+                 "alpha*rho must be <= 1, got {overlap} (alpha={alpha}, rho={rho})"),
+                (~((0.0 <= w) & (w <= 1.0)), "w must be in [0, 1], got {w}"),
+                *((not math.isfinite(v), f"{name} must be finite, got {v}")
+                  for name, v in (("a", self.a), ("b", self.b), ("t", self.t)) if v is not None),
+            ], rho=rho, alpha=alpha, overlap=alpha * rho, w=w)
 
 
 @dataclass(frozen=True)
 class GuaranteeResult:
-    """One guarantee evaluated at one parameter point.
+    """One guarantee evaluated over a parameter grid.
 
     k_max is +inf when the guarantee puts no condition on k beyond the
     supplied constants, and nan when the premise fails with no admissible k
-    expressible. Invalid results always carry a non-empty reason.
-    """
+    expressible. Invalid points always carry a non-empty reason. Fields are
+    arrays of the grid's shape, or Python values for a grid of one."""
 
     theorem: str
     c0: float
@@ -84,6 +91,50 @@ class GuaranteeResult:
     k_max: float
     valid: bool
     reason: str = ""
+
+
+def _grid(p: GuaranteeParams):
+    """rho, alpha and w of p as float arrays of the grid's shape."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p.rho, p.alpha, p.w)))
+
+
+def _ratio(num, den):
+    """num/den, nan where den is 0; call under np.errstate."""
+    return np.where(den != 0.0, num / den, np.nan)
+
+
+def _raise_first(shape, checks, **values):
+    """Raise for the first failing point in grid order. checks are (failed,
+    message) in the order a single point is checked; the message of the first
+    check the point fails is formatted with the point's entries of values."""
+    failed = [np.ravel(np.broadcast_to(f, shape)) for f, _ in checks]
+    bad = np.logical_or.reduce(failed)
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(text for f, (_, text) in zip(failed, checks) if f[i])
+        raise InvalidInputError(message.format(
+            **{name: np.ravel(np.broadcast_to(v, shape))[i].item() for name, v in values.items()}))
+
+
+def _result(theorem, shape, c0, c1, k_max, *checks) -> GuaranteeResult:
+    """A result over a grid of the given shape. checks are (holds, reason) or
+    (holds, reason, values) in report order: a point is valid where every check
+    holds, and its reason joins with "; " the reasons of the checks it fails,
+    each a format string filled with the point's entry of values."""
+    valid = np.ones(shape, dtype=bool)
+    reasons = [""] * valid.size
+    for holds, text, *values in checks:
+        holds = np.broadcast_to(holds, shape)
+        valid &= holds
+        failed = np.flatnonzero(~holds).tolist()
+        at = np.ravel(np.broadcast_to(values[0], shape))[failed].tolist() if values else failed
+        for i, value in zip(failed, at):
+            part = text.format(value)
+            reasons[i] = f"{reasons[i]}; {part}" if reasons[i] else part
+    c0, c1, k_max = (np.broadcast_to(v, shape) for v in (c0, c1, k_max))
+    if not shape:
+        return GuaranteeResult(theorem, float(c0), float(c1), float(k_max), bool(valid), reasons[0])
+    return GuaranteeResult(theorem, c0, c1, k_max, valid, np.array(reasons, dtype=object).reshape(shape))
 
 
 def local_bound(p: GuaranteeParams) -> GuaranteeResult:
@@ -99,48 +150,38 @@ def local_bound(p: GuaranteeParams) -> GuaranteeResult:
         k_max = (1/rho)*(1 + 1/mu)                                  for w = 0
         k_max = ((w + sqrt(w^2 + 4c(1 + 1/mu))) / (2*sqrt(rho)*c))^2  for w > 0
     """
-    mu, k, rho, alpha, w = p.mu, p.k, p.rho, p.alpha, p.w
-    if rho == 0.0:
-        return GuaranteeResult(
-            theorem="local",
-            c0=2.0 * math.sqrt(1.0 - mu) / (1.0 + mu),
-            c1=0.0,
-            k_max=math.inf,
-            valid=False,
-            reason="empty prior support (rho = 0): c1 degenerates to 0",
-        )
+    rho, alpha, w = _grid(p)
+    mu, k = p.mu, p.k
     rk = rho * k
     denom = local_denominator(mu, k, rho, alpha, w)
-    c0 = 2.0 * math.sqrt(1.0 + (rk - 1.0) * mu) / denom if denom != 0.0 else math.nan
-    c1 = 2.0 * mu * math.sqrt(rk) / denom if denom != 0.0 else math.nan
     k_max = local_k_max(mu, rho, alpha, w)
-    reasons = []
-    if not k < k_max:
-        reasons.append(f"k = {k} >= k_max = {k_max:.6g}")
-    if not denom > 0.0:
-        reasons.append("coefficient denominator <= 0")
-    return GuaranteeResult(
-        theorem="local", c0=c0, c1=c1, k_max=k_max,
-        valid=not reasons, reason="; ".join(reasons),
+    empty = rho == 0.0
+    with np.errstate(all="ignore"):
+        c0 = _ratio(2.0 * np.sqrt(1.0 + (rk - 1.0) * mu), denom)
+        c1 = _ratio(2.0 * mu * np.sqrt(rk), denom)
+    return _result(
+        "local", rho.shape,
+        np.where(empty, 2.0 * math.sqrt(1.0 - mu) / (1.0 + mu), c0), np.where(empty, 0.0, c1), k_max,
+        (k < k_max, f"k = {k} >= k_max = {{:.6g}}", k_max),
+        (denom > 0.0, "coefficient denominator <= 0"),
+        (~empty, "empty prior support (rho = 0): c1 degenerates to 0"),
     )
 
 
-def local_denominator(mu: float, k: float, rho: float, alpha: float, w: float) -> float:
+def local_denominator(mu: float, k: float, rho, alpha, w):
     """Shared denominator of the local coefficients; positivity is the premise."""
     rk = rho * k
-    c = 2.0 * w * math.sqrt(alpha) + 1.0
-    return 1.0 + mu + w * mu * math.sqrt(rk) - mu * rk * c
+    c = 2.0 * w * np.sqrt(alpha) + 1.0
+    return np.asarray(1.0 + mu + w * mu * np.sqrt(rk) - mu * rk * c)[()]
 
 
-def local_k_max(mu: float, rho: float, alpha: float, w: float) -> float:
+def local_k_max(mu: float, rho, alpha, w):
     """Supremum of sparsity admissible for the local bound."""
-    if rho == 0.0:
-        return math.inf
-    if w == 0.0:
-        return (1.0 + 1.0 / mu) / rho
-    c = 2.0 * w * math.sqrt(alpha) + 1.0
-    root = (w + math.sqrt(w * w + 4.0 * c * (1.0 + 1.0 / mu))) / (2.0 * math.sqrt(rho) * c)
-    return root * root
+    with np.errstate(all="ignore"):
+        c = 2.0 * w * np.sqrt(alpha) + 1.0
+        root = (w + np.sqrt(w * w + 4.0 * c * (1.0 + 1.0 / mu))) / (2.0 * np.sqrt(rho) * c)
+        k_max = np.where(w == 0.0, (1.0 + 1.0 / mu) / rho, root * root)
+    return np.where(rho == 0.0, np.inf, k_max)[()]
 
 
 def cai_bound(p: GuaranteeParams) -> GuaranteeResult:
@@ -157,9 +198,10 @@ def cai_bound(p: GuaranteeParams) -> GuaranteeResult:
         c1 = 2.0 * (1.0 + mu) * math.sqrt(mu) / denom
     else:
         c0 = c1 = math.nan
-    valid = k < k_max and gap > 0.0
-    reason = "" if valid else f"sparsity bound violated: k = {k} >= (1 + 1/mu)/2 = {k_max:.6g}"
-    return GuaranteeResult(theorem="cai", c0=c0, c1=c1, k_max=k_max, valid=valid, reason=reason)
+    return _result(
+        "cai", _grid(p)[0].shape, c0, c1, k_max,
+        (k < k_max and gap > 0.0, f"sparsity bound violated: k = {k} >= (1 + 1/mu)/2 = {k_max:.6g}"),
+    )
 
 
 def haixiao_bound(p: GuaranteeParams) -> GuaranteeResult:
@@ -169,32 +211,23 @@ def haixiao_bound(p: GuaranteeParams) -> GuaranteeResult:
     L = (Q + 2 - sqrt(Q(Q+4))) / (1+w), admissible iff k < (L/2)(1 + 1/mu).
     At w = 1 this collapses to the unweighted coherence bound.
     """
-    mu, k, rho, alpha, w = p.mu, p.k, p.rho, p.alpha, p.w
-    spread = 1.0 + rho - 2.0 * alpha * rho
-    q = (1.0 - w) ** 2 * spread / (1.0 + w)
-    big_l = (q + 2.0 - math.sqrt(q * (q + 4.0))) / (1.0 + w)
-    k_max = 0.5 * big_l * (1.0 + 1.0 / mu)
-    lead = 1.0 - (k - 1.0) * mu - mu * k * w
-    denom = lead * math.sqrt(1.0 + mu) \
-        - math.sqrt(mu) * (1.0 + mu) * (1.0 - w) * math.sqrt(mu * k * spread)
-    if denom != 0.0:
-        c0 = 2.0 * (lead + (1.0 + w) * math.sqrt(mu * k * (1.0 + (k - 1.0) * mu))) / denom
-        c1 = 2.0 * (1.0 + mu) * math.sqrt(mu) / denom
-    else:
-        c0 = c1 = math.nan
-    reasons = []
-    if not k < k_max:
-        reasons.append(f"k = {k} >= (L/2)(1 + 1/mu) = {k_max:.6g}")
-    if not denom > 0.0:
-        reasons.append("coefficient denominator <= 0")
-    return GuaranteeResult(
-        theorem="haixiao", c0=c0, c1=c1, k_max=k_max,
-        valid=not reasons, reason="; ".join(reasons),
+    rho, alpha, w = _grid(p)
+    mu, k = p.mu, p.k
+    with np.errstate(all="ignore"):
+        spread = 1.0 + rho - 2.0 * alpha * rho
+        q = np.square(1.0 - w) * spread / (1.0 + w)
+        big_l = (q + 2.0 - np.sqrt(q * (q + 4.0))) / (1.0 + w)
+        k_max = 0.5 * big_l * (1.0 + 1.0 / mu)
+        lead = 1.0 - (k - 1.0) * mu - mu * k * w
+        denom = lead * math.sqrt(1.0 + mu) \
+            - math.sqrt(mu) * (1.0 + mu) * (1.0 - w) * np.sqrt(mu * k * spread)
+        c0 = _ratio(2.0 * (lead + (1.0 + w) * math.sqrt(mu * k * (1.0 + (k - 1.0) * mu))), denom)
+        c1 = _ratio(2.0 * (1.0 + mu) * math.sqrt(mu), denom)
+    return _result(
+        "haixiao", rho.shape, c0, c1, k_max,
+        (k < k_max, f"k = {k} >= (L/2)(1 + 1/mu) = {{:.6g}}", k_max),
+        (denom > 0.0, "coefficient denominator <= 0"),
     )
-
-
-def _spread_root(rho: float, alpha: float) -> float:
-    return math.sqrt(1.0 + rho - 2.0 * alpha * rho)
 
 
 def friedlander_bound(p: GuaranteeParams, delta_ak: float, delta_a1k: float) -> GuaranteeResult:
@@ -211,31 +244,33 @@ def friedlander_bound(p: GuaranteeParams, delta_ak: float, delta_a1k: float) -> 
     meaningful at beta = 0. The same expression is (the square of) the shared
     coefficient denominator, so validity and positivity coincide.
     """
+    return _friedlander(p, p.a, delta_ak, delta_a1k)
+
+
+def _friedlander(p, a, delta_ak, delta_a1k, k_max=None) -> GuaranteeResult:
+    """friedlander_bound with a given; a given k_max replaces the inf/nan one."""
     _require_deltas(delta_ak, delta_a1k)
-    a = p.a
     if a is None:
         raise InvalidInputError("friedlander bound requires the free constant a")
     if not a > 1.0:
         raise InvalidInputError(f"a must be > 1, got {a}")
-    if a < (1.0 - p.alpha) * p.rho:
-        raise InvalidInputError(f"a = {a} must be >= (1 - alpha)*rho = {(1.0 - p.alpha) * p.rho}")
-    if abs(a * p.k - round(a * p.k)) > _INT_TOL:
-        raise InvalidInputError(f"a*k must be an integer, got {a * p.k}")
-    beta = p.w + (1.0 - p.w) * _spread_root(p.rho, p.alpha)
-    denom = math.sqrt(1.0 - delta_a1k) - (beta / math.sqrt(a)) * math.sqrt(1.0 + delta_ak)
-    premise = beta * beta * (1.0 + delta_ak) < a * (1.0 - delta_a1k)
-    if denom != 0.0:
-        c0 = 2.0 * (1.0 + beta / math.sqrt(a)) / denom
-        c1 = (2.0 / math.sqrt(a * p.k)) \
-            * (math.sqrt(1.0 - delta_a1k) + math.sqrt(1.0 + delta_ak)) / denom
-    else:
-        c0 = c1 = math.nan
-    valid = premise and denom > 0.0
-    return GuaranteeResult(
-        theorem="friedlander", c0=c0, c1=c1,
-        k_max=math.inf if valid else math.nan,
-        valid=valid,
-        reason="" if valid else "isometry premise fails: beta^2 (1 + delta_ak) >= a (1 - delta_(a+1)k)",
+    rho, alpha, w = _grid(p)
+    floor = (1.0 - alpha) * rho
+    _raise_first(rho.shape, [
+        (a < floor, f"a = {a} must be >= (1 - alpha)*rho = {{floor}}"),
+        (abs(a * p.k - round(a * p.k)) > _INT_TOL, f"a*k must be an integer, got {a * p.k}"),
+    ], floor=floor)
+    with np.errstate(all="ignore"):
+        beta = w + (1.0 - w) * np.sqrt(1.0 + rho - 2.0 * alpha * rho)
+        denom = math.sqrt(1.0 - delta_a1k) - (beta / math.sqrt(a)) * math.sqrt(1.0 + delta_ak)
+        c0 = _ratio(2.0 * (1.0 + beta / math.sqrt(a)), denom)
+        c1 = _ratio((2.0 / math.sqrt(a * p.k))
+                    * (math.sqrt(1.0 - delta_a1k) + math.sqrt(1.0 + delta_ak)), denom)
+    valid = (beta * beta * (1.0 + delta_ak) < a * (1.0 - delta_a1k)) & (denom > 0.0)
+    return _result(
+        "friedlander", rho.shape, c0, c1,
+        np.where(valid, np.inf, np.nan) if k_max is None else k_max,
+        (valid, "isometry premise fails: beta^2 (1 + delta_ak) >= a (1 - delta_(a+1)k)"),
     )
 
 
@@ -245,24 +280,19 @@ def friedlander_bound_coherence(p: GuaranteeParams) -> GuaranteeResult:
     On the coherence scale the premise becomes linear in k, giving the closed
     form k_max = (a(1+mu) - beta^2 (1-mu)) / (mu a (beta^2 + a + 1)).
     """
-    p = _with_default(p, a=2.0)
-    a, k, mu = p.a, p.k, p.mu
+    a, k, mu = 2.0 if p.a is None else p.a, p.k, p.mu
     if not a > 1.0:
         raise InvalidInputError(f"a must be > 1, got {a}")
-    beta = p.w + (1.0 - p.w) * _spread_root(p.rho, p.alpha)
-    k_max = (a * (1.0 + mu) - beta * beta * (1.0 - mu)) / (mu * a * (beta * beta + a + 1.0))
+    rho, alpha, w = _grid(p)
+    with np.errstate(all="ignore"):
+        beta = w + (1.0 - w) * np.sqrt(1.0 + rho - 2.0 * alpha * rho)
+        k_max = (a * (1.0 + mu) - beta * beta * (1.0 - mu)) / (mu * a * (beta * beta + a + 1.0))
     delta_ak = (a * k - 1.0) * mu
     delta_a1k = ((a + 1.0) * k - 1.0) * mu
     if delta_a1k >= 1.0 or delta_ak >= 1.0:
-        return GuaranteeResult(
-            theorem="friedlander", c0=math.nan, c1=math.nan, k_max=k_max,
-            valid=False, reason="coherence substitution gives delta >= 1",
-        )
-    res = friedlander_bound(p, delta_ak=delta_ak, delta_a1k=delta_a1k)
-    return GuaranteeResult(
-        theorem=res.theorem, c0=res.c0, c1=res.c1, k_max=k_max,
-        valid=res.valid, reason=res.reason,
-    )
+        return _result("friedlander", rho.shape, math.nan, math.nan, k_max,
+                       (False, "coherence substitution gives delta >= 1"))
+    return _friedlander(p, a, delta_ak, delta_a1k, k_max)
 
 
 def chen_bound(p: GuaranteeParams, delta_a: float, theta_ab: float) -> GuaranteeResult:
@@ -276,44 +306,48 @@ def chen_bound(p: GuaranteeParams, delta_a: float, theta_ab: float) -> Guarantee
     premise delta_a + C*theta_ab < 1. s = 0 (reachable at w = 0) leaves c1
     undefined and is reported as invalid.
     """
-    if delta_a < 0.0 or theta_ab < 0.0:
-        raise InvalidInputError("delta_a and theta_ab must be >= 0")
-    a, b = p.a, p.b
+    return _chen(p, p.a, p.b, delta_a, theta_ab)
+
+
+def _chen(p, a, b, delta_a, theta_ab) -> GuaranteeResult:
+    """chen_bound with the free constants a and b given."""
+    # no upper limit of 1: the coherence substitution reaches delta_a >= 1 at
+    # larger k*mu, which is a failed premise, not an input error
+    if not (0.0 <= delta_a < math.inf and 0.0 <= theta_ab < math.inf):
+        raise InvalidInputError(f"delta_a and theta_ab must be finite and >= 0, "
+                                f"got {delta_a} and {theta_ab}")
     if a is None or b is None:
         raise InvalidInputError("chen bound requires the free constants a and b")
     if not (1 <= a <= p.k) or int(a) != a:
         raise InvalidInputError(f"a must be an integer in [1, k], got {a}")
     if b < 1 or int(b) != b:
         raise InvalidInputError(f"b must be an integer >= 1, got {b}")
-    r = (1.0 + p.rho - 2.0 * p.alpha * p.rho) * p.k
-    s = p.k - a + p.w * p.k + (1.0 - p.w) * math.sqrt(r) * max(math.sqrt(r), math.sqrt(a))
-    if s <= 0.0:
-        return GuaranteeResult(
-            theorem="chen", c0=math.nan, c1=math.nan, k_max=math.nan,
-            valid=False, reason="s = 0: c1 undefined (division by s)",
-        )
-    big_c = max(s / math.sqrt(a * b), math.sqrt(s / a))
-    d = float(p.k) if p.w == 1.0 else max(float(p.k), r)
-    denom = 1.0 - delta_a - big_c * theta_ab
-    if denom != 0.0:
-        c0 = 2.0 * math.sqrt(2.0 * (1.0 + delta_a) * d / a) / denom
-        c1 = 2.0 * math.sqrt(2.0 * d) * big_c * theta_ab / (denom * s) + 2.0 / math.sqrt(d)
-    else:
-        c0 = c1 = math.nan
-    valid = denom > 0.0
-    return GuaranteeResult(
-        theorem="chen", c0=c0, c1=c1,
-        k_max=math.inf if valid else math.nan,
-        valid=valid,
-        reason="" if valid else "premise fails: delta_a + C*theta_ab >= 1",
+    rho, alpha, w = _grid(p)
+    with np.errstate(all="ignore"):
+        r = (1.0 + rho - 2.0 * alpha * rho) * p.k
+        s = p.k - a + w * p.k + (1.0 - w) * np.sqrt(r) * np.maximum(np.sqrt(r), math.sqrt(a))
+        big_c = np.maximum(s / math.sqrt(a * b), np.sqrt(s / a))
+        d = np.where(w == 1.0, float(p.k), np.maximum(float(p.k), r))
+        denom = 1.0 - delta_a - big_c * theta_ab
+        c0 = _ratio(2.0 * np.sqrt(2.0 * (1.0 + delta_a) * d / a), denom)
+        c1 = np.where(denom != 0.0, 2.0 * np.sqrt(2.0 * d) * big_c * theta_ab / (denom * s)
+                      + 2.0 / np.sqrt(d), np.nan)
+    undefined = s <= 0.0
+    valid = (denom > 0.0) & ~undefined
+    return _result(
+        "chen", rho.shape, np.where(undefined, np.nan, c0), np.where(undefined, np.nan, c1),
+        np.where(valid, np.inf, np.nan),
+        (~undefined, "s = 0: c1 undefined (division by s)"),
+        (valid | undefined, "premise fails: delta_a + C*theta_ab >= 1"),
     )
 
 
 def chen_bound_coherence(p: GuaranteeParams) -> GuaranteeResult:
     """Chen bound with a = b = k and the coherence substitutions
     delta_k <= (k-1)*mu, theta_{k,k} <= delta_2k <= (2k-1)*mu."""
-    p = _with_default(p, a=float(p.k), b=float(p.k))
-    return chen_bound(p, delta_a=(p.a - 1.0) * p.mu, theta_ab=(p.a + p.b - 1.0) * p.mu)
+    a = float(p.k) if p.a is None else p.a
+    b = float(p.k) if p.b is None else p.b
+    return _chen(p, a, b, (a - 1.0) * p.mu, (a + b - 1.0) * p.mu)
 
 
 def ge_bound(p: GuaranteeParams, delta_tk: float, c1_form: str = "c0-denominator") -> GuaranteeResult:
@@ -323,66 +357,59 @@ def ge_bound(p: GuaranteeParams, delta_tk: float, c1_form: str = "c0-denominator
     for alpha >= 1/2 and 1 + rho - 2 alpha rho below; needs t > d and the
     premise delta_tk < sqrt((t-d)/(t-d+ups^2)).
     """
+    return _ge(p, p.t, delta_tk, c1_form)
+
+
+def _ge(p, t, delta_tk, c1_form) -> GuaranteeResult:
+    """ge_bound with the free constant t given."""
     _require_deltas(delta_tk)
-    t = p.t
     if t is None:
         raise InvalidInputError("ge bound requires the free constant t")
     if c1_form not in ("c0-denominator", "printed"):
         raise InvalidInputError(f"unknown c1_form {c1_form!r}")
-    ups = p.w + (1.0 - p.w) * _spread_root(p.rho, p.alpha)
-    if p.w == 1.0 or p.alpha >= 0.5:
-        d = 1.0
-    else:
-        d = 1.0 + p.rho - 2.0 * p.alpha * p.rho
-    if not t > d:
-        raise InvalidInputError(f"t must exceed d, got t = {t}, d = {d}")
-    gap = t - d
-    g = gap + ups * ups
-    root = math.sqrt(gap / g)
-    premise = delta_tk < root
-    c0_denom = g * (root - delta_tk)
-    c0 = 2.0 * math.sqrt(2.0 * gap * g * (1.0 + delta_tk)) / c0_denom if c0_denom != 0.0 else math.nan
+    rho, alpha, w = _grid(p)
+    with np.errstate(all="ignore"):
+        ups = w + (1.0 - w) * np.sqrt(1.0 + rho - 2.0 * alpha * rho)
+        d = np.where((w == 1.0) | (alpha >= 0.5), 1.0, 1.0 + rho - 2.0 * alpha * rho)
+        _raise_first(rho.shape, [(~(t > d), f"t must exceed d, got t = {t}, d = {{d}}")], d=d)
+        gap = t - d
+        g = gap + ups * ups
+        root = np.sqrt(gap / g)
+        c0_denom = g * (root - delta_tk)
+        c0 = _ratio(2.0 * np.sqrt(2.0 * gap * g * (1.0 + delta_tk)), c0_denom)
 
-    # The closed form for c1 in the source theorem reads, verbatim:
-    #   c1 = (2/sqrt(k)) * ( (sqrt(2)*delta*ups
-    #                          + sqrt((t-d+ups^2) * ((t-d)/(t-d+ups^2) - delta) * delta))
-    #        / ((t-d+ups^2) * (sqrt((t-d+ups^2) * (t-d)/(t-d+ups^2)) - delta))
-    #        + 1/sqrt(d) )
-    # Its denominator simplifies to (t-d+ups^2) * (sqrt(t-d) - delta), which does
-    # not match c0's denominator even though the two coefficients share one
-    # denominator in every other guarantee of this family. The default reading
-    # reuses c0's denominator; c1_form="printed" evaluates the literal form.
-    # The comparison experiment reports both.
-    inner = (gap - delta_tk * g) * delta_tk
-    reasons = []
-    if not premise:
-        reasons.append("premise fails: delta_tk >= sqrt((t-d)/(t-d+ups^2))")
-    if inner < 0.0:
-        c1 = math.nan
-        reasons.append("c1 undefined: negative square-root argument")
-    else:
-        numer = math.sqrt(2.0) * delta_tk * ups + math.sqrt(inner)
-        c1_denom = c0_denom if c1_form == "c0-denominator" else g * (math.sqrt(gap) - delta_tk)
-        frac = numer / c1_denom if c1_denom != 0.0 else math.nan
-        c1 = (2.0 / math.sqrt(p.k)) * (frac + 1.0 / math.sqrt(d))
-    valid = not reasons
-    return GuaranteeResult(
-        theorem="ge", c0=c0, c1=c1,
-        k_max=math.inf if valid else math.nan,
-        valid=valid, reason="; ".join(reasons),
+        # The closed form for c1 in the source theorem reads, verbatim:
+        #   c1 = (2/sqrt(k)) * ( (sqrt(2)*delta*ups
+        #                          + sqrt((t-d+ups^2) * ((t-d)/(t-d+ups^2) - delta) * delta))
+        #        / ((t-d+ups^2) * (sqrt((t-d+ups^2) * (t-d)/(t-d+ups^2)) - delta))
+        #        + 1/sqrt(d) )
+        # Its denominator simplifies to (t-d+ups^2) * (sqrt(t-d) - delta), which does
+        # not match c0's denominator even though the two coefficients share one
+        # denominator in every other guarantee of this family. The default reading
+        # reuses c0's denominator; c1_form="printed" evaluates the literal form.
+        # The comparison experiment reports both.
+        inner = (gap - delta_tk * g) * delta_tk
+        numer = math.sqrt(2.0) * delta_tk * ups + np.sqrt(inner)
+        c1_denom = c0_denom if c1_form == "c0-denominator" else g * (np.sqrt(gap) - delta_tk)
+        c1 = (2.0 / math.sqrt(p.k)) * (_ratio(numer, c1_denom) + 1.0 / np.sqrt(d))
+    premise = delta_tk < root
+    defined = ~(inner < 0.0)
+    return _result(
+        "ge", rho.shape, c0, np.where(defined, c1, np.nan),
+        np.where(premise & defined, np.inf, np.nan),
+        (premise, "premise fails: delta_tk >= sqrt((t-d)/(t-d+ups^2))"),
+        (defined, "c1 undefined: negative square-root argument"),
     )
 
 
 def ge_bound_coherence(p: GuaranteeParams, c1_form: str = "c0-denominator") -> GuaranteeResult:
     """Ge bound with t = 2 and the substitution delta_tk <= (tk-1)*mu."""
-    p = _with_default(p, t=2.0)
-    delta_tk = (p.t * p.k - 1.0) * p.mu
+    t = 2.0 if p.t is None else p.t
+    delta_tk = (t * p.k - 1.0) * p.mu
     if delta_tk >= 1.0:
-        return GuaranteeResult(
-            theorem="ge", c0=math.nan, c1=math.nan, k_max=math.nan,
-            valid=False, reason="coherence substitution gives delta >= 1",
-        )
-    return ge_bound(p, delta_tk=delta_tk, c1_form=c1_form)
+        return _result("ge", _grid(p)[0].shape, math.nan, math.nan, math.nan,
+                       (False, "coherence substitution gives delta >= 1"))
+    return _ge(p, t, delta_tk, c1_form)
 
 
 # name -> (coherence-scale calculator, explicit calculator, names of the isometry
@@ -417,7 +444,7 @@ def evaluate(name: str, p: GuaranteeParams, **constants) -> GuaranteeResult:
 K_RATIO_BASELINES = {"standard": cai_bound, "weighted": haixiao_bound}
 
 
-def k_ratio(p: GuaranteeParams, baseline: str) -> float:
+def k_ratio(p: GuaranteeParams, baseline: str):
     """Local admissible-sparsity supremum divided by a baseline's.
 
     baseline="standard" compares against the unweighted coherence bound
@@ -429,22 +456,13 @@ def k_ratio(p: GuaranteeParams, baseline: str) -> float:
             f"unknown baseline {baseline!r}; choose from {tuple(K_RATIO_BASELINES)}"
         )
     base = K_RATIO_BASELINES[baseline](p).k_max
-    if not base > 0.0:
-        raise InvalidInputError(f"baseline k_max must be positive, got {base}")
-    return local_k_max(p.mu, p.rho, p.alpha, p.w) / base
+    _raise_first(_grid(p)[0].shape,
+                 [(~(np.asarray(base) > 0.0), "baseline k_max must be positive, got {base}")], base=base)
+    ratio = local_k_max(p.mu, *_grid(p)) / base
+    return float(ratio) if np.ndim(ratio) == 0 else ratio
 
 
 def _require_deltas(*deltas):
     for d in deltas:
         if not 0.0 <= d < 1.0:
             raise InvalidInputError(f"isometry constants must lie in [0, 1), got {d}")
-
-
-def _with_default(p: GuaranteeParams, **defaults) -> GuaranteeParams:
-    updates = {name: value for name, value in defaults.items() if getattr(p, name) is None}
-    if not updates:
-        return p
-    return GuaranteeParams(
-        mu=p.mu, k=p.k, rho=p.rho, alpha=p.alpha, w=p.w,
-        a=updates.get("a", p.a), b=updates.get("b", p.b), t=updates.get("t", p.t),
-    )

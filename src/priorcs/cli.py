@@ -5,8 +5,8 @@ verify. Exit codes: 0 success, 2 configuration/usage error, 3 assertion
 failure (fig3 ratio hook, verify violations or non-converged trials), for CI
 use. The output directory resolves as --out-dir flag, then the
 PRIORCS_OUT_DIR environment variable, then the config value. verify prints
-one line of solve statistics on stderr; stdout and the CSVs never carry
-timings.
+one line of solve statistics on stderr, and fig1-fig4 one line of row count
+and evaluation and emission times; stdout and the CSVs never carry timings.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import argparse
 import math
 import os
 import sys
+import time
+from dataclasses import astuple, fields
 
 from . import bounds as bounds_mod
 from .errors import ConfigError, InvalidInputError, PriorCSError
@@ -35,6 +37,7 @@ from .matrices import (
     write_matrix_file,
 )
 from .solver import SolveTolerances, read_problem_file, solve_weighted_l1
+from .tables import SweepTable, to_csv_text
 
 OUT_DIR_ENV = "PRIORCS_OUT_DIR"
 
@@ -140,7 +143,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    print("theorem,c0,c1,k_max,valid,reason")
+    columns = [f.name for f in fields(bounds_mod.GuaranteeResult)]  # one row per theorem
+    print(",".join(columns))
     p = bounds_mod.GuaranteeParams(
         mu=args.mu, k=args.k, rho=args.rho, alpha=args.alpha, w=args.w,
         a=args.a, b=args.b, t=args.t,
@@ -148,16 +152,9 @@ def _cmd_bounds(args) -> int:
     constants = {name: getattr(args, name) for name in _CONSTANTS}
     wanted = THEOREMS if args.theorem == "all" else (args.theorem,)
     # every row is evaluated before any is printed, so an error leaves no partial table
-    for res in [bounds_mod.evaluate(name, p, **constants) for name in wanted]:
-        cells = [
-            res.theorem,
-            f"{res.c0:.12g}",
-            f"{res.c1:.12g}",
-            "inf" if math.isinf(res.k_max) else f"{res.k_max:.12g}",
-            "true" if res.valid else "false",
-            res.reason.replace(",", ";"),
-        ]
-        print(",".join(cells))
+    rows = [astuple(bounds_mod.evaluate(name, p, **constants)) for name in wanted]
+    table = SweepTable(columns=columns, data=list(zip(*rows)))
+    print(to_csv_text(table).split("\n", 1)[1], end="")
     return 0
 
 
@@ -182,16 +179,20 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or cfg.out_dir
     timings = {}
     table = run_experiment(cfg, timings)
+    start = time.perf_counter()
     written = emit_experiment_outputs(cfg, table, out_dir)
     for path in written:
         print(f"wrote {path}")
+    if kind != "verify-local":
+        print(f"{args.command}: {len(table)} rows, evaluate {timings['evaluate_s']:.3f} s, "
+              f"emit {time.perf_counter() - start:.3f} s", file=sys.stderr)
     if kind == "fig3-kratio":
         problems = check_fig3(table)
         if problems:
             for msg in problems:
                 print(f"assertion failed: {msg}", file=sys.stderr)
             return 3
-        print(f"all {len(table.rows)} k-ratios > 1")
+        print(f"all {len(table)} k-ratios > 1")
     if kind == "verify-local":
         iterations = sorted(table.column("iterations"))
         print(

@@ -224,17 +224,20 @@ def _alphas_for(cfg: ExperimentConfig, rho: float) -> tuple:
     return cfg.alpha_list
 
 
+def _blocks(per_block, ws):
+    """Columns that hold each block's values once per point of the w grid ws,
+    then the w column: one block per tuple of per_block, in order."""
+    return (*np.repeat(np.array(per_block, dtype=float), len(ws), axis=0).T,
+            np.tile(np.asarray(ws, dtype=float), len(per_block)))
+
+
 def run_fig1(cfg: ExperimentConfig) -> SweepTable:
     """Local-bound coefficients over the w grid for each (rho, alpha)."""
-    table = SweepTable(columns=["rho", "alpha", "w", "c0", "c1", "valid", "reason"])
-    for rho in cfg.rho_list:
-        for alpha in _alphas_for(cfg, rho):
-            for w in w_values(cfg):
-                res = bounds.local_bound(
-                    bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
-                )
-                table.add_row([rho, alpha, w, res.c0, res.c1, res.valid, res.reason])
-    return table
+    pairs = [(rho, alpha) for rho in cfg.rho_list for alpha in _alphas_for(cfg, rho)]
+    rho, alpha, w = _blocks(pairs, w_values(cfg))
+    res = bounds.local_bound(bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w))
+    return SweepTable.from_columns({"rho": rho, "alpha": alpha, "w": w, "c0": res.c0, "c1": res.c1,
+                                    "valid": res.valid, "reason": res.reason})
 
 
 def _draw_signal(cfg: ExperimentConfig, rng) -> np.ndarray:
@@ -251,72 +254,57 @@ def _draw_signal(cfg: ExperimentConfig, rng) -> np.ndarray:
 
 
 def run_fig2(cfg: ExperimentConfig) -> SweepTable:
-    """Error multiplier e and c1*e for one drawn signal over (alpha, w)."""
+    """Error multiplier e and c1*e for one drawn signal over (alpha, w); only
+    e_local and the bound vary along the w grid, the rest is per alpha."""
     rng = np.random.default_rng(cfg.seed)
     x = _draw_signal(cfg, rng)
-    table = SweepTable(
-        columns=["alpha", "w", "T", "tail_k", "off_prior_off_top", "missed_top",
-                 "e_local", "c1", "c1_e", "valid"]
-    )
+    ws = np.array(w_values(cfg), dtype=float)
+    per_alpha, sets, e_local = [], [], []
     for alpha in _alphas_for(cfg, cfg.rho):
         try:
             t = prior_support_for(x, cfg.k, cfg.rho, alpha)
         except InvalidInputError as exc:
             raise ConfigError(f"requested overlap unachievable for the drawn signal: {exc}") from exc
-        for w in w_values(cfg):
-            model = support_model(x, t, cfg.k, w)
-            terms = error_terms(x, model)
-            res = bounds.local_bound(
-                bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=model.rho, alpha=model.alpha, w=w)
-            )
-            table.add_row([
-                model.alpha, w, format_index_set(t),
-                terms.tail_k, terms.off_prior_off_top, terms.missed_top,
-                terms.e_local, res.c1, res.c1 * terms.e_local, res.valid,
-            ])
-    return table
+        model = support_model(x, t, cfg.k, ws)
+        terms = error_terms(x, model)
+        per_alpha.append((model.rho, model.alpha, terms.tail_k, terms.off_prior_off_top,
+                          terms.missed_top))
+        sets.append(format_index_set(t))
+        e_local.append(terms.e_local)
+    rho, alpha, tail_k, off_prior_off_top, missed_top, w = _blocks(per_alpha, ws)
+    e_local = np.concatenate(e_local)
+    res = bounds.local_bound(bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w))
+    return SweepTable.from_columns({
+        "alpha": alpha, "w": w, "T": np.repeat(np.array(sets, dtype=object), len(ws)),
+        "tail_k": tail_k, "off_prior_off_top": off_prior_off_top, "missed_top": missed_top,
+        "e_local": e_local, "c1": res.c1, "c1_e": res.c1 * e_local, "valid": res.valid,
+    })
 
 
 def run_fig3(cfg: ExperimentConfig) -> SweepTable:
     """Admissible-sparsity ratios against the standard and weighted baselines."""
     alphas = cfg.alpha_list if cfg.alpha_list is not None else float_grid(cfg.w_step)
-    table = SweepTable(columns=["rho", "alpha", "w", "ratio_standard", "ratio_weighted"])
-    for rho in cfg.rho_list:
-        for alpha in alphas:
-            for w in w_values(cfg):
-                p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
-                table.add_row([
-                    rho, alpha, w,
-                    bounds.k_ratio(p, "standard"),
-                    bounds.k_ratio(p, "weighted"),
-                ])
-    return table
+    rho, alpha, w = _blocks([(rho, alpha) for rho in cfg.rho_list for alpha in alphas], w_values(cfg))
+    p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
+    return SweepTable.from_columns({"rho": rho, "alpha": alpha, "w": w,
+                                    "ratio_standard": bounds.k_ratio(p, "standard"),
+                                    "ratio_weighted": bounds.k_ratio(p, "weighted")})
 
 
 def check_fig3(table: SweepTable) -> list:
     """Messages for any grid point whose ratio is not strictly above 1."""
+    standard, weighted = table.column("ratio_standard"), table.column("ratio_weighted")
     problems = []
-    for row in table.rows:
-        rho, alpha, w, standard, weighted = row
-        if not standard > 1.0:
-            problems.append(f"standard ratio {standard:.6g} <= 1 at rho={rho} alpha={alpha} w={w}")
-        if not weighted > 1.0:
-            problems.append(f"weighted ratio {weighted:.6g} <= 1 at rho={rho} alpha={alpha} w={w}")
+    for i in np.flatnonzero(~(standard > 1.0) | ~(weighted > 1.0)).tolist():
+        rho, alpha, w = (table.column(name)[i].item() for name in ("rho", "alpha", "w"))
+        for label, ratio in (("standard", standard[i]), ("weighted", weighted[i])):
+            if not ratio > 1.0:
+                problems.append(f"{label} ratio {ratio:.6g} <= 1 at rho={rho} alpha={alpha} w={w}")
     return problems
 
 
 # every theorem but cai, the one global bound that ignores the prior support
 _FIG4_THEOREMS = tuple(name for name in bounds.THEOREMS if name != "cai")
-
-FIG4_COLUMNS = [
-    "w",
-    "local_c0", "local_c1", "local_valid",
-    "haixiao_c0", "haixiao_c1", "haixiao_valid", "haixiao_reason",
-    "friedlander_c0", "friedlander_c1", "friedlander_valid", "friedlander_reason",
-    "chen_c0", "chen_c1", "chen_valid", "chen_reason",
-    "ge_c0", "ge_c1", "ge_c1_printed", "ge_valid", "ge_reason",
-]
-
 
 def run_fig4(cfg: ExperimentConfig) -> SweepTable:
     """Local vs global coefficients when the error terms coincide (T = T0).
@@ -327,27 +315,18 @@ def run_fig4(cfg: ExperimentConfig) -> SweepTable:
     """
     rho = cfg.rho_list[0]
     alpha = cfg.alpha_list[0] if cfg.alpha_list else 1.0
-    table = SweepTable(columns=FIG4_COLUMNS)
-    for w in w_values(cfg):
-        p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
-        local, hx, fr, ch, ge = (bounds.evaluate(name, p) for name in _FIG4_THEOREMS)
-        ge_printed = bounds.ge_bound_coherence(p, c1_form="printed")
-        table.add_row([
-            w,
-            local.c0, local.c1, local.valid,
-            hx.c0, hx.c1, hx.valid, hx.reason,
-            fr.c0, fr.c1, fr.valid, fr.reason,
-            ch.c0, ch.c1, ch.valid, ch.reason,
-            ge.c0, ge.c1, ge_printed.c1, ge.valid, ge.reason,
-        ])
-    return table
-
-
-VERIFY_COLUMNS = [
-    "trial", "rho", "alpha", "w", "T", "converged", "iterations",
-    "premise_k", "premise_d", "k_max", "c0", "c1",
-    "e_local", "lhs", "rhs", "slack", "violation",
-]
+    w = np.array(w_values(cfg), dtype=float)
+    p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
+    columns = {"w": w}
+    for name in _FIG4_THEOREMS:
+        res = bounds.evaluate(name, p)
+        columns.update({f"{name}_c0": res.c0, f"{name}_c1": res.c1})
+        if name == "ge":
+            columns["ge_c1_printed"] = bounds.ge_bound_coherence(p, c1_form="printed").c1
+        columns[f"{name}_valid"] = res.valid
+        if name != "local":
+            columns[f"{name}_reason"] = res.reason
+    return SweepTable.from_columns(columns)
 
 
 def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> SweepTable:
@@ -389,77 +368,67 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     if timings is not None:
         timings["solve_s"] = time.perf_counter() - start
 
-    table = SweepTable(columns=VERIFY_COLUMNS)
-    for trial, ((w, x, t, _), report) in enumerate(zip(trials, reports)):
-        model = support_model(x, t, cfg.k, w)
-        terms = error_terms(x, model)
-        params = bounds.GuaranteeParams(mu=mu, k=cfg.k, rho=model.rho, alpha=model.alpha, w=w)
-        res = bounds.local_bound(params)
-        premise_k = cfg.k < res.k_max
-        premise_d = bounds.local_denominator(mu, cfg.k, model.rho, model.alpha, w) > 0.0
+    models, terms, lhs = [], [], []
+    for (w, x, t, _), report in zip(trials, reports):
+        models.append(support_model(x, t, cfg.k, w))
+        terms.append(error_terms(x, models[-1]))
         t_idx = np.asarray(t, dtype=int)
-        lhs = float(np.linalg.norm(report.x_star[t_idx] - x[t_idx]))
-        rhs = res.c0 * cfg.epsilon + res.c1 * terms.e_local
-        violation = bool(
-            report.converged and premise_k and premise_d and lhs > rhs + VIOLATION_TOL
-        )
-        table.add_row([
-            trial, model.rho, model.alpha, w, format_index_set(t),
-            report.converged, report.iterations,
-            premise_k, premise_d, res.k_max, res.c0, res.c1,
-            terms.e_local, lhs, rhs, rhs - lhs, violation,
-        ])
-    return table
+        lhs.append(float(np.linalg.norm(report.x_star[t_idx] - x[t_idx])))
+    rho, alpha, w = (np.array([getattr(m, name) for m in models]) for name in ("rho", "alpha", "w"))
+    res = bounds.local_bound(bounds.GuaranteeParams(mu=mu, k=cfg.k, rho=rho, alpha=alpha, w=w))
+    premise_k = cfg.k < res.k_max
+    premise_d = bounds.local_denominator(mu, cfg.k, rho, alpha, w) > 0.0
+    converged = np.array([report.converged for report in reports], dtype=bool)
+    e_local, lhs = np.array([term.e_local for term in terms]), np.array(lhs)
+    rhs = res.c0 * cfg.epsilon + res.c1 * e_local
+    return SweepTable.from_columns({
+        "trial": np.arange(len(trials)), "rho": rho, "alpha": alpha, "w": w,
+        "T": [format_index_set(m.T) for m in models], "converged": converged,
+        "iterations": [report.iterations for report in reports],
+        "premise_k": premise_k, "premise_d": premise_d,
+        "k_max": res.k_max, "c0": res.c0, "c1": res.c1, "e_local": e_local,
+        "lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
+        "violation": converged & premise_k & premise_d & (lhs > rhs + VIOLATION_TOL),
+    })
 
 
 def summarize_verify(table: SweepTable) -> SweepTable:
     converged = table.column("converged")
-    violations = table.column("violation")
-    premises = [
-        pk and pd for pk, pd in zip(table.column("premise_k"), table.column("premise_d"))
-    ]
-    slack = [
-        s for s, ok, conv in zip(table.column("slack"), premises, converged) if ok and conv
-    ]
-    summary = SweepTable(
-        columns=["trials", "converged", "nonconverged", "premises_ok", "violations", "min_slack"]
-    )
-    summary.add_row([
-        len(table.rows),
-        sum(1 for c in converged if c),
-        sum(1 for c in converged if not c),
-        sum(1 for p in premises if p),
-        sum(1 for v in violations if v),
-        min(slack) if slack else float("nan"),
-    ])
-    return summary
+    premises = table.column("premise_k") & table.column("premise_d")
+    slack = table.column("slack")[premises & converged]
+    return SweepTable.from_columns({
+        "trials": [len(table)], "converged": [converged.sum()], "nonconverged": [(~converged).sum()],
+        "premises_ok": [premises.sum()], "violations": [table.column("violation").sum()],
+        "min_slack": [slack.min() if slack.size else math.nan],
+    })
 
 
 def run_experiment(cfg: ExperimentConfig, timings: dict | None = None) -> SweepTable:
-    """The kind's table; verify records its solve time in timings."""
+    """The kind's table. If timings is a dict, the run's wall seconds go to
+    timings["evaluate_s"]; verify also records its solve time there."""
+    start = time.perf_counter()
     if cfg.kind == "verify-local":
-        return run_verify_local(cfg, timings)
-    runner = {
-        "fig1-coeffs": run_fig1,
-        "fig2-error-terms": run_fig2,
-        "fig3-kratio": run_fig3,
-        "fig4-comparison": run_fig4,
-    }[cfg.kind]
-    return runner(cfg)
+        table = run_verify_local(cfg, timings)
+    else:
+        runners = {"fig1-coeffs": run_fig1, "fig2-error-terms": run_fig2,
+                   "fig3-kratio": run_fig3, "fig4-comparison": run_fig4}
+        table = runners[cfg.kind](cfg)
+    if timings is not None:
+        timings["evaluate_s"] = time.perf_counter() - start
+    return table
 
 
-def _series_pivot(table: SweepTable, x_col: str, y_col: str, group_col: str) -> SweepTable:
-    """Wide table with one column per group value, for plotting."""
-    groups = list(dict.fromkeys(table.column(group_col)))  # first-seen order
-    xs = list(dict.fromkeys(table.column(x_col)))
-    wide = SweepTable(columns=[x_col] + [f"{group_col}={g:g}" for g in groups])
-    lookup = {}
-    for row in table.rows:
-        data = dict(zip(table.columns, row))
-        lookup[(data[x_col], data[group_col])] = data[y_col]
-    for x in xs:
-        wide.add_row([x] + [lookup.get((x, g), float("nan")) for g in groups])
-    return wide
+def _series_pivot(table: SweepTable, quantity: str, n_w: int) -> SweepTable:
+    """Wide table for plotting: w, then quantity against w for each distinct
+    alpha in first-seen order. table is blocks of n_w rows, one per alpha, each
+    holding the same w grid; a repeated alpha or w value takes its last row."""
+    w_at = {w: i for i, w in enumerate(table.column("w")[:n_w].tolist())}
+    block_of = {alpha: j for j, alpha in enumerate(table.column("alpha")[::n_w].tolist())}
+    ys = table.column(quantity).reshape(-1, n_w)[:, list(w_at.values())]
+    return SweepTable(
+        columns=["w"] + [f"alpha={alpha:g}" for alpha in block_of],
+        data=[list(w_at)] + [ys[j] for j in block_of.values()],
+    )
 
 
 # kind -> (quantities drawn against w, one curve per alpha; one panel per rho?)
@@ -493,7 +462,7 @@ def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir) -
             sub = table if rho is None else table.select(rho=rho)
             suffix, note = ("", "") if rho is None else (f"_rho{rho:g}", f" (rho={rho:g})")
             for quantity in quantities:
-                wide = _series_pivot(sub, "w", quantity, "alpha")
+                wide = _series_pivot(sub, quantity, len(w_values(cfg)))
                 save_svg(
                     f"{short}_{quantity}{suffix}.svg", wide,
                     PlotSpec(x="w", series=tuple(wide.columns[1:]),

@@ -238,6 +238,8 @@ def read_matrix_text(text: str) -> SensingMatrix:
         m, n = int(tokens[0]), int(tokens[1])
     except ValueError as exc:
         raise InvalidInputError(f"bad matrix header: {tokens[:2]}") from exc
+    if m < 1 or n < 1:
+        raise InvalidInputError(f"bad matrix header: {tokens[:2]} (sizes must be >= 1)")
     values = tokens[2:]
     if len(values) != m * n:
         raise InvalidInputError(f"expected {m * n} entries, found {len(values)}")

@@ -38,7 +38,8 @@ def best_k_term(x, k: int):
 class SupportModel:
     """Prior-support geometry: |T| = rho*k and |T inter T0| = alpha*|T|.
 
-    rho and alpha are the correctly rounded quotients of those counts.
+    rho and alpha are the correctly rounded quotients of those counts; w may
+    be an array of weights, giving e_local per weight.
     """
 
     n: int
@@ -47,10 +48,10 @@ class SupportModel:
     T0: tuple
     rho: float
     alpha: float
-    w: float
+    w: float | np.ndarray
 
 
-def support_model(x, T, k: int, w: float) -> SupportModel:
+def support_model(x, T, k: int, w) -> SupportModel:
     """Build the (rho, alpha, w) geometry of prior support T for signal x."""
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -59,11 +60,12 @@ def support_model(x, T, k: int, w: float) -> SupportModel:
         raise InvalidInputError("T contains duplicate indices")
     if t and (t[0] < 0 or t[-1] >= n):
         raise InvalidInputError(f"T must be a subset of [0, {n}), got {t}")
-    if not 0.0 <= w <= 1.0:
+    if not np.all((0.0 <= np.asarray(w)) & (np.asarray(w) <= 1.0)):
         raise InvalidInputError(f"w must be in [0, 1], got {w}")
     _, t0 = best_k_term(x, k)
     alpha = len(set(t) & set(t0)) / len(t) if t else 0.0
-    return SupportModel(n=n, k=k, T=t, T0=t0, rho=len(t) / k, alpha=alpha, w=float(w))
+    return SupportModel(n=n, k=k, T=t, T0=t0, rho=len(t) / k, alpha=alpha,
+                        w=float(w) if np.ndim(w) == 0 else np.asarray(w, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,20 @@
 """Rectangular sweep tables with deterministic CSV and SVG emission.
 
-CSV cells: reals at 12 significant digits, booleans as true/false, text
-sanitized so cells never contain separators. Both emitters write LF line
-endings and are byte-reproducible for identical inputs; the SVG is a
-deliberately plain fixed-size line plot meant for eyeball regression, the CSV
-carries the data contract.
+A table stores one numpy array per named column; row i is the i-th entry of
+every column. CSV cells are formatted a column at a time, by the column's
+type: booleans as true/false, integers as decimal, reals at 12 significant
+digits, anything else as text, sanitized so cells never contain line breaks
+and quoted when they hold a comma. Both emitters write LF line endings and
+are byte-reproducible for identical inputs; the SVG is a deliberately plain
+fixed-size line plot meant for eyeball regression, the CSV carries the data
+contract.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -30,45 +34,56 @@ _PALETTE = (
 
 @dataclass
 class SweepTable:
-    """A rectangular grid of named columns; rows keep insertion order."""
+    """Named columns of equal length: columns holds the names, data one array
+    (or sequence, converted to an array) per name."""
 
     columns: list
-    rows: list = field(default_factory=list)
+    data: list
 
-    def add_row(self, values) -> None:
-        values = list(values)
-        if len(values) != len(self.columns):
-            raise InvalidInputError(
-                f"row has {len(values)} cells, table has {len(self.columns)} columns"
-            )
-        self.rows.append(values)
+    def __post_init__(self):
+        self.data = [np.asarray(values) for values in self.data]
+        lengths = [len(values) for values in self.data]
+        if len(lengths) != len(self.columns) or len(set(lengths)) > 1:
+            raise InvalidInputError(f"{len(self.columns)} names for columns of lengths {lengths}")
 
-    def column(self, name: str) -> list:
+    @classmethod
+    def from_columns(cls, columns: dict) -> "SweepTable":
+        """A table from a mapping of column name to values, in mapping order."""
+        return cls(columns=list(columns), data=list(columns.values()))
+
+    def __len__(self) -> int:
+        return len(self.data[0]) if self.data else 0
+
+    @property
+    def rows(self) -> list:
+        """The cells row by row, as Python values."""
+        return [list(row) for row in zip(*(values.tolist() for values in self.data))]
+
+    def column(self, name: str) -> np.ndarray:
         try:
-            idx = self.columns.index(name)
+            return self.data[self.columns.index(name)]
         except ValueError as exc:
             raise InvalidInputError(f"no column named {name!r}") from exc
-        return [row[idx] for row in self.rows]
 
     def select(self, **filters) -> "SweepTable":
         """Rows whose cells equal every filter value."""
-        keep = []
-        idx = {name: self.columns.index(name) for name in filters}
-        for row in self.rows:
-            if all(row[idx[name]] == value for name, value in filters.items()):
-                keep.append(list(row))
-        return SweepTable(columns=list(self.columns), rows=keep)
+        keep = np.ones(len(self), dtype=bool)
+        for name, value in filters.items():
+            keep &= self.column(name) == value
+        return SweepTable(columns=list(self.columns), data=[values[keep] for values in self.data])
 
 
-def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    text = str(value)
-    return text.replace("\n", " ").replace("\r", " ")
+def format_column(values) -> list:
+    """The CSV cells of one column, by the column's type."""
+    values = np.asarray(values)
+    kind, cells = values.dtype.kind, values.tolist()
+    if kind == "b":
+        return ["true" if v else "false" for v in cells]
+    if kind in "iu":
+        return [str(v) for v in cells]
+    if kind == "f":
+        return [f"{v:.12g}" for v in cells]
+    return [_encode_cell(str(v).replace("\n", " ").replace("\r", " ")) for v in cells]
 
 
 def _encode_cell(text: str) -> str:
@@ -79,9 +94,9 @@ def _encode_cell(text: str) -> str:
 
 
 def to_csv_text(table: SweepTable) -> str:
-    lines = [",".join(_encode_cell(format_cell(c)) for c in table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_encode_cell(format_cell(c)) for c in row))
+    lines = [",".join(format_column(table.columns))]
+    for start in range(0, len(table), 4096):  # bounds the formatted cells alive at once
+        lines += map(",".join, zip(*(format_column(v[start:start + 4096]) for v in table.data)))
     return "\n".join(lines) + "\n"
 
 
@@ -102,22 +117,22 @@ class PlotSpec:
 
 
 def _axis_range(values):
-    finite = [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
-    if not finite:
+    finite = values[np.isfinite(values)]
+    if not finite.size:
         raise InvalidInputError("no finite values to plot")
-    lo, hi = min(finite), max(finite)
+    lo, hi = float(finite.min()), float(finite.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    return float(lo), float(hi)
+    return lo, hi
 
 
 def to_svg_text(table: SweepTable, spec: PlotSpec) -> str:
-    if not table.rows:
+    if not len(table):
         raise InvalidInputError("nothing to plot: table has no rows")
-    xs = table.column(spec.x)
-    series = [(name, table.column(name)) for name in spec.series]
+    xs = np.asarray(table.column(spec.x), dtype=float)
+    series = [(name, np.asarray(table.column(name), dtype=float)) for name in spec.series]
     x_lo, x_hi = _axis_range(xs)
-    y_lo, y_hi = _axis_range([v for _, ys in series for v in ys])
+    y_lo, y_hi = _axis_range(np.concatenate([ys for _, ys in series]))
 
     plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -161,25 +176,16 @@ def to_svg_text(table: SweepTable, spec: PlotSpec) -> str:
     for k, (name, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         # break the polyline at non-finite values instead of bridging gaps
-        segment = []
-        segments = []
-        for xv, yv in zip(xs, ys):
-            ok = (
-                isinstance(xv, (int, float)) and isinstance(yv, (int, float))
-                and math.isfinite(xv) and math.isfinite(yv)
-            )
-            if ok:
-                segment.append((px(xv), py(yv)))
-            elif segment:
-                segments.append(segment)
-                segment = []
-        if segment:
-            segments.append(segment)
-        for seg in segments:
-            pts = " ".join(f"{gx:.2f},{gy:.2f}" for gx, gy in seg)
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+        drawn = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
+        points = [f"{gx:.2f},{gy:.2f}"
+                  for gx, gy in zip(px(xs[drawn]).tolist(), py(ys[drawn]).tolist())]
+        cuts = [0, *(np.flatnonzero(np.diff(drawn) > 1) + 1).tolist(), len(points)]
+        for start, stop in zip(cuts, cuts[1:]):
+            if start < stop:
+                out.append(
+                    f'<polyline points="{" ".join(points[start:stop])}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.5"/>'
+                )
         ly = _MARGIN_TOP + 14 + 16 * k
         lx = SVG_WIDTH - _MARGIN_RIGHT + 14
         out.append(

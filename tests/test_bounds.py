@@ -21,6 +21,7 @@ from priorcs import (
     local_k_max,
 )
 from priorcs.bounds import THEOREMS, evaluate, local_denominator
+from priorcs.experiments import admissible_alphas, float_grid
 
 import oracles
 
@@ -441,3 +442,72 @@ class TestParamsValidation:
             GuaranteeParams(mu=0.1, k=2, rho=-1.0)
         with pytest.raises(InvalidInputError):
             GuaranteeParams(mu=0.1, k=2, rho=2.0, alpha=1.0)  # overlap exceeds k
+
+
+def bits(values):
+    """Bit patterns of floats, every nan mapped to one pattern."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), -1, values.view(np.int64))
+
+
+def blocks(pairs, ws):
+    rho, alpha = np.array(pairs, dtype=float).T
+    return np.repeat(rho, len(ws)), np.repeat(alpha, len(ws)), np.tile(ws, len(pairs))
+
+
+class TestGridIndependence:
+    """A point's result does not depend on the grid it is evaluated in."""
+
+    W = np.array(float_grid(0.001))
+    FIG1 = [(rho, alpha) for rho in (0.5, 1.0, 1.5, 2.0) for alpha in admissible_alphas(rho, 8)]
+    FIG3 = [(rho, alpha) for rho in (0.5, 0.75) for alpha in float_grid(0.05)]
+    # (mu, k, blocks): the fig1 benchmark blocks and the fig3 default blocks, at
+    # coherences where every theorem has valid and invalid points
+    SETTINGS = [(0.02, 8, FIG1), (0.0825, 8, FIG1), (0.05, 4, FIG3), (0.1, 4, FIG3)]
+
+    @staticmethod
+    def assert_same(grid, index, other):
+        for field in ("c0", "c1", "k_max"):
+            assert np.array_equal(bits(getattr(grid, field)[index]), bits(getattr(other, field))), field
+        assert np.array_equal(grid.valid[index], other.valid)
+        assert np.array_equal(grid.reason[index], other.reason)
+
+    @pytest.mark.parametrize("name", list(THEOREMS))
+    def test_points_match_the_grid_of_one_and_a_reversed_subgrid(self, name):
+        seen_valid = seen_invalid = 0
+        for mu, k, pairs in self.SETTINGS:
+            rho, alpha, w = blocks(pairs, self.W)
+            # t = 4 keeps ge's t > d on every block; only ge reads t
+            grid = evaluate(name, GuaranteeParams(mu=mu, k=k, rho=rho, alpha=alpha, w=w, t=4.0))
+            seen_valid += grid.valid.sum()
+            seen_invalid += (~grid.valid).sum()
+            sub = slice(None, None, -3)
+            reversed_sub = evaluate(
+                name, GuaranteeParams(mu=mu, k=k, rho=rho[sub], alpha=alpha[sub], w=w[sub], t=4.0))
+            self.assert_same(grid, sub, reversed_sub)
+            # every 61st point, and both sides of every change of verdict
+            flips = np.flatnonzero(grid.valid[1:] != grid.valid[:-1])
+            for i in sorted(set(range(0, rho.size, 61)) | set(flips) | set(flips + 1)):
+                one = evaluate(name, GuaranteeParams(mu=mu, k=k, rho=float(rho[i]),
+                                                     alpha=float(alpha[i]), w=float(w[i]), t=4.0))
+                assert isinstance(one.c0, float) and isinstance(one.valid, bool)
+                self.assert_same(grid, i, one)
+        assert seen_valid and seen_invalid
+
+    def test_first_failing_point_names_the_error(self):
+        # d = 1 + rho/2 where w < 1: points 2 and 3 fail, with d = 1.5 and 1.4
+        p = GuaranteeParams(mu=0.1, k=2, rho=np.array([1.0, 1.0, 1.0, 0.8]), alpha=0.25,
+                            w=np.array([1.0, 1.0, 0.5, 0.3]), t=1.2)
+        with pytest.raises(InvalidInputError) as alone:
+            ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=0.25, w=0.5, t=1.2), 0.1)
+        assert str(alone.value) == "t must exceed d, got t = 1.2, d = 1.5"
+        with pytest.raises(InvalidInputError, match="^t must exceed d, got t = 1.2, d = 1.5$"):
+            ge_bound(p, 0.1)
+        # the first failing point, with the first check it fails
+        with pytest.raises(InvalidInputError, match=r"^alpha\*rho must be <= 1, got 1.5 "):
+            GuaranteeParams(mu=0.1, k=2, rho=np.array([1.0, 1.5, -1.0]), alpha=1.0,
+                            w=np.array([0.5, 2.0, 0.5]))
+        # a bad free constant fails every point, so the first point reports it
+        with pytest.raises(InvalidInputError, match="^a must be finite, got inf$"):
+            GuaranteeParams(mu=0.1, k=2, rho=np.array([1.0, -1.0]), alpha=0.5, a=math.inf)
+

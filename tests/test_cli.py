@@ -156,6 +156,28 @@ class TestBoundsCommand:
         (line,) = err.splitlines()
         assert line.startswith("error: ") and message in line
 
+    @pytest.mark.parametrize("flags", [
+        ("--delta-a", "nan", "--theta-ab", "0.1"),
+        ("--delta-a", "0.1", "--theta-ab", "inf"),
+        ("--delta-a=-inf", "--theta-ab", "0.1"),
+        ("--delta-a", "0.1", "--theta-ab=-inf"),
+    ], ids=["delta-nan", "theta-inf", "delta-minus-inf", "theta-minus-inf"])
+    def test_non_finite_chen_constant_exits_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "bounds", "--mu", "0.1", "--k", "2", "--theorem", "chen",
+                                 "--a", "1", "--b", "1", *flags)
+        assert code == 2
+        assert out == "theorem,c0,c1,k_max,valid,reason\n"
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "must be finite and >= 0" in line
+
+    def test_chen_constant_of_one_or_more_is_an_invalid_row(self, capsys):
+        # the coherence substitution reaches delta_a >= 1 at larger k*mu, so
+        # an explicit delta_a >= 1 is a failed premise, not an input error
+        code, out, _ = run_cli(capsys, "bounds", "--mu", "0.1", "--k", "2", "--theorem", "chen",
+                               "--a", "1", "--b", "1", "--delta-a", "1.5", "--theta-ab", "0.1")
+        assert code == 0
+        assert out.splitlines()[1].startswith("chen,") and ",false,premise fails" in out
+
 
 def test_main_leaves_numpy_error_state_alone(tmp_path, capsys):
     with np.errstate(all="warn"):
@@ -312,13 +334,23 @@ PINNED_OUTPUTS = {
 }
 
 
+# rows of each default sweep's CSV
+PINNED_ROWS = {"fig1": 168, "fig2": 105, "fig3": 882, "fig4": 21}
+
+
 @pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
 def test_default_sweep_outputs_are_pinned(command, tmp_path, capsys):
-    code, out, _ = run_cli(capsys, command, "--out-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, command, "--out-dir", str(tmp_path))
     assert code == 0
     expected = PINNED_OUTPUTS[command]
     wrote = [line for line in out.splitlines() if line.startswith("wrote ")]
     assert wrote == [f"wrote {os.path.join(str(tmp_path), name)}" for name, _ in expected]
+    # row count and timings go to stderr, one line, never into stdout or the files
+    (line,) = err.splitlines()
+    assert re.fullmatch(
+        rf"{command}: {PINNED_ROWS[command]} rows, evaluate \d+\.\d{{3}} s, emit \d+\.\d{{3}} s", line
+    )
+    assert " rows, " not in out
     assert sorted(os.listdir(tmp_path)) == sorted(name for name, _ in expected)
     for name, digest in expected:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -190,9 +190,10 @@ class TestFig3:
 
     def test_check_reports_problems(self):
         from priorcs.tables import SweepTable
-        bad = SweepTable(columns=["rho", "alpha", "w", "ratio_standard", "ratio_weighted"])
-        bad.add_row([0.5, 0.0, 0.0, 0.9, 1.2])
-        assert len(check_fig3(bad)) == 1
+        bad = SweepTable(columns=["rho", "alpha", "w", "ratio_standard", "ratio_weighted"],
+                         data=[[0.5, 0.5], [0.0, 0.0], [0.0, 0.5], [0.9, 1.1], [1.2, math.nan]])
+        assert check_fig3(bad) == ["standard ratio 0.9 <= 1 at rho=0.5 alpha=0.0 w=0.0",
+                                   "weighted ratio nan <= 1 at rho=0.5 alpha=0.0 w=0.5"]
 
 
 class TestFig4:

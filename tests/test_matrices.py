@@ -192,6 +192,11 @@ class TestMatrixText:
         with pytest.raises(InvalidInputError):
             read_matrix_text("2 two\n1 0 0 1")
 
+    @pytest.mark.parametrize("text", ["-1 -1\n1.0", "0 3\n", "2 -3\n"])
+    def test_sizes_below_one_name_the_header(self, text):
+        with pytest.raises(InvalidInputError, match="bad matrix header"):
+            read_matrix_text(text)
+
 
 class TestIsometryReport:
     def test_within_budget(self, tri_matrix):
