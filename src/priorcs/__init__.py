@@ -20,15 +20,11 @@ from .bounds import (
     GuaranteeResult,
     cai_bound,
     chen_bound,
-    chen_bound_coherence,
     friedlander_bound,
-    friedlander_bound_coherence,
     ge_bound,
-    ge_bound_coherence,
     haixiao_bound,
     k_ratio,
     local_bound,
-    local_k_max,
 )
 from .errors import (
     BudgetExceededError,

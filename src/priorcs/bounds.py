@@ -17,12 +17,13 @@ depend on the grid; numbers for rho, alpha and w make the grid of one, whose
 result holds Python values. An input error reports the first failing point
 in grid order, with the message that point alone would give.
 
-The calculators taking restricted-isometry or orthogonality constants accept
-them as explicit arguments; the ``*_coherence`` companions substitute the
-standard upper bounds delta_j <= (j-1)*mu and theta_{a,b} <= (a+b-1)*mu so
-that everything can be compared on the coherence scale alone. ``THEOREMS``
-lists the six by name, and ``evaluate`` picks a theorem's explicit or
-coherence-scale form from the constants it is given.
+One calculator per theorem: friedlander, chen and ge use the isometry
+constants they are given, and given none substitute the standard upper bounds
+delta_j <= (j-1)*mu and theta_{a,b} <= (a+b-1)*mu, so that everything compares
+on the coherence scale (no ``*_coherence`` companions); a partial set is an
+error. ``local_bound(p).k_max`` is the local sparsity cap (no ``local_k_max``).
+``THEOREMS`` lists the six with the constants each takes; ``evaluate`` hands a
+theorem its own.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class GuaranteeParams:
     mu is the coherence of the sensing matrix (a free scalar here: the bounds
     only see the value, never a concrete matrix). rho, alpha and w are numbers
     or arrays broadcast together into the grid of points. a, b, t are the free
-    constants some of the guarantees carry; they stay None unless needed and
-    must be finite when given.
+    constants of friedlander (a), chen (a, b) and ge (t), finite when given.
+    None means the coherence-scale default (a = 2; a = b = k; t = 2), and is
+    an error when the theorem is given its isometry constants.
     """
 
     mu: float
@@ -103,6 +105,22 @@ def _ratio(num, den):
     return np.where(den != 0.0, num / den, np.nan)
 
 
+def _spread(rho, alpha):
+    """|T symmetric-difference T0| / k = 1 + rho - 2*alpha*rho, clamped at 0
+    because the overlap check lets alpha*rho exceed 1 by a rounding tolerance."""
+    return np.maximum(1.0 + rho - 2.0 * alpha * rho, 0.0)
+
+
+def _explicit(theorem: str, **constants) -> bool:
+    """True when every isometry constant is given (not None), False when none
+    is; a partial set is an error."""
+    missing = [name for name, value in constants.items() if value is None]
+    if 0 < len(missing) < len(constants):
+        raise InvalidInputError(f"{theorem} takes {' and '.join(constants)} together; "
+                                f"missing {', '.join(missing)}")
+    return not missing
+
+
 def _raise_first(shape, checks, **values):
     """Raise for the first failing point in grid order. checks are (failed,
     message) in the order a single point is checked; the message of the first
@@ -153,10 +171,12 @@ def local_bound(p: GuaranteeParams) -> GuaranteeResult:
     rho, alpha, w = _grid(p)
     mu, k = p.mu, p.k
     rk = rho * k
-    denom = local_denominator(mu, k, rho, alpha, w)
-    k_max = local_k_max(mu, rho, alpha, w)
     empty = rho == 0.0
     with np.errstate(all="ignore"):
+        denom = local_denominator(mu, k, rho, alpha, w)
+        c = 2.0 * w * np.sqrt(alpha) + 1.0
+        root = (w + np.sqrt(w * w + 4.0 * c * (1.0 + 1.0 / mu))) / (2.0 * np.sqrt(rho) * c)
+        k_max = np.where(empty, np.inf, np.where(w == 0.0, (1.0 + 1.0 / mu) / rho, root * root))
         c0 = _ratio(2.0 * np.sqrt(1.0 + (rk - 1.0) * mu), denom)
         c1 = _ratio(2.0 * mu * np.sqrt(rk), denom)
     return _result(
@@ -173,15 +193,6 @@ def local_denominator(mu: float, k: float, rho, alpha, w):
     rk = rho * k
     c = 2.0 * w * np.sqrt(alpha) + 1.0
     return np.asarray(1.0 + mu + w * mu * np.sqrt(rk) - mu * rk * c)[()]
-
-
-def local_k_max(mu: float, rho, alpha, w):
-    """Supremum of sparsity admissible for the local bound."""
-    with np.errstate(all="ignore"):
-        c = 2.0 * w * np.sqrt(alpha) + 1.0
-        root = (w + np.sqrt(w * w + 4.0 * c * (1.0 + 1.0 / mu))) / (2.0 * np.sqrt(rho) * c)
-        k_max = np.where(w == 0.0, (1.0 + 1.0 / mu) / rho, root * root)
-    return np.where(rho == 0.0, np.inf, k_max)[()]
 
 
 def cai_bound(p: GuaranteeParams) -> GuaranteeResult:
@@ -214,7 +225,7 @@ def haixiao_bound(p: GuaranteeParams) -> GuaranteeResult:
     rho, alpha, w = _grid(p)
     mu, k = p.mu, p.k
     with np.errstate(all="ignore"):
-        spread = 1.0 + rho - 2.0 * alpha * rho
+        spread = _spread(rho, alpha)
         q = np.square(1.0 - w) * spread / (1.0 + w)
         big_l = (q + 2.0 - np.sqrt(q * (q + 4.0))) / (1.0 + w)
         k_max = 0.5 * big_l * (1.0 + 1.0 / mu)
@@ -230,7 +241,8 @@ def haixiao_bound(p: GuaranteeParams) -> GuaranteeResult:
     )
 
 
-def friedlander_bound(p: GuaranteeParams, delta_ak: float, delta_a1k: float) -> GuaranteeResult:
+def friedlander_bound(p: GuaranteeParams, delta_ak: float | None = None,
+                      delta_a1k: float | None = None) -> GuaranteeResult:
     """Global bound for the weighted problem in terms of isometry constants.
 
     Requires a free constant a with a > 1, a >= (1 - alpha)*rho and a*k
@@ -243,59 +255,48 @@ def friedlander_bound(p: GuaranteeParams, delta_ak: float, delta_a1k: float) -> 
     < a (1 - delta_{(a+1)k}), which is equivalent for beta > 0 and remains
     meaningful at beta = 0. The same expression is (the square of) the shared
     coefficient denominator, so validity and positivity coincide.
+
+    Without the isometry constants, a defaults to 2 and delta_j <= (j-1)*mu
+    makes the premise linear in k, giving the closed form
+    k_max = (a(1+mu) - beta^2 (1-mu)) / (mu a (beta^2 + a + 1)).
     """
-    return _friedlander(p, p.a, delta_ak, delta_a1k)
-
-
-def _friedlander(p, a, delta_ak, delta_a1k, k_max=None) -> GuaranteeResult:
-    """friedlander_bound with a given; a given k_max replaces the inf/nan one."""
-    _require_deltas(delta_ak, delta_a1k)
-    if a is None:
-        raise InvalidInputError("friedlander bound requires the free constant a")
-    if not a > 1.0:
-        raise InvalidInputError(f"a must be > 1, got {a}")
-    rho, alpha, w = _grid(p)
-    floor = (1.0 - alpha) * rho
-    _raise_first(rho.shape, [
-        (a < floor, f"a = {a} must be >= (1 - alpha)*rho = {{floor}}"),
-        (abs(a * p.k - round(a * p.k)) > _INT_TOL, f"a*k must be an integer, got {a * p.k}"),
-    ], floor=floor)
-    with np.errstate(all="ignore"):
-        beta = w + (1.0 - w) * np.sqrt(1.0 + rho - 2.0 * alpha * rho)
-        denom = math.sqrt(1.0 - delta_a1k) - (beta / math.sqrt(a)) * math.sqrt(1.0 + delta_ak)
-        c0 = _ratio(2.0 * (1.0 + beta / math.sqrt(a)), denom)
-        c1 = _ratio((2.0 / math.sqrt(a * p.k))
-                    * (math.sqrt(1.0 - delta_a1k) + math.sqrt(1.0 + delta_ak)), denom)
-    valid = (beta * beta * (1.0 + delta_ak) < a * (1.0 - delta_a1k)) & (denom > 0.0)
-    return _result(
-        "friedlander", rho.shape, c0, c1,
-        np.where(valid, np.inf, np.nan) if k_max is None else k_max,
-        (valid, "isometry premise fails: beta^2 (1 + delta_ak) >= a (1 - delta_(a+1)k)"),
-    )
-
-
-def friedlander_bound_coherence(p: GuaranteeParams) -> GuaranteeResult:
-    """Friedlander bound under delta_j <= (j-1)*mu, default a = 2.
-
-    On the coherence scale the premise becomes linear in k, giving the closed
-    form k_max = (a(1+mu) - beta^2 (1-mu)) / (mu a (beta^2 + a + 1)).
-    """
+    explicit = _explicit("friedlander", delta_ak=delta_ak, delta_a1k=delta_a1k)
+    if explicit:
+        _require_deltas(delta_ak, delta_a1k)
+        if p.a is None:
+            raise InvalidInputError("friedlander bound requires the free constant a")
     a, k, mu = 2.0 if p.a is None else p.a, p.k, p.mu
     if not a > 1.0:
         raise InvalidInputError(f"a must be > 1, got {a}")
     rho, alpha, w = _grid(p)
     with np.errstate(all="ignore"):
-        beta = w + (1.0 - w) * np.sqrt(1.0 + rho - 2.0 * alpha * rho)
-        k_max = (a * (1.0 + mu) - beta * beta * (1.0 - mu)) / (mu * a * (beta * beta + a + 1.0))
-    delta_ak = (a * k - 1.0) * mu
-    delta_a1k = ((a + 1.0) * k - 1.0) * mu
-    if delta_a1k >= 1.0 or delta_ak >= 1.0:
-        return _result("friedlander", rho.shape, math.nan, math.nan, k_max,
-                       (False, "coherence substitution gives delta >= 1"))
-    return _friedlander(p, a, delta_ak, delta_a1k, k_max)
+        beta = w + (1.0 - w) * np.sqrt(_spread(rho, alpha))
+    if not explicit:
+        with np.errstate(all="ignore"):
+            k_max = (a * (1.0 + mu) - beta * beta * (1.0 - mu)) / (mu * a * (beta * beta + a + 1.0))
+        delta_ak, delta_a1k = (a * k - 1.0) * mu, ((a + 1.0) * k - 1.0) * mu
+        if delta_a1k >= 1.0 or delta_ak >= 1.0:
+            return _result("friedlander", rho.shape, math.nan, math.nan, k_max,
+                           (False, "coherence substitution gives delta >= 1"))
+    floor = (1.0 - alpha) * rho
+    _raise_first(rho.shape, [
+        (a < floor, f"a = {a} must be >= (1 - alpha)*rho = {{floor}}"),
+        (abs(a * k - round(a * k)) > _INT_TOL, f"a*k must be an integer, got {a * k}"),
+    ], floor=floor)
+    with np.errstate(all="ignore"):
+        denom = math.sqrt(1.0 - delta_a1k) - (beta / math.sqrt(a)) * math.sqrt(1.0 + delta_ak)
+        c0 = _ratio(2.0 * (1.0 + beta / math.sqrt(a)), denom)
+        c1 = _ratio((2.0 / math.sqrt(a * k))
+                    * (math.sqrt(1.0 - delta_a1k) + math.sqrt(1.0 + delta_ak)), denom)
+    valid = (beta * beta * (1.0 + delta_ak) < a * (1.0 - delta_a1k)) & (denom > 0.0)
+    return _result(
+        "friedlander", rho.shape, c0, c1, np.where(valid, np.inf, np.nan) if explicit else k_max,
+        (valid, "isometry premise fails: beta^2 (1 + delta_ak) >= a (1 - delta_(a+1)k)"),
+    )
 
 
-def chen_bound(p: GuaranteeParams, delta_a: float, theta_ab: float) -> GuaranteeResult:
+def chen_bound(p: GuaranteeParams, delta_a: float | None = None,
+               theta_ab: float | None = None) -> GuaranteeResult:
     """Global bound for the weighted problem in isometry + orthogonality form.
 
     Free integers 1 <= a <= k and b >= 1. With r = (1 + rho - 2 alpha rho)*k:
@@ -304,13 +305,15 @@ def chen_bound(p: GuaranteeParams, delta_a: float, theta_ab: float) -> Guarantee
         C = max(s/sqrt(ab), sqrt(s/a)),  d = k (w=1) or max(k, r) (w<1)
 
     premise delta_a + C*theta_ab < 1. s = 0 (reachable at w = 0) leaves c1
-    undefined and is reported as invalid.
+    undefined and is reported as invalid. Without the isometry constants,
+    a = b = k by default and the coherence substitutions delta_a <= (a-1)*mu,
+    theta_{a,b} <= (a+b-1)*mu apply (at a = b = k, theta_{k,k} <= delta_2k).
     """
-    return _chen(p, p.a, p.b, delta_a, theta_ab)
-
-
-def _chen(p, a, b, delta_a, theta_ab) -> GuaranteeResult:
-    """chen_bound with the free constants a and b given."""
+    a, b = p.a, p.b
+    if not _explicit("chen", delta_a=delta_a, theta_ab=theta_ab):
+        a = float(p.k) if a is None else a
+        b = float(p.k) if b is None else b
+        delta_a, theta_ab = (a - 1.0) * p.mu, (a + b - 1.0) * p.mu
     # no upper limit of 1: the coherence substitution reaches delta_a >= 1 at
     # larger k*mu, which is a failed premise, not an input error
     if not (0.0 <= delta_a < math.inf and 0.0 <= theta_ab < math.inf):
@@ -324,7 +327,7 @@ def _chen(p, a, b, delta_a, theta_ab) -> GuaranteeResult:
         raise InvalidInputError(f"b must be an integer >= 1, got {b}")
     rho, alpha, w = _grid(p)
     with np.errstate(all="ignore"):
-        r = (1.0 + rho - 2.0 * alpha * rho) * p.k
+        r = _spread(rho, alpha) * p.k
         s = p.k - a + w * p.k + (1.0 - w) * np.sqrt(r) * np.maximum(np.sqrt(r), math.sqrt(a))
         big_c = np.maximum(s / math.sqrt(a * b), np.sqrt(s / a))
         d = np.where(w == 1.0, float(p.k), np.maximum(float(p.k), r))
@@ -342,26 +345,22 @@ def _chen(p, a, b, delta_a, theta_ab) -> GuaranteeResult:
     )
 
 
-def chen_bound_coherence(p: GuaranteeParams) -> GuaranteeResult:
-    """Chen bound with a = b = k and the coherence substitutions
-    delta_k <= (k-1)*mu, theta_{k,k} <= delta_2k <= (2k-1)*mu."""
-    a = float(p.k) if p.a is None else p.a
-    b = float(p.k) if p.b is None else p.b
-    return _chen(p, a, b, (a - 1.0) * p.mu, (a + b - 1.0) * p.mu)
-
-
-def ge_bound(p: GuaranteeParams, delta_tk: float, c1_form: str = "c0-denominator") -> GuaranteeResult:
+def ge_bound(p: GuaranteeParams, delta_tk: float | None = None,
+             c1_form: str = "c0-denominator") -> GuaranteeResult:
     """Global bound from the block-sparse family, reduced to one support estimate.
 
     ups = w + (1-w)*sqrt(1 + rho - 2 alpha rho); d = 1 at w = 1, otherwise 1
     for alpha >= 1/2 and 1 + rho - 2 alpha rho below; needs t > d and the
-    premise delta_tk < sqrt((t-d)/(t-d+ups^2)).
+    premise delta_tk < sqrt((t-d)/(t-d+ups^2)). Without delta_tk, t defaults
+    to 2 and the substitution delta_tk <= (tk-1)*mu applies.
     """
-    return _ge(p, p.t, delta_tk, c1_form)
-
-
-def _ge(p, t, delta_tk, c1_form) -> GuaranteeResult:
-    """ge_bound with the free constant t given."""
+    t = p.t
+    if delta_tk is None:
+        t = 2.0 if t is None else t
+        delta_tk = (t * p.k - 1.0) * p.mu
+        if delta_tk >= 1.0:
+            return _result("ge", _grid(p)[0].shape, math.nan, math.nan, math.nan,
+                           (False, "coherence substitution gives delta >= 1"))
     _require_deltas(delta_tk)
     if t is None:
         raise InvalidInputError("ge bound requires the free constant t")
@@ -369,8 +368,9 @@ def _ge(p, t, delta_tk, c1_form) -> GuaranteeResult:
         raise InvalidInputError(f"unknown c1_form {c1_form!r}")
     rho, alpha, w = _grid(p)
     with np.errstate(all="ignore"):
-        ups = w + (1.0 - w) * np.sqrt(1.0 + rho - 2.0 * alpha * rho)
-        d = np.where((w == 1.0) | (alpha >= 0.5), 1.0, 1.0 + rho - 2.0 * alpha * rho)
+        spread = _spread(rho, alpha)
+        ups = w + (1.0 - w) * np.sqrt(spread)
+        d = np.where((w == 1.0) | (alpha >= 0.5), 1.0, spread)
         _raise_first(rho.shape, [(~(t > d), f"t must exceed d, got t = {t}, d = {{d}}")], d=d)
         gap = t - d
         g = gap + ups * ups
@@ -402,42 +402,26 @@ def _ge(p, t, delta_tk, c1_form) -> GuaranteeResult:
     )
 
 
-def ge_bound_coherence(p: GuaranteeParams, c1_form: str = "c0-denominator") -> GuaranteeResult:
-    """Ge bound with t = 2 and the substitution delta_tk <= (tk-1)*mu."""
-    t = 2.0 if p.t is None else p.t
-    delta_tk = (t * p.k - 1.0) * p.mu
-    if delta_tk >= 1.0:
-        return _result("ge", _grid(p)[0].shape, math.nan, math.nan, math.nan,
-                       (False, "coherence substitution gives delta >= 1"))
-    return _ge(p, t, delta_tk, c1_form)
-
-
-# name -> (coherence-scale calculator, explicit calculator, names of the isometry
-# constants the explicit one takes), in report order; the first three take none
+# name -> (calculator, names of the isometry constants it takes), in report
+# order; given none of its constants, a calculator works on the coherence scale
 THEOREMS = {
-    "local": (local_bound, None, ()),
-    "cai": (cai_bound, None, ()),
-    "haixiao": (haixiao_bound, None, ()),
-    "friedlander": (friedlander_bound_coherence, friedlander_bound, ("delta_ak", "delta_a1k")),
-    "chen": (chen_bound_coherence, chen_bound, ("delta_a", "theta_ab")),
-    "ge": (ge_bound_coherence, ge_bound, ("delta_tk",)),
+    "local": (local_bound, ()),
+    "cai": (cai_bound, ()),
+    "haixiao": (haixiao_bound, ()),
+    "friedlander": (friedlander_bound, ("delta_ak", "delta_a1k")),
+    "chen": (chen_bound, ("delta_a", "theta_ab")),
+    "ge": (ge_bound, ("delta_tk",)),
 }
 
 
 def evaluate(name: str, p: GuaranteeParams, **constants) -> GuaranteeResult:
-    """The named theorem at p: its explicit form when every isometry constant it
-    takes is given (not None) in constants, its coherence-scale form when none
-    is. A partial set is an error; constants of other theorems are ignored."""
+    """The named theorem at p, handed the isometry constants it takes from
+    constants (None counts as not given); constants of other theorems are
+    ignored."""
     if name not in THEOREMS:
         raise InvalidInputError(f"unknown theorem {name!r}; choose from {tuple(THEOREMS)}")
-    coherence_form, explicit_form, own = THEOREMS[name]
-    given = {c: constants[c] for c in own if constants.get(c) is not None}
-    if not given:
-        return coherence_form(p)
-    if len(given) < len(own):
-        missing = ", ".join(c for c in own if c not in given)
-        raise InvalidInputError(f"{name} takes {' and '.join(own)} together; missing {missing}")
-    return explicit_form(p, **given)
+    calculator, own = THEOREMS[name]
+    return calculator(p, **{c: constants.get(c) for c in own})
 
 
 # baseline name -> guarantee whose k_max the local one is compared with
@@ -458,8 +442,7 @@ def k_ratio(p: GuaranteeParams, baseline: str):
     base = K_RATIO_BASELINES[baseline](p).k_max
     _raise_first(_grid(p)[0].shape,
                  [(~(np.asarray(base) > 0.0), "baseline k_max must be positive, got {base}")], base=base)
-    ratio = local_k_max(p.mu, *_grid(p)) / base
-    return float(ratio) if np.ndim(ratio) == 0 else ratio
+    return local_bound(p).k_max / base
 
 
 def _require_deltas(*deltas):

@@ -47,7 +47,7 @@ _FIG_KINDS = {kind.split("-")[0]: kind for kind in EXPERIMENT_KINDS}
 THEOREMS = tuple(bounds_mod.THEOREMS)
 
 # isometry constants any theorem takes, each a --flag of the bounds command
-_CONSTANTS = [c for *_, own in bounds_mod.THEOREMS.values() for c in own]
+_CONSTANTS = [c for _, own in bounds_mod.THEOREMS.values() for c in own]
 
 
 def _build_parser() -> argparse.ArgumentParser:

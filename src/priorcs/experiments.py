@@ -322,7 +322,7 @@ def run_fig4(cfg: ExperimentConfig) -> SweepTable:
         res = bounds.evaluate(name, p)
         columns.update({f"{name}_c0": res.c0, f"{name}_c1": res.c1})
         if name == "ge":
-            columns["ge_c1_printed"] = bounds.ge_bound_coherence(p, c1_form="printed").c1
+            columns["ge_c1_printed"] = bounds.ge_bound(p, c1_form="printed").c1
         columns[f"{name}_valid"] = res.valid
         if name != "local":
             columns[f"{name}_reason"] = res.reason

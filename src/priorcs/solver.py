@@ -36,6 +36,11 @@ import numpy as np
 from .errors import InfeasibleProblemError, InvalidInputError
 from .matrices import SensingMatrix, read_matrix_text
 
+# kkt_check: |x_i| above _SUPPORT_TOL * max(1, max |x|) counts as on the
+# support, and ||Ax - y|| within _BOUNDARY_TOL of eps as on the noise ball
+_SUPPORT_TOL = 1e-7
+_BOUNDARY_TOL = 1e-9
+
 
 @dataclass(eq=False)
 class RecoveryProblem:
@@ -92,12 +97,20 @@ class SolveTolerances:
     step ratio: the primal residual (an element of the weighted l1
     subdifferential plus A^T lam, in units of the weights) and the dual
     residual (relative to max(1, ||y||)). feas_tol is an absolute slack on
-    the noise-ball constraint.
+    the noise-ball constraint. max_iter = 0 returns the unconverged start.
     """
 
     opt_tol: float = 1e-8
     feas_tol: float = 1e-9
     max_iter: int = 200_000
+
+    def __post_init__(self):
+        if not 0.0 < self.opt_tol < math.inf:
+            raise InvalidInputError(f"opt_tol must be finite and > 0, got {self.opt_tol}")
+        if not 0.0 <= self.feas_tol < math.inf:
+            raise InvalidInputError(f"feas_tol must be finite and >= 0, got {self.feas_tol}")
+        if self.max_iter < 0:
+            raise InvalidInputError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass(eq=False)
@@ -247,7 +260,7 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
     return reports
 
 
-def kkt_check(problem: RecoveryProblem, x, support_tol: float = 1e-7, boundary_tol: float = 1e-9) -> float:
+def kkt_check(problem: RecoveryProblem, x) -> float:
     """First-order optimality residual of x for the weighted l1 program.
 
     Returns a nonnegative scalar: 0 (up to rounding) iff some subgradient of
@@ -268,7 +281,7 @@ def kkt_check(problem: RecoveryProblem, x, support_tol: float = 1e-7, boundary_t
     res_norm = float(np.linalg.norm(residual_vec))
     feas = max(res_norm - problem.epsilon, 0.0)
 
-    active = np.abs(x) > support_tol * max(1.0, float(np.abs(x).max(initial=0.0)))
+    active = np.abs(x) > _SUPPORT_TOL * max(1.0, float(np.abs(x).max(initial=0.0)))
     signs = np.sign(x)
     target = weights * signs * active  # required value of (A^T lam)_i on the support
 
@@ -280,7 +293,7 @@ def kkt_check(problem: RecoveryProblem, x, support_tol: float = 1e-7, boundary_t
             return feas
         lam, *_ = np.linalg.lstsq(a[:, rows].T, target[rows], rcond=None)
         certificate = a.T @ lam
-    elif res_norm >= problem.epsilon - boundary_tol:
+    elif res_norm >= problem.epsilon - _BOUNDARY_TOL:
         # Active ball: the normal cone is the ray along A^T residual.
         direction = a.T @ (residual_vec / res_norm)
         rows = active | (weights == 0.0)

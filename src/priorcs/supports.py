@@ -128,7 +128,8 @@ def prior_support_for(x, k: int, rho: float, alpha: float):
             f"requested overlap {overlap} but the top-{k} support has only {len(t0)} entries"
         )
     fill = t_size - overlap
-    outside = [i for i in range(n) if i not in set(t0)]
+    in_t0 = set(t0)
+    outside = [i for i in range(n) if i not in in_t0]
     if fill > len(outside):
         raise InvalidInputError(
             f"cannot place {fill} indices outside the top-{k} support (only {len(outside)} available)"

@@ -46,12 +46,12 @@ class TestCriterion1FormulaOracleAgreement:
         assert abs(cai.c1 - float(c1o)) <= 1e-12 and abs(cai.c1 - 0.94761) <= 1e-4
         assert abs(cai.k_max - 5.5) <= 1e-12
 
-        chen = pc.chen_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
+        chen = pc.chen_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
         _, c0o, c1o = oracles.chen_coeffs(0.1, 2, 1.0, 1.0, 1.0, 2, 2)
         assert abs(chen.c0 - float(c0o)) <= 1e-12 and abs(chen.c0 - 4.94413) <= 1e-4
         assert abs(chen.c1 - float(c1o)) <= 1e-12 and abs(chen.c1 - 2.41421) <= 1e-4
 
-        ge = pc.ge_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
+        ge = pc.ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
         _, c0o, _, _ = oracles.ge_coeffs(0.1, 2, 1.0, 1.0, 1.0, 2.0)
         assert abs(ge.c0 - float(c0o)) <= 1e-12 and abs(ge.c0 - 5.60142) <= 1e-4
         _report(1, f"formula-oracle agreement at 1e-4 ({(time.perf_counter() - t0) * 1e3:.1f} ms)")

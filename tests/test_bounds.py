@@ -10,15 +10,11 @@ from priorcs import (
     InvalidInputError,
     cai_bound,
     chen_bound,
-    chen_bound_coherence,
     friedlander_bound,
-    friedlander_bound_coherence,
     ge_bound,
-    ge_bound_coherence,
     haixiao_bound,
     k_ratio,
     local_bound,
-    local_k_max,
 )
 from priorcs.bounds import THEOREMS, evaluate, local_denominator
 from priorcs.experiments import admissible_alphas, float_grid
@@ -86,8 +82,8 @@ class TestLocalBound:
     def test_k_max_continuous_at_w0(self):
         for rho in (0.25, 0.5, 1.0):
             for alpha in (0.0, 0.5, 1.0):
-                at_zero = local_k_max(0.1, rho, alpha, 0.0)
-                near_zero = local_k_max(0.1, rho, alpha, 1e-9)
+                at_zero = local_bound(params(rho=rho, alpha=alpha, w=0.0)).k_max
+                near_zero = local_bound(params(rho=rho, alpha=alpha, w=1e-9)).k_max
                 assert at_zero == pytest.approx(near_zero, abs=1e-6)
                 assert at_zero == pytest.approx(near_zero, rel=1e-7)
 
@@ -147,9 +143,9 @@ class TestLocalMonotonicity:
                     assert a.c0 < b.c0 and a.c1 < b.c1
 
     def test_k_max_monotonicity_in_w(self):
-        ks = [local_k_max(0.1, 0.5, 0.0, w) for w in self.W_GRID]
+        ks = [local_bound(params(rho=0.5, alpha=0.0, w=w)).k_max for w in self.W_GRID]
         assert all(a < b for a, b in zip(ks, ks[1:]))  # alpha = 0: increasing
-        ks = [local_k_max(0.1, 0.5, 1.0, w) for w in self.W_GRID]
+        ks = [local_bound(params(rho=0.5, alpha=1.0, w=w)).k_max for w in self.W_GRID]
         assert all(a > b for a, b in zip(ks, ks[1:]))  # alpha = 1: decreasing
 
 
@@ -203,7 +199,7 @@ class TestHaixiaoBound:
 
 class TestFriedlanderBound:
     def test_negative_denominator_at_w1(self):
-        res = friedlander_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, a=2.0))
+        res = friedlander_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, a=2.0))
         assert not res.valid
         den, *_ = oracles.friedlander_coeffs(0.1, 2, 1.0, 1.0, 1.0, 2.0)
         assert float(den) == pytest.approx(FRIEDLANDER_W1_DEN, abs=1e-12)
@@ -219,7 +215,7 @@ class TestFriedlanderBound:
 
     def test_beta_zero_case_recorded(self):
         # w = 0, alpha = 1, rho = 0.5: beta = sqrt(0.5), premise from the oracle
-        res = friedlander_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=0.5, alpha=1.0, w=0.0, a=2.0))
+        res = friedlander_bound(GuaranteeParams(mu=0.1, k=2, rho=0.5, alpha=1.0, w=0.0, a=2.0))
         den, c0, c1, premise = oracles.friedlander_coeffs(0.1, 2, 0.5, 1.0, 0.0, 2.0)
         assert res.valid == bool(premise)
         assert res.c0 == pytest.approx(float(c0), rel=1e-12)
@@ -229,7 +225,7 @@ class TestFriedlanderBound:
         # exact crossover at mu=0.1, k=2, rho=alpha=1 sits near w = 0.877
         grid = [round(i * 0.05, 12) for i in range(21)]
         for w in grid:
-            res = friedlander_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=w, a=2.0))
+            res = friedlander_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=w, a=2.0))
             assert res.valid == (w <= 0.85)
 
     def test_preconditions(self):
@@ -243,22 +239,22 @@ class TestFriedlanderBound:
             friedlander_bound(GuaranteeParams(mu=0.1, k=2), 0.1, 0.1)  # missing a
 
     def test_closed_form_k_max_matches_premise(self):
-        res = friedlander_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, a=2.0))
+        res = friedlander_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, a=2.0))
         assert res.k_max == pytest.approx(1.625, abs=1e-12)
-        ok = friedlander_bound_coherence(GuaranteeParams(mu=0.1, k=1, rho=1.0, alpha=1.0, w=1.0, a=2.0))
+        ok = friedlander_bound(GuaranteeParams(mu=0.1, k=1, rho=1.0, alpha=1.0, w=1.0, a=2.0))
         assert ok.valid  # k = 1 < 1.625
 
 
 class TestChenBound:
     def test_pinned_fig4_point(self):
-        res = chen_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
+        res = chen_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
         c0, c1 = CHEN_FIG4_W1
         assert res.valid
         assert res.c0 == pytest.approx(c0, abs=1e-12)
         assert res.c1 == pytest.approx(c1, abs=1e-12)
 
     def test_s_zero_reported_invalid(self):
-        res = chen_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=0.0))
+        res = chen_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=0.0))
         assert not res.valid
         assert "s = 0" in res.reason
 
@@ -270,7 +266,7 @@ class TestChenBound:
 
     def test_oracle_grid(self):
         for w in (0.05, 0.3, 0.6, 1.0):
-            res = chen_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=w))
+            res = chen_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=w))
             s, c0, c1 = oracles.chen_coeffs(0.1, 2, 1.0, 1.0, w, 2, 2)
             assert res.c0 == pytest.approx(float(c0), rel=1e-12)
             assert res.c1 == pytest.approx(float(c1), rel=1e-12)
@@ -285,9 +281,9 @@ class TestChenBound:
 
 class TestGeBound:
     def test_pinned_fig4_point(self):
-        shared = ge_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
-        printed = ge_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0),
-                                     c1_form="printed")
+        shared = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
+        printed = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0),
+                           c1_form="printed")
         c0, c1_shared, c1_printed = GE_FIG4_W1
         assert shared.valid
         assert shared.c0 == pytest.approx(c0, abs=1e-12)
@@ -300,14 +296,14 @@ class TestGeBound:
         assert res.c0 == pytest.approx(2 * math.sqrt(2.0), abs=1e-12)
 
     def test_w0_alpha1_branch(self):
-        res = ge_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=0.0))
+        res = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=0.0))
         c0, c1 = GE_W0_A1_R1
         assert res.valid  # ups = 0 turns the premise into delta < 1
         assert res.c0 == pytest.approx(c0, abs=1e-12)
         assert res.c1 == pytest.approx(c1, abs=1e-12)
         # both c1 readings coincide when ups = 0 (g = t - d)
-        printed = ge_bound_coherence(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=0.0),
-                                     c1_form="printed")
+        printed = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=0.0),
+                           c1_form="printed")
         assert printed.c1 == pytest.approx(res.c1, abs=1e-14)
 
     def test_low_alpha_d_branch(self):
@@ -355,7 +351,7 @@ class TestEvaluate:
     def test_without_constants_each_theorem_is_its_coherence_form(self):
         p = params(k=2, rho=1.0, alpha=1.0, w=0.5)
         forms = [local_bound, cai_bound, haixiao_bound,
-                 friedlander_bound_coherence, chen_bound_coherence, ge_bound_coherence]
+                 friedlander_bound, chen_bound, ge_bound]
         assert list(THEOREMS) == ["local", "cai", "haixiao", "friedlander", "chen", "ge"]
         for name, form in zip(THEOREMS, forms):
             assert evaluate(name, p) == form(p)
@@ -370,7 +366,7 @@ class TestEvaluate:
     def test_constants_of_other_theorems_and_none_are_ignored(self):
         p = params(k=2, rho=1.0, alpha=1.0, w=0.5)
         assert evaluate("chen", p, delta_ak=0.1, delta_tk=0.1, delta_a=None) \
-            == chen_bound_coherence(p)
+            == chen_bound(p)
         assert evaluate("local", p, delta_tk=0.1) == local_bound(p)
 
     def test_partial_set_and_unknown_name_rejected(self):
@@ -410,9 +406,9 @@ class TestValidityMonotoneInMu:
             local_bound,
             cai_bound,
             haixiao_bound,
-            lambda p: friedlander_bound_coherence(p),
-            lambda p: chen_bound_coherence(p),
-            lambda p: ge_bound_coherence(p),
+            lambda p: friedlander_bound(p),
+            lambda p: chen_bound(p),
+            lambda p: ge_bound(p),
         )
         for maker in makers:
             for rho, alpha, w in ((0.5, 0.5, 0.5), (1.0, 1.0, 1.0), (1.0, 0.0, 0.25)):

@@ -57,17 +57,23 @@ class TestGenMatrixAndAnalyze:
         assert "power of two" in err
 
 
+def write_small_problem(tmp_path):
+    """A 2x3 noiseless problem whose weighted l1 minimizer is (0, 0, 1)."""
+    s = 1.0 / math.sqrt(2.0)
+    problem = tmp_path / "p.txt"
+    problem.write_text(
+        "MATRIX\n2 3\n"
+        f"1.0 0.0 {s!r}\n0.0 1.0 {s!r}\n"
+        f"VECTOR\n{s!r} {s!r}\n"
+        "EPSILON\n0.0\n"
+        "WEIGHTS\n1.0 1.0 1.0\n"
+    )
+    return problem
+
+
 class TestSolveCommand:
     def test_solve_problem_file(self, tmp_path, capsys):
-        s = 1.0 / math.sqrt(2.0)
-        problem = tmp_path / "p.txt"
-        problem.write_text(
-            "MATRIX\n2 3\n"
-            f"1.0 0.0 {s!r}\n0.0 1.0 {s!r}\n"
-            f"VECTOR\n{s!r} {s!r}\n"
-            "EPSILON\n0.0\n"
-            "WEIGHTS\n1.0 1.0 1.0\n"
-        )
+        problem = write_small_problem(tmp_path)
         code, out, _ = run_cli(capsys, "solve", "--problem", str(problem))
         assert code == 0
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -75,6 +81,30 @@ class TestSolveCommand:
         x = [float(v) for v in lines["x_star"].split(",")]
         assert np.allclose(x, [0.0, 0.0, 1.0], atol=1e-6)
         assert float(lines["objective"]) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--opt-tol=nan", "opt_tol must be finite and > 0, got nan"),
+        ("--opt-tol=-1", "opt_tol must be finite and > 0, got -1.0"),
+        ("--opt-tol=0", "opt_tol must be finite and > 0, got 0.0"),
+        ("--opt-tol=inf", "opt_tol must be finite and > 0, got inf"),
+        ("--feas-tol=nan", "feas_tol must be finite and >= 0, got nan"),
+        ("--feas-tol=-1e-9", "feas_tol must be finite and >= 0, got -1e-09"),
+        ("--max-iter=-3", "max_iter must be >= 0, got -3"),
+    ], ids=["opt-nan", "opt-negative", "opt-zero", "opt-inf", "feas-nan", "feas-negative",
+            "max-iter-negative"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, flag, message):
+        code, out, err = run_cli(capsys, "solve", "--problem", str(write_small_problem(tmp_path)), flag)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_zero_iterations_report_the_unconverged_start(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--problem", str(write_small_problem(tmp_path)),
+                               "--max-iter", "0")
+        assert code == 0
+        lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert (lines["x_star"], lines["iterations"], lines["converged"], lines["opt_residual"]) \
+            == ("0.0,0.0,0.0", "0", "false", "inf")
 
     def test_missing_section_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -177,6 +207,21 @@ class TestBoundsCommand:
                                "--a", "1", "--b", "1", "--delta-a", "1.5", "--theta-ab", "0.1")
         assert code == 0
         assert out.splitlines()[1].startswith("chen,") and ",false,premise fails" in out
+
+
+    def test_overlap_just_above_one_gives_the_rows_of_overlap_one(self, capsys):
+        # alpha*rho may exceed 1 by 1e-9; the spread 1 + rho - 2*alpha*rho then
+        # rounds below 0 and is clamped, so the globals that read it match rho = 1
+        base = ("bounds", "--mu", "0.1", "--k", "2", "--alpha", "1", "--w", "0.5")
+        _, at_one, _ = run_cli(capsys, *base, "--rho", "1")
+        code, above, err = run_cli(capsys, *base, "--rho", "1.0000000005")
+        assert code == 0 and err == ""
+        expected = at_one.splitlines()[3:]
+        assert [line.split(",")[0] for line in expected] == ["haixiao", "friedlander", "chen", "ge"]
+        assert above.splitlines()[3:] == expected
+        for line in expected:
+            _, c0, c1, _, valid, _ = line.split(",")
+            assert math.isfinite(float(c0)) and math.isfinite(float(c1)) and valid == "true"
 
 
 def test_main_leaves_numpy_error_state_alone(tmp_path, capsys):
