@@ -428,12 +428,13 @@ def evaluate(name: str, p: GuaranteeParams, **constants) -> GuaranteeResult:
 K_RATIO_BASELINES = {"standard": cai_bound, "weighted": haixiao_bound}
 
 
-def k_ratio(p: GuaranteeParams, baseline: str):
+def k_ratio(p: GuaranteeParams, baseline: str, local_k_max=None):
     """Local admissible-sparsity supremum divided by a baseline's.
 
     baseline="standard" compares against the unweighted coherence bound
     (1 + 1/mu)/2; baseline="weighted" against the weighted coherence bound
-    (L/2)(1 + 1/mu) at the same (rho, alpha, w).
+    (L/2)(1 + 1/mu) at the same (rho, alpha, w). local_k_max is
+    local_bound(p).k_max, for a caller that has evaluated it already.
     """
     if baseline not in K_RATIO_BASELINES:
         raise InvalidInputError(
@@ -442,7 +443,7 @@ def k_ratio(p: GuaranteeParams, baseline: str):
     base = K_RATIO_BASELINES[baseline](p).k_max
     _raise_first(_grid(p)[0].shape,
                  [(~(np.asarray(base) > 0.0), "baseline k_max must be positive, got {base}")], base=base)
-    return local_bound(p).k_max / base
+    return (local_bound(p).k_max if local_k_max is None else local_k_max) / base
 
 
 def _require_deltas(*deltas):

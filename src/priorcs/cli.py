@@ -6,7 +6,7 @@ failure (fig3 ratio hook, verify violations or non-converged trials), for CI
 use. The output directory resolves as --out-dir flag, then the
 PRIORCS_OUT_DIR environment variable, then the config value. verify prints
 one line of solve statistics on stderr, and fig1-fig4 one line of row count
-and evaluation and emission times; stdout and the CSVs never carry timings.
+and evaluation, CSV and SVG times; stdout and the CSVs never carry timings.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-import time
 from dataclasses import astuple, fields
 
 from . import bounds as bounds_mod
@@ -179,13 +178,12 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or cfg.out_dir
     timings = {}
     table = run_experiment(cfg, timings)
-    start = time.perf_counter()
-    written = emit_experiment_outputs(cfg, table, out_dir)
+    written = emit_experiment_outputs(cfg, table, out_dir, timings)
     for path in written:
         print(f"wrote {path}")
     if kind != "verify-local":
         print(f"{args.command}: {len(table)} rows, evaluate {timings['evaluate_s']:.3f} s, "
-              f"emit {time.perf_counter() - start:.3f} s", file=sys.stderr)
+              f"csv {timings['csv_s']:.3f} s, svg {timings['svg_s']:.3f} s", file=sys.stderr)
     if kind == "fig3-kratio":
         problems = check_fig3(table)
         if problems:

@@ -8,6 +8,7 @@ byte-reproducible and independent of scheduling order.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -189,6 +190,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("w_grid must be non-empty (or 'auto')")
 
 
+@functools.lru_cache(maxsize=16)  # one build per grid: the checks, the run and each panel share it
 def float_grid(step: float) -> tuple:
     count = round(1.0 / step)
     if abs(count * step - 1.0) > 1e-9:
@@ -286,9 +288,10 @@ def run_fig3(cfg: ExperimentConfig) -> SweepTable:
     alphas = cfg.alpha_list if cfg.alpha_list is not None else float_grid(cfg.w_step)
     rho, alpha, w = _blocks([(rho, alpha) for rho in cfg.rho_list for alpha in alphas], w_values(cfg))
     p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
+    local_k_max = bounds.local_bound(p).k_max
     return SweepTable.from_columns({"rho": rho, "alpha": alpha, "w": w,
-                                    "ratio_standard": bounds.k_ratio(p, "standard"),
-                                    "ratio_weighted": bounds.k_ratio(p, "weighted")})
+                                    "ratio_standard": bounds.k_ratio(p, "standard", local_k_max),
+                                    "ratio_weighted": bounds.k_ratio(p, "weighted", local_k_max)})
 
 
 def check_fig3(table: SweepTable) -> list:
@@ -439,23 +442,27 @@ _PANELS = {
 }
 
 
-def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir) -> list:
-    """Write the canonical CSV plus the companion SVG panels; returns paths."""
+def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir,
+                            timings: dict | None = None) -> list:
+    """Write the canonical CSV plus the companion SVG panels; returns paths.
+    If timings is a dict, CSV and SVG writing seconds go to its csv_s, svg_s."""
     os.makedirs(out_dir, exist_ok=True)
     short = cfg.kind.split("-")[0]
     written = []
+    timings = {} if timings is None else timings
+    timings.update(csv_s=0.0, svg_s=0.0)
 
-    def save_csv(name, tbl):
+    def save(name, tbl, spec=None):
         path = os.path.join(out_dir, name)
-        emit_csv(tbl, path)
+        start = time.perf_counter()
+        if spec is None:
+            emit_csv(tbl, path)
+        else:
+            emit_svg(tbl, path, spec)
+        timings["csv_s" if spec is None else "svg_s"] += time.perf_counter() - start
         written.append(path)
 
-    def save_svg(name, tbl, spec):
-        path = os.path.join(out_dir, name)
-        emit_svg(tbl, path, spec)
-        written.append(path)
-
-    save_csv(f"{short}.csv", table)
+    save(f"{short}.csv", table)
     if cfg.kind in _PANELS:
         quantities, per_rho = _PANELS[cfg.kind]
         for rho in cfg.rho_list if per_rho else (None,):
@@ -463,7 +470,7 @@ def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir) -
             suffix, note = ("", "") if rho is None else (f"_rho{rho:g}", f" (rho={rho:g})")
             for quantity in quantities:
                 wide = _series_pivot(sub, quantity, len(w_values(cfg)))
-                save_svg(
+                save(
                     f"{short}_{quantity}{suffix}.svg", wide,
                     PlotSpec(x="w", series=tuple(wide.columns[1:]),
                              title=f"{quantity} vs w{note}", x_label="w", y_label=quantity),
@@ -473,11 +480,11 @@ def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir) -
             series = [f"{name}_{coeff}" for name in _FIG4_THEOREMS]
             if coeff == "c1":
                 series.append("ge_c1_printed")
-            save_svg(
+            save(
                 f"{short}_{coeff}.svg", table,
                 PlotSpec(x="w", series=tuple(series),
                          title=f"{coeff}: local vs global", x_label="w", y_label=coeff),
             )
     elif cfg.kind == "verify-local":
-        save_csv("verify_summary.csv", summarize_verify(table))
+        save("verify_summary.csv", summarize_verify(table))
     return written

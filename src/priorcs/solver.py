@@ -29,6 +29,7 @@ judges a solution independently of the solver that produced it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,8 @@ class SolveTolerances:
             raise InvalidInputError(f"opt_tol must be finite and > 0, got {self.opt_tol}")
         if not 0.0 <= self.feas_tol < math.inf:
             raise InvalidInputError(f"feas_tol must be finite and >= 0, got {self.feas_tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise InvalidInputError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise InvalidInputError(f"max_iter must be >= 0, got {self.max_iter}")
 

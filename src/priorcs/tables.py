@@ -1,18 +1,19 @@
 """Rectangular sweep tables with deterministic CSV and SVG emission.
 
 A table stores one numpy array per named column; row i is the i-th entry of
-every column. CSV cells are formatted a column at a time, by the column's
-type: booleans as true/false, integers as decimal, reals at 12 significant
-digits, anything else as text, sanitized so cells never contain line breaks
-and quoted when they hold a comma. Both emitters write LF line endings and
-are byte-reproducible for identical inputs; the SVG is a deliberately plain
-fixed-size line plot meant for eyeball regression, the CSV carries the data
-contract.
+every column. CSV cells are formatted by the column's type: booleans as
+true/false, integers as decimal, reals at 12 significant digits, anything
+else as text, sanitized so cells never contain line breaks and quoted when
+they hold a comma; one %-format call writes 4096 CSV rows, or one SVG
+polyline. Both emitters write LF line endings and are byte-reproducible for
+identical inputs; the SVG is a deliberately plain fixed-size line plot meant
+for eyeball regression, the CSV carries the data contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -73,20 +74,23 @@ class SweepTable:
         return SweepTable(columns=list(self.columns), data=[values[keep] for values in self.data])
 
 
-def format_column(values) -> list:
-    """The CSV cells of one column, by the column's type."""
-    values = np.asarray(values)
-    kind, cells = values.dtype.kind, values.tolist()
+def _cells(values) -> tuple:
+    """A column's %-format and its cells as %-arguments, by the column's type;
+    text is sanitized and quoted once per distinct value."""
+    kind = values.dtype.kind
     if kind == "b":
-        return ["true" if v else "false" for v in cells]
+        return "%s", np.where(values, "true", "false").tolist()
     if kind in "iu":
-        return [str(v) for v in cells]
+        return "%d", values.tolist()
     if kind == "f":
-        return [f"{v:.12g}" for v in cells]
-    return [_encode_cell(str(v).replace("\n", " ").replace("\r", " ")) for v in cells]
+        return "%.12g", values.tolist()
+    texts = list(map(str, values.tolist()))
+    encoded = {text: _encode_text(text) for text in set(texts)}
+    return "%s", list(map(encoded.__getitem__, texts))
 
 
-def _encode_cell(text: str) -> str:
+def _encode_text(text: str) -> str:
+    text = text.replace("\n", " ").replace("\r", " ")
     # minimal CSV quoting so cells may carry commas (index-set columns)
     if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
@@ -94,9 +98,12 @@ def _encode_cell(text: str) -> str:
 
 
 def to_csv_text(table: SweepTable) -> str:
-    lines = [",".join(format_column(table.columns))]
+    spec, names = _cells(np.asarray(table.columns))
+    lines = [",".join([spec] * len(names)) % tuple(names)]
     for start in range(0, len(table), 4096):  # bounds the formatted cells alive at once
-        lines += map(",".join, zip(*(format_column(v[start:start + 4096]) for v in table.data)))
+        specs, cells = zip(*(_cells(v[start:start + 4096]) for v in table.data))
+        rows = "\n".join([",".join(specs)] * len(cells[0]))
+        lines.append(rows % tuple(chain.from_iterable(zip(*cells))))
     return "\n".join(lines) + "\n"
 
 
@@ -173,17 +180,21 @@ def to_svg_text(table: SweepTable, spec: PlotSpec) -> str:
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
+    # every series shares the x column: format its pixel cells once
+    x_cells = np.array(("%.2f " * len(xs) % tuple(px(xs).tolist())).split(), dtype=object)
     for k, (name, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         # break the polyline at non-finite values instead of bridging gaps
         drawn = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
-        points = [f"{gx:.2f},{gy:.2f}"
-                  for gx, gy in zip(px(xs[drawn]).tolist(), py(ys[drawn]).tolist())]
-        cuts = [0, *(np.flatnonzero(np.diff(drawn) > 1) + 1).tolist(), len(points)]
+        gy = py(ys)
+        cuts = [0, *(np.flatnonzero(np.diff(drawn) > 1) + 1).tolist(), len(drawn)]
         for start, stop in zip(cuts, cuts[1:]):
             if start < stop:
+                seg = drawn[start:stop]
+                pairs = chain.from_iterable(zip(x_cells[seg].tolist(), gy[seg].tolist()))
+                points = " ".join(["%s,%.2f"] * len(seg)) % tuple(pairs)
                 out.append(
-                    f'<polyline points="{" ".join(points[start:stop])}" fill="none" '
+                    f'<polyline points="{points}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
         ly = _MARGIN_TOP + 14 + 16 * k

@@ -215,3 +215,58 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
             converged = True
             break
     return x, lam, iterations, converged, opt_residual
+
+
+def csv_cells(values):
+    """The CSV cells of one column, formatted one cell at a time by the
+    column's type: the reference for the library's bulk CSV formatter."""
+    values = np.asarray(values)
+    kind, cells = values.dtype.kind, values.tolist()
+    if kind == "b":
+        return ["true" if v else "false" for v in cells]
+    if kind in "iu":
+        return [str(v) for v in cells]
+    if kind == "f":
+        return [f"{v:.12g}" for v in cells]
+    out = []
+    for v in cells:
+        text = str(v).replace("\n", " ").replace("\r", " ")
+        if "," in text or '"' in text:
+            text = '"' + text.replace('"', '""') + '"'
+        out.append(text)
+    return out
+
+
+def csv_text(columns, data):
+    """A table's CSV text, header then one line per row, built cell by cell."""
+    lines = [",".join(csv_cells(columns))]
+    lines += map(",".join, zip(*(csv_cells(values) for values in data)))
+    return "\n".join(lines) + "\n"
+
+
+def svg_polyline_points(xs, series, left=80, top=50, plot_w=550, plot_h=490):
+    """The points attribute of every polyline an SVG line plot draws, one
+    point at a time in plain floats: per series, one polyline per run of
+    consecutive points where x and y are both finite. left, top, plot_w and
+    plot_h place the plot area in pixels."""
+    def axis(values):
+        finite = [v for v in values if math.isfinite(v)]
+        lo, hi = min(finite), max(finite)
+        return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+    xs = [float(v) for v in xs]
+    series = [[float(v) for v in ys] for ys in series]
+    x_lo, x_hi = axis(xs)
+    y_lo, y_hi = axis([v for ys in series for v in ys])
+    out = []
+    for ys in series:
+        run = []
+        for x, y in zip(xs + [math.nan], ys + [math.nan]):
+            if math.isfinite(x) and math.isfinite(y):
+                gx = left + plot_w * (x - x_lo) / (x_hi - x_lo)
+                gy = top + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
+                run.append(f"{gx:.2f},{gy:.2f}")
+            elif run:
+                out.append(" ".join(run))
+                run = []
+    return out

@@ -1,8 +1,11 @@
 import csv
 import hashlib
+import importlib.util
+import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,9 +396,36 @@ def test_default_sweep_outputs_are_pinned(command, tmp_path, capsys):
     # row count and timings go to stderr, one line, never into stdout or the files
     (line,) = err.splitlines()
     assert re.fullmatch(
-        rf"{command}: {PINNED_ROWS[command]} rows, evaluate \d+\.\d{{3}} s, emit \d+\.\d{{3}} s", line
+        rf"{command}: {PINNED_ROWS[command]} rows, evaluate \d+\.\d{{3}} s, "
+        rf"csv \d+\.\d{{3}} s, svg \d+\.\d{{3}} s", line
     )
     assert " rows, " not in out
     assert sorted(os.listdir(tmp_path)) == sorted(name for name, _ in expected)
     for name, digest in expected:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _bench_workloads():
+    """bench/workloads.py, the benchmark's command lists and output checks."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_sweep_csvs_match_reference(tmp_path, capsys):
+    """One variant of the benchmark's sweeps on its full grids (about 71k CSV
+    rows): every CSV must have the sha256 bench/reference.json pins for it."""
+    workloads = _bench_workloads()
+    seed = 1
+    reference_path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    reference = json.loads(reference_path.read_text())["sweeps"]["full"]
+    expected = reference[workloads.variant_of("sweeps", seed)]
+    commands = workloads.commands("sweeps", "full", seed)
+    assert len(commands) == len(expected) == 4
+    for command, pinned in zip(commands, expected):
+        out_dir = str(tmp_path / command[0])
+        assert main(workloads.argv(command, out_dir)) == 0
+        capsys.readouterr()
+        assert workloads.fingerprint(command, out_dir) == pinned, command[0]

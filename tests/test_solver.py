@@ -119,6 +119,15 @@ class TestSolveWeightedL1:
         assert not report.converged
         assert report.iterations == 3
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        with pytest.raises(InvalidInputError, match="max_iter must be an integer"):
+            SolveTolerances(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        report = solve_weighted_l1(tri_problem(np.ones(3)), SolveTolerances(max_iter=np.int64(3)))
+        assert report.iterations == 3
+
     def test_noise_ball_constraint_respected(self):
         rng = np.random.default_rng(5)
         matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)

@@ -1,22 +1,25 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import csv_text, svg_polyline_points
 from priorcs.errors import InvalidInputError
-from priorcs.tables import (
-    PlotSpec,
-    SweepTable,
-    format_column,
-    to_csv_text,
-    to_svg_text,
-)
+from priorcs.tables import PlotSpec, SweepTable, to_csv_text, to_svg_text
 
 
 def read_rows(text):
     return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def format_column(values):
+    """The CSV cells the library writes for one column."""
+    return to_csv_text(SweepTable(columns=["v"], data=[values])).split("\n")[1:-1]
 
 
 def small_table():
@@ -84,6 +87,64 @@ class TestCsv:
         assert to_csv_text(t) == "x,y\n"
 
 
+# text cells that need sanitizing or quoting, and plain ones
+TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n;x1'), max_size=6)
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                  2.2250738585072014e-308, 1e300, -1e-300, 0.1])
+
+
+def columns_of(n):
+    """A strategy for one column of n cells, as an array of one of the types
+    the CSV distinguishes."""
+    return st.one_of(
+        st.lists(st.one_of(st.floats(), SPECIAL_FLOATS), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=float)),
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=np.uint64)),
+        st.lists(st.integers(-2**80, 2**80), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=object)),  # beyond int64: written as text
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool)),
+        # few distinct values, so most cells repeat one
+        st.lists(TEXT, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        .map(lambda v: np.array(v, dtype=object)),
+        st.lists(TEXT, min_size=n, max_size=n).map(np.array),
+        st.lists(st.one_of(st.none(), st.floats(), st.integers(), TEXT), min_size=n, max_size=n)
+        .map(lambda v: np.array(v + [None], dtype=object)[:n]),
+    )
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 12))
+    names = draw(st.lists(TEXT, min_size=1, max_size=5))
+    return SweepTable(columns=names, data=[draw(columns_of(n)) for _ in names])
+
+
+class TestCsvMatchesPerCellOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_bulk_format_equals_per_cell_format(self, table):
+        assert to_csv_text(table) == csv_text(table.columns, table.data)
+
+    def test_across_chunk_boundaries(self):
+        rng = np.random.default_rng(0)
+        n = 2 * 4096 + 5
+        data = [rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n),
+                rng.integers(-9, 9, n), rng.random(n) < 0.5,
+                np.array(["", "k >= k_max, boundary", 'say "x"'], dtype=object)[rng.integers(0, 3, n)]]
+        data[0][::7] = np.nan
+        table = SweepTable(columns=["x", "i", "b", "reason"], data=data)
+        assert to_csv_text(table) == csv_text(table.columns, table.data)
+
+    def test_empty_tables(self):
+        for table in (SweepTable(columns=[], data=[]),
+                      SweepTable(columns=["a", "b,c"], data=[np.array([]), np.array([], dtype=bool)])):
+            assert to_csv_text(table) == csv_text(table.columns, table.data)
+
+
 class TestSvg:
     def test_empty_table_rejected(self):
         t = SweepTable(columns=["x", "y"], data=[[], []])
@@ -117,3 +178,50 @@ class TestSvg:
         t = SweepTable(columns=["x", "y"], data=[[0.0, 1.0], [2.0, 2.0]])
         svg = to_svg_text(t, PlotSpec(x="x", series=("y",)))
         assert "polyline" in svg
+
+
+def polylines(svg):
+    return re.findall(r'<polyline points="([^"]*)"', svg)
+
+
+FINITE = st.floats(-1e6, 1e6)
+ANY = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+class TestSvgMatchesPerPointOracle:
+    def test_gaps_and_all_nan_series(self):
+        nan, inf = math.nan, math.inf
+        xs = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        series = {
+            "leading": [nan, -inf, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0],
+            "interior": [1.0, 1.5, nan, 2.0, inf, nan, 0.5, 0.25],
+            "trailing": [0.0, 0.5, 1.0, 1.5, 2.0, nan, nan, inf],
+            "all_nan": [nan] * 8,
+            "single_points": [1.0, nan, 2.0, nan, 3.0, nan, 4.0, nan],
+        }
+        table = SweepTable.from_columns({"x": xs, **series})
+        svg = to_svg_text(table, PlotSpec(x="x", series=tuple(series)))
+        expected = svg_polyline_points(xs, list(series.values()))
+        assert polylines(svg) == expected
+        assert len(expected) == 1 + 3 + 1 + 0 + 4
+
+    def test_non_finite_x_breaks_every_series(self):
+        xs = [0.0, 1.0, math.nan, 3.0, 4.0]
+        table = SweepTable.from_columns({"x": xs, "a": [1.0, 2.0, 3.0, 4.0, 5.0], "b": [0.0] * 5})
+        svg = to_svg_text(table, PlotSpec(x="x", series=("a", "b")))
+        assert polylines(svg) == svg_polyline_points(xs, [table.column("a"), table.column("b")])
+        assert len(polylines(svg)) == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+        st.lists(FINITE, min_size=n, max_size=n), st.lists(ANY, min_size=n, max_size=n),
+        st.lists(st.lists(ANY, min_size=n, max_size=n), max_size=3))))
+    def test_random_series(self, drawn):
+        xs, first, others = drawn
+        series = [first, *others]
+        if not any(math.isfinite(v) for ys in series for v in ys):
+            series[0][0] = 1.0
+        table = SweepTable(columns=["x", *(f"s{i}" for i in range(len(series)))],
+                           data=[xs, *series])
+        svg = to_svg_text(table, PlotSpec(x="x", series=tuple(table.columns[1:])))
+        assert polylines(svg) == svg_polyline_points(xs, series)
