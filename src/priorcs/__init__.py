@@ -23,7 +23,7 @@ from .bounds import (
     friedlander_bound,
     ge_bound,
     haixiao_bound,
-    k_ratio,
+    k_ratios,
     local_bound,
 )
 from .errors import (

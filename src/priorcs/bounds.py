@@ -23,7 +23,8 @@ delta_j <= (j-1)*mu and theta_{a,b} <= (a+b-1)*mu, so that everything compares
 on the coherence scale (no ``*_coherence`` companions); a partial set is an
 error. ``local_bound(p).k_max`` is the local sparsity cap (no ``local_k_max``).
 ``THEOREMS`` lists the six with the constants each takes; ``evaluate`` hands a
-theorem its own.
+theorem its own. ``k_ratios`` divides the local cap by the two coherence
+baselines, cai's and haixiao's, in one call.
 """
 
 from __future__ import annotations
@@ -424,26 +425,16 @@ def evaluate(name: str, p: GuaranteeParams, **constants) -> GuaranteeResult:
     return calculator(p, **{c: constants.get(c) for c in own})
 
 
-# baseline name -> guarantee whose k_max the local one is compared with
-K_RATIO_BASELINES = {"standard": cai_bound, "weighted": haixiao_bound}
-
-
-def k_ratio(p: GuaranteeParams, baseline: str, local_k_max=None):
-    """Local admissible-sparsity supremum divided by a baseline's.
-
-    baseline="standard" compares against the unweighted coherence bound
-    (1 + 1/mu)/2; baseline="weighted" against the weighted coherence bound
-    (L/2)(1 + 1/mu) at the same (rho, alpha, w). local_k_max is
-    local_bound(p).k_max, for a caller that has evaluated it already.
-    """
-    if baseline not in K_RATIO_BASELINES:
-        raise InvalidInputError(
-            f"unknown baseline {baseline!r}; choose from {tuple(K_RATIO_BASELINES)}"
-        )
-    base = K_RATIO_BASELINES[baseline](p).k_max
-    _raise_first(_grid(p)[0].shape,
-                 [(~(np.asarray(base) > 0.0), "baseline k_max must be positive, got {base}")], base=base)
-    return (local_bound(p).k_max if local_k_max is None else local_k_max) / base
+def k_ratios(p: GuaranteeParams) -> tuple:
+    """Local admissible-sparsity supremum over the standard baseline's, cai's
+    (1 + 1/mu)/2, and over the weighted one's, haixiao's (L/2)(1 + 1/mu) at
+    the same (rho, alpha, w): the pair (standard, weighted)."""
+    local, bases = local_bound(p).k_max, (cai_bound(p).k_max, haixiao_bound(p).k_max)
+    for base in bases:
+        _raise_first(_grid(p)[0].shape,
+                     [(~(np.asarray(base) > 0.0), "baseline k_max must be positive, got {base}")],
+                     base=base)
+    return tuple(local / base for base in bases)
 
 
 def _require_deltas(*deltas):

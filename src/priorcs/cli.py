@@ -100,13 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_matrix(args) -> int:
-    entries = None
-    if args.source is not None:
-        entries = read_matrix_file(args.source).entries
+    entries = None if args.source is None else read_matrix_file(args.source).entries
     matrix = generate_matrix(args.kind, args.m, args.n, args.seed, entries=entries)
+    coherence = format_real(matrix.mu)  # before writing, so a failed command leaves no file
     write_matrix_file(matrix, args.out)
     print(f"wrote {args.out}")
-    print(f"coherence={format_real(matrix.mu)}")
+    print(f"coherence={coherence}")
     return 0
 
 

@@ -29,7 +29,7 @@ from .solver import (  # noqa: F401
     solve_weighted_l1_batch,
 )
 from .supports import error_terms, format_index_set, prior_support_for, support_model
-from .tables import PlotSpec, SweepTable, emit_csv, emit_svg
+from .tables import SweepTable, emit_csv, emit_svg
 
 SIGNAL_KINDS = ("gaussian", "sparse-gaussian")
 
@@ -188,6 +188,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"w values must lie in [0, 1], got {w}")
     if cfg.w_grid is not None and len(cfg.w_grid) == 0:
         raise ConfigError("w_grid must be non-empty (or 'auto')")
+    # each value of these lists is one block of the sweep and one curve of its plots
+    for name in ("rho_list", "alpha_list", "w_grid"):
+        values = getattr(cfg, name) or ()
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} must not repeat a value, got {values}")
 
 
 @functools.lru_cache(maxsize=16)  # one build per grid: the checks, the run and each panel share it
@@ -288,10 +293,8 @@ def run_fig3(cfg: ExperimentConfig) -> SweepTable:
     alphas = cfg.alpha_list if cfg.alpha_list is not None else float_grid(cfg.w_step)
     rho, alpha, w = _blocks([(rho, alpha) for rho in cfg.rho_list for alpha in alphas], w_values(cfg))
     p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
-    local_k_max = bounds.local_bound(p).k_max
-    return SweepTable.from_columns({"rho": rho, "alpha": alpha, "w": w,
-                                    "ratio_standard": bounds.k_ratio(p, "standard", local_k_max),
-                                    "ratio_weighted": bounds.k_ratio(p, "weighted", local_k_max)})
+    return SweepTable(columns=["rho", "alpha", "w", "ratio_standard", "ratio_weighted"],
+                      data=[rho, alpha, w, *bounds.k_ratios(p)])
 
 
 def check_fig3(table: SweepTable) -> list:
@@ -422,15 +425,11 @@ def run_experiment(cfg: ExperimentConfig, timings: dict | None = None) -> SweepT
 
 
 def _series_pivot(table: SweepTable, quantity: str, n_w: int) -> SweepTable:
-    """Wide table for plotting: w, then quantity against w for each distinct
-    alpha in first-seen order. table is blocks of n_w rows, one per alpha, each
-    holding the same w grid; a repeated alpha or w value takes its last row."""
-    w_at = {w: i for i, w in enumerate(table.column("w")[:n_w].tolist())}
-    block_of = {alpha: j for j, alpha in enumerate(table.column("alpha")[::n_w].tolist())}
-    ys = table.column(quantity).reshape(-1, n_w)[:, list(w_at.values())]
+    """Wide table for plotting: w, then quantity against w for each alpha.
+    table is blocks of n_w rows, one per alpha, each holding the same w grid."""
     return SweepTable(
-        columns=["w"] + [f"alpha={alpha:g}" for alpha in block_of],
-        data=[list(w_at)] + [ys[j] for j in block_of.values()],
+        columns=["w"] + [f"alpha={alpha:g}" for alpha in table.column("alpha")[::n_w].tolist()],
+        data=[table.column("w")[:n_w], *table.column(quantity).reshape(-1, n_w)],
     )
 
 
@@ -452,14 +451,14 @@ def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir,
     timings = {} if timings is None else timings
     timings.update(csv_s=0.0, svg_s=0.0)
 
-    def save(name, tbl, spec=None):
+    def save(name, tbl, *plot):  # plot: an SVG's title and y label
         path = os.path.join(out_dir, name)
         start = time.perf_counter()
-        if spec is None:
-            emit_csv(tbl, path)
+        if plot:
+            emit_svg(tbl, path, *plot)
         else:
-            emit_svg(tbl, path, spec)
-        timings["csv_s" if spec is None else "svg_s"] += time.perf_counter() - start
+            emit_csv(tbl, path)
+        timings["svg_s" if plot else "csv_s"] += time.perf_counter() - start
         written.append(path)
 
     save(f"{short}.csv", table)
@@ -469,22 +468,16 @@ def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir,
             sub = table if rho is None else table.select(rho=rho)
             suffix, note = ("", "") if rho is None else (f"_rho{rho:g}", f" (rho={rho:g})")
             for quantity in quantities:
-                wide = _series_pivot(sub, quantity, len(w_values(cfg)))
-                save(
-                    f"{short}_{quantity}{suffix}.svg", wide,
-                    PlotSpec(x="w", series=tuple(wide.columns[1:]),
-                             title=f"{quantity} vs w{note}", x_label="w", y_label=quantity),
-                )
+                save(f"{short}_{quantity}{suffix}.svg",
+                     _series_pivot(sub, quantity, len(w_values(cfg))),
+                     f"{quantity} vs w{note}", quantity)
     elif cfg.kind == "fig4-comparison":
         for coeff in ("c0", "c1"):
             series = [f"{name}_{coeff}" for name in _FIG4_THEOREMS]
             if coeff == "c1":
                 series.append("ge_c1_printed")
-            save(
-                f"{short}_{coeff}.svg", table,
-                PlotSpec(x="w", series=tuple(series),
-                         title=f"{coeff}: local vs global", x_label="w", y_label=coeff),
-            )
+            wide = SweepTable.from_columns({name: table.column(name) for name in ["w", *series]})
+            save(f"{short}_{coeff}.svg", wide, f"{coeff}: local vs global", coeff)
     elif cfg.kind == "verify-local":
         save("verify_summary.csv", summarize_verify(table))
     return written

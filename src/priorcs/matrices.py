@@ -185,10 +185,13 @@ def generate_matrix(kind: str, m: int, n: int, seed: int, entries=None) -> Sensi
       identity-plus-orthobasis: [I_m | H_m / sqrt(m)] with H_m the +-1
         orthogonal matrix of order m (m must be a power of two, n = 2m); the
         flat cross-correlation makes the coherence exactly 1/sqrt(m).
-      explicit: pass ``entries`` through, normalized.
+      explicit: pass ``entries`` through, normalized; the generated kinds
+        take no entries.
     """
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
+    if entries is not None and kind != "explicit":
+        raise InvalidInputError(f"{kind} matrices are generated; only the explicit kind takes entries")
     if kind == "gaussian-normalized":
         if n < m:
             raise InvalidInputError(f"gaussian-normalized needs n >= m, got {m}x{n}")

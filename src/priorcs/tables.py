@@ -6,8 +6,9 @@ true/false, integers as decimal, reals at 12 significant digits, anything
 else as text, sanitized so cells never contain line breaks and quoted when
 they hold a comma; one %-format call writes 4096 CSV rows, or one SVG
 polyline. Both emitters write LF line endings and are byte-reproducible for
-identical inputs; the SVG is a deliberately plain fixed-size line plot meant
-for eyeball regression, the CSV carries the data contract.
+identical inputs. The SVG is a deliberately plain fixed-size line plot of a
+wide table, every column after the first drawn against the first, meant for
+eyeball regression; the CSV carries the data contract.
 """
 
 from __future__ import annotations
@@ -112,17 +113,6 @@ def emit_csv(table: SweepTable, path) -> None:
         fh.write(to_csv_text(table))
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    """Which columns to draw: x against each series column."""
-
-    x: str
-    series: tuple
-    title: str = ""
-    x_label: str = ""
-    y_label: str = ""
-
-
 def _axis_range(values):
     finite = values[np.isfinite(values)]
     if not finite.size:
@@ -133,11 +123,13 @@ def _axis_range(values):
     return lo, hi
 
 
-def to_svg_text(table: SweepTable, spec: PlotSpec) -> str:
+def to_svg_text(table: SweepTable, title: str, y_label: str) -> str:
+    """A line plot of every column after the first against the first, whose
+    name labels the x axis."""
     if not len(table):
         raise InvalidInputError("nothing to plot: table has no rows")
-    xs = np.asarray(table.column(spec.x), dtype=float)
-    series = [(name, np.asarray(table.column(name), dtype=float)) for name in spec.series]
+    xs, *columns = (np.asarray(values, dtype=float) for values in table.data)
+    series = list(zip(table.columns[1:], columns))
     x_lo, x_hi = _axis_range(xs)
     y_lo, y_hi = _axis_range(np.concatenate([ys for _, ys in series]))
 
@@ -206,26 +198,19 @@ def to_svg_text(table: SweepTable, spec: PlotSpec) -> str:
         out.append(
             f'<text x="{lx + 24}" y="{ly}" font-size="12" font-family="monospace">{name}</text>'
         )
-    if spec.title:
-        out.append(
-            f'<text x="{SVG_WIDTH / 2:.0f}" y="24" font-size="15" text-anchor="middle" '
-            f'font-family="monospace">{spec.title}</text>'
-        )
-    if spec.x_label:
-        out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{SVG_HEIGHT - 16}" font-size="13" '
-            f'text-anchor="middle" font-family="monospace">{spec.x_label}</text>'
-        )
-    if spec.y_label:
-        out.append(
-            f'<text x="20" y="{_MARGIN_TOP + plot_h / 2:.0f}" font-size="13" text-anchor="middle" '
-            f'font-family="monospace" transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.0f})">'
-            f'{spec.y_label}</text>'
-        )
-    out.append("</svg>")
+    out += [
+        f'<text x="{SVG_WIDTH / 2:.0f}" y="24" font-size="15" text-anchor="middle" '
+        f'font-family="monospace">{title}</text>',
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{SVG_HEIGHT - 16}" font-size="13" '
+        f'text-anchor="middle" font-family="monospace">{table.columns[0]}</text>',
+        f'<text x="20" y="{_MARGIN_TOP + plot_h / 2:.0f}" font-size="13" text-anchor="middle" '
+        f'font-family="monospace" transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.0f})">'
+        f'{y_label}</text>',
+        "</svg>",
+    ]
     return "\n".join(out) + "\n"
 
 
-def emit_svg(table: SweepTable, path, spec: PlotSpec) -> None:
+def emit_svg(table: SweepTable, path, title: str, y_label: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(to_svg_text(table, spec))
+        fh.write(to_svg_text(table, title, y_label))

@@ -97,8 +97,9 @@ class TestCriterion3Fig3Ratios:
             for alpha in grid:
                 for w in grid:
                     p = GuaranteeParams(mu=0.1, k=4, rho=rho, alpha=alpha, w=w)
-                    assert pc.k_ratio(p, "standard") > 1.0
-                    assert pc.k_ratio(p, "weighted") > 1.0
+                    standard, weighted = pc.k_ratios(p)
+                    assert standard > 1.0
+                    assert weighted > 1.0
                     count += 1
         table = run_fig3(default_config("fig3-kratio"))
         assert min(table.column("ratio_standard")) > 1.0

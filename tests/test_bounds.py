@@ -13,7 +13,7 @@ from priorcs import (
     friedlander_bound,
     ge_bound,
     haixiao_bound,
-    k_ratio,
+    k_ratios,
     local_bound,
 )
 from priorcs.bounds import THEOREMS, evaluate, local_denominator
@@ -327,24 +327,27 @@ class TestGeBound:
 
 class TestKRatio:
     def test_standard_ratio_pinned(self):
-        assert k_ratio(params(), "standard") == pytest.approx(4.0, abs=1e-12)
+        standard, _ = k_ratios(params())
+        assert standard == pytest.approx(4.0, abs=1e-12)
 
     def test_weighted_ratio_at_w1(self):
         # L = 1 at w = 1, so the weighted baseline equals the standard one
-        p = params(alpha=0.3, w=1.0)
-        assert k_ratio(p, "weighted") == pytest.approx(k_ratio(p, "standard"), abs=1e-12)
+        standard, weighted = k_ratios(params(alpha=0.3, w=1.0))
+        assert weighted == pytest.approx(standard, abs=1e-12)
 
     def test_ratios_above_one_on_default_grids(self):
         for rho in (0.5, 0.75):
             for alpha in np.linspace(0.0, 1.0, 21):
                 for w in np.linspace(0.0, 1.0, 21):
                     p = GuaranteeParams(mu=0.1, k=4, rho=rho, alpha=float(alpha), w=float(w))
-                    assert k_ratio(p, "standard") > 1.0
-                    assert k_ratio(p, "weighted") > 1.0
+                    standard, weighted = k_ratios(p)
+                    assert standard > 1.0
+                    assert weighted > 1.0
 
-    def test_unknown_baseline(self):
-        with pytest.raises(InvalidInputError):
-            k_ratio(params(), "tightest")
+    def test_non_positive_baseline_rejected(self):
+        # haixiao's L loses every digit to cancellation at this spread, so its k_max is 0
+        with pytest.raises(InvalidInputError, match="baseline k_max must be positive, got 0.0"):
+            k_ratios(params(rho=1e17, w=np.array([0.5, 0.0])))
 
 
 class TestEvaluate:

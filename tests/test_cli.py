@@ -53,6 +53,27 @@ class TestGenMatrixAndAnalyze:
         matrix = read_matrix_file(out_path)
         assert np.allclose(np.linalg.norm(matrix.entries, axis=0), 1.0)
 
+    def test_entries_for_a_generated_kind_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "src.mat"
+        src.write_text("2 4\n1.0 0.0 1.0 1.0\n0.0 1.0 1.0 -1.0\n")
+        out_path = tmp_path / "out.mat"
+        code, out, err = run_cli(capsys, "gen-matrix", "--kind", "gaussian-normalized",
+                                 "--m", "2", "--n", "4", "--in", str(src), "--out", str(out_path))
+        assert code == 2
+        assert err == "error: gaussian-normalized matrices are generated; " \
+                      "only the explicit kind takes entries\n"
+        assert out == "" and not out_path.exists()
+
+    def test_failed_coherence_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "src.mat"
+        src.write_text("1 1\n2.0\n")
+        out_path = tmp_path / "out.mat"
+        code, out, err = run_cli(capsys, "gen-matrix", "--kind", "explicit", "--m", "1", "--n", "1",
+                                 "--in", str(src), "--out", str(out_path))
+        assert code == 2
+        assert err == "error: coherence needs at least 2 columns\n"
+        assert out == "" and not out_path.exists()
+
     def test_bad_kind_combination_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen-matrix", "--kind", "identity-plus-orthobasis",
                                "--m", "12", "--n", "24", "--out", str(tmp_path / "x.mat"))
@@ -300,6 +321,9 @@ class TestExperimentCommands:
         ("fig1", "w_step=5e-324"),
         ("fig4", "rho_list=0.5,1"),
         ("fig4", "alpha_list=0.5,1"),
+        ("fig1", "rho_list=1,1"),
+        ("fig3", "alpha_list=0.5,0,0.5"),
+        ("fig2", "w_grid=0,-0"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, override):
         small = ("-o", "m=16", "-o", "n=32", "-o", "trials=1", "-o", "w_grid=0.5")
@@ -308,6 +332,13 @@ class TestExperimentCommands:
         assert code == 2
         (line,) = err.splitlines()
         assert line.startswith("error: ")
+        assert out == "" and os.listdir(tmp_path) == []
+
+    def test_fig3_non_positive_baseline_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "fig3", "--out-dir", str(tmp_path),
+                                 "-o", "rho_list=1e17", "-o", "alpha_list=0")
+        assert code == 2
+        assert err == "error: baseline k_max must be positive, got 0.0\n"
         assert out == "" and os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("key", ["noise_scale", "violation_tol"])
@@ -414,18 +445,81 @@ def _bench_workloads():
     return module
 
 
-def test_benchmark_sweep_csvs_match_reference(tmp_path, capsys):
-    """One variant of the benchmark's sweeps on its full grids (about 71k CSV
-    rows): every CSV must have the sha256 bench/reference.json pins for it."""
+@pytest.fixture(scope="module")
+def benchmark_sweeps(tmp_path_factory):
+    """The benchmark's sweeps variant of seed 1 (mu 0.0825) on its full grids
+    (about 71k CSV rows), run once: bench/workloads.py and (command, output
+    directory) pairs."""
     workloads = _bench_workloads()
-    seed = 1
+    root = tmp_path_factory.mktemp("sweeps")
+    runs = []
+    for command in workloads.commands("sweeps", "full", 1):
+        out_dir = str(root / command[0])
+        assert main(workloads.argv(command, out_dir)) == 0
+        runs.append((command, out_dir))
+    return workloads, runs
+
+
+def test_benchmark_sweep_csvs_match_reference(benchmark_sweeps):
+    """Every CSV must have the sha256 bench/reference.json pins for it."""
+    workloads, runs = benchmark_sweeps
     reference_path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
     reference = json.loads(reference_path.read_text())["sweeps"]["full"]
-    expected = reference[workloads.variant_of("sweeps", seed)]
-    commands = workloads.commands("sweeps", "full", seed)
-    assert len(commands) == len(expected) == 4
-    for command, pinned in zip(commands, expected):
-        out_dir = str(tmp_path / command[0])
-        assert main(workloads.argv(command, out_dir)) == 0
-        capsys.readouterr()
+    expected = reference[workloads.variant_of("sweeps", 1)]
+    assert len(runs) == len(expected) == 4
+    for (command, out_dir), pinned in zip(runs, expected):
         assert workloads.fingerprint(command, out_dir) == pinned, command[0]
+
+
+# sha256 of every SVG of the benchmark_sweeps run, by subcommand;
+# bench/reference.json pins only the CSVs
+BENCHMARK_SVGS = {
+    "fig1": {
+        "fig1_c0_rho0.5.svg":
+            "8e46ae07b596212ad8ae81e317fbc3f959696d756b01701ac17e933a78c32d56",
+        "fig1_c0_rho1.5.svg":
+            "d8998f3162cd984025a84b3824774a86d05a778f86150c08c845c58020d440f9",
+        "fig1_c0_rho1.svg":
+            "13cafa238e99d847e0799358fdb04e12f3c0723d281e5cf6be6abbf626b955dc",
+        "fig1_c0_rho2.svg":
+            "900ae03089cdc894d0c3efdd66f294d647cab1a1ac9bb9601c5d62759bf64763",
+        "fig1_c1_rho0.5.svg":
+            "c0ac700a18dc1974f55e5a42400df7421987d8ae30d61469dea7220e7b467dd9",
+        "fig1_c1_rho1.5.svg":
+            "d652d6236a5d1413bb3145872b0f1c393b7cd10aea271ea75518a3b1bf9917ed",
+        "fig1_c1_rho1.svg":
+            "f9a1ea9ab4e2366480780231f32a9f4a99b83b99e9da40e07aaf303f738aa78a",
+        "fig1_c1_rho2.svg":
+            "5552ee9c03cb71c508d4ee252ca3fd01b59ede11d0ca201db56365fe2a4a051f",
+    },
+    "fig2": {
+        "fig2_c1_e.svg":
+            "4b98776ee1bcadac1fe9e3c6e13f21ceae675ddb2fe650cf445fc18c2d163bef",
+        "fig2_e_local.svg":
+            "21c5652656370a624bed4b710a6de97a0e21738785e22897749661bd787a60ea",
+    },
+    "fig3": {
+        "fig3_ratio_standard_rho0.5.svg":
+            "c1e2056fb72da896076820b1660ed05ed232fd982e5f54fab46146c1cbd8f53b",
+        "fig3_ratio_standard_rho0.75.svg":
+            "77626f880bea20c8dfac030db1414669719232667ab0c31482f27dc63e53aa68",
+        "fig3_ratio_weighted_rho0.5.svg":
+            "0445ecac11699080a1edb682b714bff049b99568a6cd90c87c1b6e7cb4debc71",
+        "fig3_ratio_weighted_rho0.75.svg":
+            "b4ac1a23aa2c59e899e94aa5284119803d3d2d2a8f1946165f0e183974fd786d",
+    },
+    "fig4": {
+        "fig4_c0.svg":
+            "3ea5dc7f36e00248b3442dde6d8b5c7f2574f07dba11c707d92fcbd46155a50c",
+        "fig4_c1.svg":
+            "eaf3cda06f93dbecc2f1456293900ce5fce08a2bad401ce4856b9d04459b2847",
+    },
+}
+
+
+def test_benchmark_sweep_svgs_are_pinned(benchmark_sweeps):
+    _, runs = benchmark_sweeps
+    for command, out_dir in runs:
+        digests = {name: hashlib.sha256(Path(out_dir, name).read_bytes()).hexdigest()
+                   for name in sorted(os.listdir(out_dir)) if name.endswith(".svg")}
+        assert digests == BENCHMARK_SVGS[command[0]], command[0]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import csv_text, svg_polyline_points
 from priorcs.errors import InvalidInputError
-from priorcs.tables import PlotSpec, SweepTable, to_csv_text, to_svg_text
+from priorcs.tables import SweepTable, to_csv_text, to_svg_text
 
 
 def read_rows(text):
@@ -20,6 +20,11 @@ def read_rows(text):
 def format_column(values):
     """The CSV cells the library writes for one column."""
     return to_csv_text(SweepTable(columns=["v"], data=[values])).split("\n")[1:-1]
+
+
+def plotted(table, *names):
+    """The wide table to_svg_text draws: the named columns, x first."""
+    return SweepTable.from_columns({name: table.column(name) for name in names})
 
 
 def small_table():
@@ -149,34 +154,36 @@ class TestSvg:
     def test_empty_table_rejected(self):
         t = SweepTable(columns=["x", "y"], data=[[], []])
         with pytest.raises(InvalidInputError):
-            to_svg_text(t, PlotSpec(x="x", series=("y",)))
+            to_svg_text(t, "", "")
 
     def test_deterministic_bytes(self):
-        t = small_table()
-        spec = PlotSpec(x="w", series=("c0",), title="t", x_label="w", y_label="c0")
-        assert to_svg_text(t, spec) == to_svg_text(t, spec)
+        t = plotted(small_table(), "w", "c0")
+        assert to_svg_text(t, "t", "c0") == to_svg_text(t, "t", "c0")
 
     def test_structure(self):
-        t = small_table()
-        svg = to_svg_text(t, PlotSpec(x="w", series=("c0",), title="coefficients"))
+        t = plotted(small_table(), "w", "c0")
+        svg = to_svg_text(t, "coefficients", "height")
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert "polyline" in svg
         assert "coefficients" in svg
+        # the first column is the x axis and names it; the y label is drawn as given
+        assert 'font-family="monospace">w</text>' in svg
+        assert ">height</text>" in svg
 
     def test_non_finite_values_break_the_line(self):
         t = SweepTable(columns=["x", "y"], data=[[0.0, 1.0, 2.0, 3.0], [1.0, math.nan, 3.0, 4.0]])
-        svg = to_svg_text(t, PlotSpec(x="x", series=("y",)))
+        svg = to_svg_text(t, "", "")
         assert svg.count("<polyline") == 2
 
     def test_all_nan_series_rejected(self):
         t = SweepTable(columns=["x", "y"], data=[[0.0], [math.nan]])
         with pytest.raises(InvalidInputError):
-            to_svg_text(t, PlotSpec(x="x", series=("y",)))
+            to_svg_text(t, "", "")
 
     def test_constant_series_plots(self):
         t = SweepTable(columns=["x", "y"], data=[[0.0, 1.0], [2.0, 2.0]])
-        svg = to_svg_text(t, PlotSpec(x="x", series=("y",)))
+        svg = to_svg_text(t, "", "")
         assert "polyline" in svg
 
 
@@ -200,7 +207,7 @@ class TestSvgMatchesPerPointOracle:
             "single_points": [1.0, nan, 2.0, nan, 3.0, nan, 4.0, nan],
         }
         table = SweepTable.from_columns({"x": xs, **series})
-        svg = to_svg_text(table, PlotSpec(x="x", series=tuple(series)))
+        svg = to_svg_text(table, "", "")
         expected = svg_polyline_points(xs, list(series.values()))
         assert polylines(svg) == expected
         assert len(expected) == 1 + 3 + 1 + 0 + 4
@@ -208,7 +215,7 @@ class TestSvgMatchesPerPointOracle:
     def test_non_finite_x_breaks_every_series(self):
         xs = [0.0, 1.0, math.nan, 3.0, 4.0]
         table = SweepTable.from_columns({"x": xs, "a": [1.0, 2.0, 3.0, 4.0, 5.0], "b": [0.0] * 5})
-        svg = to_svg_text(table, PlotSpec(x="x", series=("a", "b")))
+        svg = to_svg_text(table, "", "")
         assert polylines(svg) == svg_polyline_points(xs, [table.column("a"), table.column("b")])
         assert len(polylines(svg)) == 4
 
@@ -223,5 +230,5 @@ class TestSvgMatchesPerPointOracle:
             series[0][0] = 1.0
         table = SweepTable(columns=["x", *(f"s{i}" for i in range(len(series)))],
                            data=[xs, *series])
-        svg = to_svg_text(table, PlotSpec(x="x", series=tuple(table.columns[1:])))
+        svg = to_svg_text(table, "", "")
         assert polylines(svg) == svg_polyline_points(xs, series)
