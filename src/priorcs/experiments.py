@@ -193,6 +193,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         values = getattr(cfg, name) or ()
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} must not repeat a value, got {values}")
+    # and each rho of a kind with per-rho panels (fig1, fig3) names its SVGs by {:g}
+    if cfg.kind in _PANELS and _PANELS[cfg.kind][1]:
+        labels = [f"{rho:g}" for rho in cfg.rho_list]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"rho_list values must differ in their panel labels {labels}, "
+                              f"got {cfg.rho_list}")
 
 
 @functools.lru_cache(maxsize=16)  # one build per grid: the checks, the run and each panel share it
@@ -221,6 +227,7 @@ def admissible_alphas(rho: float, k: int) -> tuple:
 def _alphas_for(cfg: ExperimentConfig, rho: float) -> tuple:
     if cfg.alpha_list is None:
         return admissible_alphas(rho, cfg.k)
+    seen = {}  # realized overlap -> the alpha that gave it
     for alpha in cfg.alpha_list:
         overlap = alpha * rho * cfg.k
         if abs(overlap - round(overlap)) > 1e-9:
@@ -228,6 +235,12 @@ def _alphas_for(cfg: ExperimentConfig, rho: float) -> tuple:
                 f"alpha={alpha} is inconsistent with the integer overlap constraint "
                 f"at rho={rho}, k={cfg.k} (alpha*rho*k = {overlap})"
             )
+        if round(overlap) in seen:
+            raise ConfigError(
+                f"alpha={seen[round(overlap)]} and alpha={alpha} realize the same overlap "
+                f"{round(overlap)} at rho={rho}, k={cfg.k}"
+            )
+        seen[round(overlap)] = alpha
     return cfg.alpha_list
 
 
@@ -343,8 +356,11 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     and eps), which gives each trial the bits of a solve on its own. The
     noise has norm exactly eps. Violations are only counted on converged
     trials whose premises hold; the expected count is zero.
-    If timings is a dict, the batch's wall seconds go to timings["solve_s"].
+    If timings is a dict, the wall seconds of the three phases go to it:
+    drawing the matrix and the trials (draw_s), the batch solve (solve_s) and
+    building the table (tabulate_s).
     """
+    start = time.perf_counter()
     matrix = generate_matrix(cfg.matrix_kind, cfg.m, cfg.n, cfg.seed)
     mu = matrix.mu
     a = matrix.entries
@@ -367,12 +383,11 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
             t = prior_support_for(x, cfg.k, rho, alpha)
             trials.append((w, x, t, RecoveryProblem.with_prior_support(matrix, y, cfg.epsilon, t, w)))
 
-    start = time.perf_counter()
+    drawn = time.perf_counter()
     reports = solve_weighted_l1_batch(
         [problem for *_, problem in trials], SolveTolerances(max_iter=cfg.max_iter)
     )
-    if timings is not None:
-        timings["solve_s"] = time.perf_counter() - start
+    solved = time.perf_counter()
 
     models, terms, lhs = [], [], []
     for (w, x, t, _), report in zip(trials, reports):
@@ -387,7 +402,7 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     converged = np.array([report.converged for report in reports], dtype=bool)
     e_local, lhs = np.array([term.e_local for term in terms]), np.array(lhs)
     rhs = res.c0 * cfg.epsilon + res.c1 * e_local
-    return SweepTable.from_columns({
+    table = SweepTable.from_columns({
         "trial": np.arange(len(trials)), "rho": rho, "alpha": alpha, "w": w,
         "T": [format_index_set(m.T) for m in models], "converged": converged,
         "iterations": [report.iterations for report in reports],
@@ -396,6 +411,10 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
         "lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
         "violation": converged & premise_k & premise_d & (lhs > rhs + VIOLATION_TOL),
     })
+    if timings is not None:
+        timings.update(draw_s=drawn - start, solve_s=solved - drawn,
+                       tabulate_s=time.perf_counter() - solved)
+    return table
 
 
 def summarize_verify(table: SweepTable) -> SweepTable:
@@ -411,7 +430,7 @@ def summarize_verify(table: SweepTable) -> SweepTable:
 
 def run_experiment(cfg: ExperimentConfig, timings: dict | None = None) -> SweepTable:
     """The kind's table. If timings is a dict, the run's wall seconds go to
-    timings["evaluate_s"]; verify also records its solve time there."""
+    timings["evaluate_s"]; verify also records its phases there."""
     start = time.perf_counter()
     if cfg.kind == "verify-local":
         table = run_verify_local(cfg, timings)

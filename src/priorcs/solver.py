@@ -22,6 +22,13 @@ per row, the very calls a lone solve makes; a 2-D gemm over an n x B block
 would round a column differently at each batch width. Elementwise steps
 round the same either way, and a row leaves the batch when it converges.
 
+The loop allocates no full-size stack: each step writes into a preallocated
+(B, k, 1) buffer with out=, in the order of its formula, the state swaps
+between two buffers, and the step sizes are expanded once to full stacks.
+Buffers are re-sliced only when rows retire. One min() per iteration screens
+the stop test, so the done mask and the feasibility norm are built only once
+some row is optimal.
+
 The first-order optimality check rebuilds a multiplier from x alone, so it
 judges a solution independently of the solver that produced it.
 """
@@ -135,10 +142,10 @@ def operator_norm(entries: np.ndarray) -> float:
 def _norms(v):
     """2-norm of each row of a (B, k, 1) stack, as a (B, 1, 1) stack.
 
-    The stacked matmul runs one ddot per row, the same bits as
-    sqrt(v_i @ v_i); einsum and (v*v).sum round differently.
+    vecdot runs one ddot per row, the same bits as sqrt(v_i @ v_i) and as the
+    stacked matmul v^T v; einsum and (v*v).sum round differently.
     """
-    return np.sqrt(v.transpose(0, 2, 1) @ v)
+    return np.sqrt(np.vecdot(v, v, axis=1, keepdims=True))
 
 
 def solve_weighted_l1(problem: RecoveryProblem, tolerances: SolveTolerances | None = None) -> SolveReport:
@@ -193,14 +200,16 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
     norm_a = operator_norm(a)
     step = 0.99 / norm_a if norm_a > 0.0 else 1.0
     weights = np.array([p.weights for p in problems])[:, :, None]
-    x = np.zeros((len(problems), n, 1))
-    ax = np.zeros((len(problems), m, 1))
-    ax_prev = ax.copy()
-    lam = ax.copy()
-    rows = np.arange(len(problems))  # index in `problems` of each live row
-    reports = [None] * len(problems)
+    batch = len(problems)
+    x = np.zeros((batch, n, 1))
+    ax, ax_prev, lam = (np.zeros((batch, m, 1)) for _ in range(3))
+    # work stacks, overwritten every iteration
+    x_new, x_half = np.empty_like(x), np.empty_like(x)
+    ax_new, ax_bar, lam_new, shift = (np.empty_like(ax) for _ in range(4))
+    rows = np.arange(batch)  # index in `problems` of each live row
+    reports = [None] * batch
     iterations = 0
-    opt_residual = np.full((len(problems), 1, 1), math.inf)
+    opt_residual = np.full((batch, 1, 1), math.inf)
 
     def retire(done, converged):
         for i in np.flatnonzero(done):
@@ -225,39 +234,72 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
         neg_tau_w = -tau_w
         sigma_y = sigma * y
         sigma_eps = sigma * eps
+        # the step sizes as full stacks: a same-shape multiply costs about
+        # half of one that broadcasts a (B, 1, 1) stack
+        tau, sigma = np.repeat(tau, n, axis=1), np.repeat(sigma, m, axis=1)
 
         for iterations in range(1, tol.max_iter + 1):
-            ax_bar = 2.0 * ax - ax_prev
-            shift = lam + sigma * ax_bar - sigma_y
-            lam_new = shift * np.fmax(0.0, 1.0 - sigma_eps / _norms(shift))
-            x_half = x - tau * (a_t @ lam_new)
-            x_new = x_half - np.maximum(np.minimum(x_half, tau_w), neg_tau_w)  # soft threshold
-            ax_new = a @ x_new
+            # Each step writes into a preallocated stack, in the order of
+            #   ax_bar = 2 ax - ax_prev
+            #   shift = lam + sigma ax_bar - sigma y
+            #   lam_new = shift fmax(0, 1 - sigma eps / ||shift||)
+            #   x_half = x - tau A^T lam_new
+            #   x_new = x_half - max(min(x_half, tau w), -tau w)  (soft threshold)
+            # so every element rounds as in those formulas. Per-row (B, 1, 1)
+            # values are left to numpy's small-array cache, which is cheaper
+            # than out= at that size.
+            np.add(ax, ax, out=ax_bar)  # 2 ax, exactly
+            np.subtract(ax_bar, ax_prev, out=ax_bar)
+            np.multiply(sigma, ax_bar, out=shift)
+            np.add(lam, shift, out=shift)
+            np.subtract(shift, sigma_y, out=shift)
+            np.multiply(shift, np.fmax(0.0, 1.0 - sigma_eps / _norms(shift)), out=lam_new)
+            np.matmul(a_t, lam_new, out=x_half)
+            np.multiply(tau, x_half, out=x_half)
+            np.subtract(x, x_half, out=x_half)
+            np.minimum(x_half, tau_w, out=x_new)
+            np.maximum(x_new, neg_tau_w, out=x_new)
+            np.subtract(x_half, x_new, out=x_new)
+            np.matmul(a, x_new, out=ax_new)
 
             # Both residuals belong to the pair (x_new, lam_new) that is
-            # returned: primal lies in the subdifferential of ||.||_{1,w} at
-            # x_new plus A^T lam_new, dual in the subdifferential of the
-            # noise-ball support function at lam_new minus A x_new.
-            primal = (x - x_new) / tau
-            dual = (lam - lam_new) / sigma + (ax_bar - ax_new)
+            # returned: primal = (x - x_new) / tau lies in the
+            # subdifferential of ||.||_{1,w} at x_new plus A^T lam_new, dual
+            # = (lam - lam_new) / sigma + (ax_bar - ax_new) in the
+            # subdifferential of the noise-ball support function at lam_new
+            # minus A x_new. They reuse the buffers of x_half and shift.
+            primal, dual = x_half, shift
+            np.subtract(x, x_new, out=primal)
+            np.divide(primal, tau, out=primal)
+            np.subtract(lam, lam_new, out=dual)
+            np.divide(dual, sigma, out=dual)
+            np.subtract(ax_bar, ax_new, out=ax_bar)
+            np.add(dual, ax_bar, out=dual)
             opt_residual = np.maximum(_norms(primal), _norms(dual) / dual_scale)
 
-            x, ax_prev, ax, lam = x_new, ax, ax_new, lam_new
-            # the feasibility norm is needed only once some row is optimal
-            done = opt_residual <= tol.opt_tol
-            if not np.count_nonzero(done):
+            x, x_new = x_new, x
+            ax_prev, ax, ax_new = ax, ax_new, ax_prev
+            lam, lam_new = lam_new, lam
+            # One reduction screens the iteration (a NaN row passes the
+            # screen and fails the mask); the feasibility norm is needed
+            # only once some row is optimal.
+            if opt_residual.min() > tol.opt_tol:
                 continue
-            done &= np.maximum(_norms(ax - y) - eps, 0.0) <= tol.feas_tol
-            if not np.count_nonzero(done):
+            done = opt_residual <= tol.opt_tol
+            done &= _norms(ax - y) - eps <= tol.feas_tol
+            if not done.any():
                 continue
             retire(done, True)
             keep = ~done[:, 0, 0]
             if not keep.any():
                 return reports
+            # the work stacks shrink with the state; their contents are scratch
             (rows, x, ax, ax_prev, lam, opt_residual,
-             y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale) = (
-                arr[keep] for arr in (rows, x, ax, ax_prev, lam, opt_residual, y, tau, sigma,
-                                      tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale)
+             y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale,
+             x_new, x_half, ax_new, ax_bar, lam_new, shift) = (
+                arr[keep] for arr in (rows, x, ax, ax_prev, lam, opt_residual,
+                                      y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps,
+                                      dual_scale, x_new, x_half, ax_new, ax_bar, lam_new, shift)
             )
     retire(np.ones(len(rows), dtype=bool), False)
     return reports

@@ -1,15 +1,19 @@
 import csv
+import gc
 import hashlib
 import importlib.util
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import priorcs
 from priorcs.cli import main
 from priorcs.matrices import read_matrix_file
 
@@ -283,7 +287,9 @@ class TestExperimentCommands:
         # solve statistics go to stderr, one line, never into stdout or the CSVs
         (line,) = err.splitlines()
         match = re.fullmatch(
-            r"verify: 12 solves in one batch, iterations p50=\d+ p90=\d+ max=(\d+), \d+\.\d{3} s", line
+            r"verify: 12 solves in one batch, iterations p50=\d+ p90=\d+ max=(\d+), "
+            r"draw \d+\.\d{3} s, solve \d+\.\d{3} s \(\d+\.\d us per loop iteration\), "
+            r"tabulate \d+\.\d{3} s", line
         )
         assert match
         with open(tmp_path / "verify.csv", newline="") as fh:
@@ -324,6 +330,8 @@ class TestExperimentCommands:
         ("fig1", "rho_list=1,1"),
         ("fig3", "alpha_list=0.5,0,0.5"),
         ("fig2", "w_grid=0,-0"),
+        ("fig1", "rho_list=0.5,0.5000001"),  # both panels would be named _rho0.5
+        ("fig3", "rho_list=0.5,0.5000001"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, override):
         small = ("-o", "m=16", "-o", "n=32", "-o", "trials=1", "-o", "w_grid=0.5")
@@ -332,6 +340,17 @@ class TestExperimentCommands:
         assert code == 2
         (line,) = err.splitlines()
         assert line.startswith("error: ")
+        assert out == "" and os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["fig2", "verify"])
+    def test_alphas_of_one_overlap_exit_2(self, tmp_path, capsys, command):
+        # both alphas pass the integer-overlap check and realize the same overlap
+        code, out, err = run_cli(capsys, command, "--out-dir", str(tmp_path),
+                                 "-o", "alpha_list=0.5,0.5000000001", "-o", "rho_list=1",
+                                 "-o", "trials=1", "-o", "w_grid=0.5")
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error: alpha=0.5 and alpha=0.5000000001 realize the same overlap")
         assert out == "" and os.listdir(tmp_path) == []
 
     def test_fig3_non_positive_baseline_exits_2(self, tmp_path, capsys):
@@ -434,6 +453,84 @@ def test_default_sweep_outputs_are_pinned(command, tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == sorted(name for name, _ in expected)
     for name, digest in expected:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of verify.csv and verify_summary.csv for the benchmark's two verify
+# instances: the default config with trials=2 (64x128, eps 0.05, 30 solves)
+# and the 32x64 Gaussian matrix at eps 0 (300 solves). The benchmark checks
+# lhs to 1e-6; these pin every lhs and iterations cell to the bit.
+PINNED_VERIFY = {
+    "default-trials2": (
+        {"trials": "2"},
+        "f4ac05a66e620c3fca7d8ed552ea6b57e14ad8c2f06ed4307f8346080aadcde7",
+        "04727563a5dfc0e78d82a4c29d14c5bb96509b620d561803b2b312dc9f167906",
+    ),
+    "gauss32x64-eps0": (
+        {"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0",
+         "trials": "20"},
+        "c78eaa952eebd8980038cd78daf09dc95f39ff61244ebb191e034974bf07777e",
+        "4ada8ad698de3bf956060c3ed872993be2aac6dd0d44e63b309631124d1961d9",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_VERIFY))
+def test_benchmark_verify_outputs_are_pinned(variant, tmp_path, capsys):
+    overrides, csv_digest, summary_digest = PINNED_VERIFY[variant]
+    argv = [arg for key, value in overrides.items() for arg in ("-o", f"{key}={value}")]
+    code, _, _ = run_cli(capsys, "verify", *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest() == csv_digest
+    assert (hashlib.sha256((tmp_path / "verify_summary.csv").read_bytes()).hexdigest()
+            == summary_digest)
+
+
+def _env_with_src() -> dict:
+    """The environment with this priorcs first on PYTHONPATH, for subprocesses."""
+    src = str(Path(priorcs.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "-o", "w_grid=0,0.5,1"],
+    ["verify", "-o", "m=16", "-o", "n=32", "-o", "trials=1", "-o", "rho_list=1",
+     "-o", "w_grid=0,1"],
+], ids=["fig2", "verify"])
+def test_a_fresh_process_prints_and_writes_what_main_does(argv, tmp_path, capsys):
+    """A command in its own process, which freezes its heap at exit instead of
+    collecting it, exits, prints and writes the same as an in-process call."""
+    here, there = tmp_path / "in_process", tmp_path / "subprocess"
+    code, out, _ = run_cli(capsys, *argv, "--out-dir", str(here))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from priorcs.cli import main; sys.exit(main())",
+         *argv, "--out-dir", str(there)],
+        capture_output=True, text=True, env=_env_with_src(), check=False,
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout.replace(str(there), str(here)).splitlines() == out.splitlines()
+    assert sorted(os.listdir(there)) == sorted(os.listdir(here))
+    for name in os.listdir(here):
+        assert (there / name).read_bytes() == (here / name).read_bytes(), name
+
+
+def test_main_freezes_nothing_in_process(tmp_path, capsys):
+    assert main(["fig4", "-o", "w_grid=0,1", "--out-dir", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("calls", [0, 2])
+def test_exit_freezes_once_per_process_that_ran_main(calls):
+    """Importing the cli registers nothing; any number of main() calls
+    register one freeze, which runs at exit."""
+    script = "\n".join(
+        ["import gc", "gc.freeze = lambda: print('freeze')", "from priorcs.cli import main"]
+        + ["main(['bounds', '--mu', '0.1', '--k', '2', '--theorem', 'cai'])"] * calls
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_env_with_src(), check=True)
+    assert proc.stdout.splitlines().count("freeze") == min(calls, 1)
+    assert proc.stdout.endswith("freeze\n") == (calls > 0)
 
 
 def _bench_workloads():

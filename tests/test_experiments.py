@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ class TestOutputs:
         second = emit_experiment_outputs(cfg, table, tmp_path / "b")
         assert [os.path.basename(p) for p in first] == [os.path.basename(p) for p in second]
         for pa, pb in zip(first, second):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
         names = [os.path.basename(p) for p in first]
         assert "fig1.csv" in names
         assert any(n.endswith(".svg") for n in names)
