@@ -5,8 +5,9 @@ verify. Exit codes: 0 success, 2 configuration/usage error, 3 assertion
 failure (fig3 ratio hook, verify violations or non-converged trials), for CI
 use. The output directory resolves as --out-dir flag, then the
 PRIORCS_OUT_DIR environment variable, then the config value. verify prints
-one line of solve statistics on stderr, and fig1-fig4 one line of row count
-and evaluation, CSV and SVG times; stdout and the CSVs never carry timings.
+one line of solve statistics (iteration spread, exit reasons, polish tries,
+phase times) on stderr, and fig1-fig4 one line of row count and evaluation,
+CSV and SVG times; stdout and the CSVs never carry timings.
 
 main registers gc.freeze as an exit callback, once per process, so the
 interpreter's finalization skips collecting the heap that numpy and priorcs
@@ -146,6 +147,7 @@ def _cmd_solve(args) -> int:
     print(f"feasibility_residual={format_real(report.feasibility_residual)}")
     print(f"iterations={report.iterations}")
     print(f"converged={'true' if report.converged else 'false'}")
+    print(f"exit={report.exit}")
     print(f"opt_residual={format_real(report.opt_residual)}")
     return 0
 
@@ -202,11 +204,13 @@ def _cmd_experiment(args) -> int:
         print(f"all {len(table)} k-ratios > 1")
     if kind == "verify-local":
         iterations = sorted(table.column("iterations"))
+        exits = " ".join(f"{name}={count}" for name, count in timings["exits"].items())
         # the batch loop runs as many iterations as its longest solve
         print(
             f"verify: {len(iterations)} solves in one batch, iterations "
             f"p50={_nearest_rank(iterations, 0.5)} p90={_nearest_rank(iterations, 0.9)} "
-            f"max={iterations[-1]}, draw {timings['draw_s']:.3f} s, "
+            f"max={iterations[-1]}, exits {exits}, polish tries {timings['polish_tries']}, "
+            f"draw {timings['draw_s']:.3f} s, "
             f"solve {timings['solve_s']:.3f} s ({timings['solve_s'] / iterations[-1] * 1e6:.1f} us "
             f"per loop iteration), tabulate {timings['tabulate_s']:.3f} s",
             file=sys.stderr,

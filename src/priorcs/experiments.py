@@ -23,6 +23,7 @@ from .matrices import MATRIX_KINDS, generate_matrix
 # looks it up here when it installs its wrappers, so without it every traced
 # run fails.
 from .solver import (  # noqa: F401
+    EXITS,
     RecoveryProblem,
     SolveTolerances,
     solve_weighted_l1,
@@ -358,7 +359,8 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     trials whose premises hold; the expected count is zero.
     If timings is a dict, the wall seconds of the three phases go to it:
     drawing the matrix and the trials (draw_s), the batch solve (solve_s) and
-    building the table (tabulate_s).
+    building the table (tabulate_s); so do the solves' count of each exit
+    reason (exits, in EXITS order) and their polish tries (polish_tries).
     """
     start = time.perf_counter()
     matrix = generate_matrix(cfg.matrix_kind, cfg.m, cfg.n, cfg.seed)
@@ -413,7 +415,9 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     })
     if timings is not None:
         timings.update(draw_s=drawn - start, solve_s=solved - drawn,
-                       tabulate_s=time.perf_counter() - solved)
+                       tabulate_s=time.perf_counter() - solved,
+                       exits={name: sum(r.exit == name for r in reports) for name in EXITS},
+                       polish_tries=sum(r.polish_tries for r in reports))
     return table
 
 

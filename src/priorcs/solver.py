@@ -26,8 +26,27 @@ The loop allocates no full-size stack: each step writes into a preallocated
 (B, k, 1) buffer with out=, in the order of its formula, the state swaps
 between two buffers, and the step sizes are expanded once to full stacks.
 Buffers are re-sliced only when rows retire. One min() per iteration screens
-the stop test, so the done mask and the feasibility norm are built only once
-some row is optimal.
+the stop test, so the feasibility norm is built only once some row is
+optimal, and the done mask only then or at a polish check.
+
+Every POLISH_EVERY iterations a live row whose sign pattern (on the
+coordinates with w > 0) matches the one at the previous check tries to
+polish (OSQP's solution polishing, arXiv:1711.08013; proximal methods fix
+the active set after finitely many steps, arXiv:1712.03577). With the free
+set F = {x_i != 0} | {w_i = 0} and the costs c = w_F sign(x_F) held, the
+program is min c^T z s.t. ||A_F z - y|| <= eps, whose minimizer is closed
+form: z_ls - t G^-1 c with G = A_F^T A_F, z_ls the least-squares fit,
+residual r and t = sqrt(eps^2 - r^2) / sqrt(c^T G^-1 c), multiplier
+(A_F z - y) / t; at eps = 0 it is z_ls, and the multiplier is the row's lam
+projected onto A_F^T lam = -c. The point is accepted only if it keeps the
+signs, is feasible, and certifies itself: the pair residual
+max(||A_F^T lam + c||_inf, max_{j not in F} (|A_j^T lam| - w_j)_+) is at
+most opt_tol. A polished row retires at once. At eps > 0 the try depends on
+the pattern alone, so a rejected pattern is not tried again; rows with
+c = 0 (all of F at zero weight) never polish and stay with the loop. Each
+try reads only its row, so the batch contract holds. A report's exit says
+how the row stopped: "polished", "converged" (the loop's stop test) or
+"max_iter".
 
 The first-order optimality check rebuilds a multiplier from x alone, so it
 judges a solution independently of the solver that produced it.
@@ -48,6 +67,12 @@ from .matrices import SensingMatrix, read_matrix_text
 # support, and ||Ax - y|| within _BOUNDARY_TOL of eps as on the noise ball
 _SUPPORT_TOL = 1e-7
 _BOUNDARY_TOL = 1e-9
+
+# iterations between two sign-pattern checks of the polish step
+POLISH_EVERY = 10
+
+# how a solve can stop, as SolveReport.exit names it
+EXITS = ("polished", "converged", "max_iter")
 
 
 @dataclass(eq=False)
@@ -132,6 +157,8 @@ class SolveReport:
     converged: bool
     opt_residual: float
     dual: np.ndarray
+    exit: str  # one of EXITS
+    polish_tries: int
 
 
 def operator_norm(entries: np.ndarray) -> float:
@@ -163,9 +190,10 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
     """Solve problems that share A and eps; one report per problem, in order.
 
     Each report is bit for bit the one the problem gets when solved alone:
-    rows are stacked gemv and ddot calls, and a row leaves the batch as soon
-    as it converges. An empty list, or problems with different matrices or
-    eps, raise InvalidInputError; a row that no x can satisfy raises
+    rows are stacked gemv and ddot calls, a polish try reads its row alone,
+    and a row leaves the batch as soon as it converges or polishes. An empty
+    list, or problems with different matrices or eps, raise
+    InvalidInputError; a row that no x can satisfy raises
     InfeasibleProblemError naming its index.
     """
     problems = list(problems)
@@ -210,19 +238,30 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
     reports = [None] * batch
     iterations = 0
     opt_residual = np.full((batch, 1, 1), math.inf)
+    # polish state: each live row's sign pattern on w > 0 at the last check
+    # (2 before the first), and per problem the tries made and the patterns
+    # rejected; at eps = 0 a try also reads lam, so a pattern may be retried
+    positive = (weights > 0.0).astype(np.int8)
+    pattern = np.full((batch, n, 1), 2, dtype=np.int8)
+    tries = [0] * batch
+    rejected = [set() for _ in range(batch)]
 
-    def retire(done, converged):
-        for i in np.flatnonzero(done):
-            problem, x_i = problems[rows[i]], x[i, :, 0].copy()
-            reports[rows[i]] = SolveReport(
-                x_star=x_i,
-                objective=problem.objective(x_i),
-                feasibility_residual=problem.feasibility_residual(x_i),
-                iterations=iterations,
-                converged=converged,
-                opt_residual=float(opt_residual[i, 0, 0]),
-                dual=lam[i, :, 0].copy(),
-            )
+    def retire(i, x_i, lam_i, residual, exit):
+        problem = problems[rows[i]]
+        reports[rows[i]] = SolveReport(
+            x_star=x_i,
+            objective=problem.objective(x_i),
+            feasibility_residual=problem.feasibility_residual(x_i),
+            iterations=iterations,
+            converged=exit != "max_iter",
+            opt_residual=float(residual),
+            dual=lam_i,
+            exit=exit,
+            polish_tries=tries[rows[i]],
+        )
+
+    def retire_iterate(i, exit):
+        retire(i, x[i, :, 0].copy(), lam[i, :, 0].copy(), opt_residual[i, 0, 0], exit)
 
     # y = 0 or w = 0 leaves 0/0 in omega, which np.where drops; shift = 0
     # leaves sigma_eps/0, which fmax maps to a zero multiplier
@@ -283,26 +322,87 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
             # One reduction screens the iteration (a NaN row passes the
             # screen and fails the mask); the feasibility norm is needed
             # only once some row is optimal.
-            if opt_residual.min() > tol.opt_tol:
+            optimal = opt_residual.min() <= tol.opt_tol
+            check = iterations % POLISH_EVERY == 0
+            if not (optimal or check):
                 continue
-            done = opt_residual <= tol.opt_tol
-            done &= _norms(ax - y) - eps <= tol.feas_tol
+            if optimal:
+                done = ((opt_residual <= tol.opt_tol) & (_norms(ax - y) - eps <= tol.feas_tol))[:, 0, 0]
+                for i in np.flatnonzero(done):
+                    retire_iterate(i, "converged")
+            else:
+                done = np.zeros(len(rows), dtype=bool)
+            if check:
+                latest = np.sign(x).astype(np.int8)
+                latest *= positive
+                settled = (latest == pattern).all(axis=(1, 2)) & ~done
+                pattern = latest
+                for i in np.flatnonzero(settled):
+                    key = latest[i].tobytes()
+                    if eps > 0.0 and key in rejected[rows[i]]:
+                        continue
+                    tries[rows[i]] += 1
+                    polished = _polish(a, y[i, :, 0], eps, weights[i, :, 0], x[i, :, 0], lam[i, :, 0], tol)
+                    if polished is None:
+                        rejected[rows[i]].add(key)
+                    else:
+                        done[i] = True
+                        retire(i, *polished, "polished")
             if not done.any():
                 continue
-            retire(done, True)
-            keep = ~done[:, 0, 0]
+            keep = ~done
             if not keep.any():
                 return reports
             # the work stacks shrink with the state; their contents are scratch
-            (rows, x, ax, ax_prev, lam, opt_residual,
+            (rows, x, ax, ax_prev, lam, opt_residual, weights, positive, pattern,
              y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale,
              x_new, x_half, ax_new, ax_bar, lam_new, shift) = (
-                arr[keep] for arr in (rows, x, ax, ax_prev, lam, opt_residual,
-                                      y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps,
+                arr[keep] for arr in (rows, x, ax, ax_prev, lam, opt_residual, weights, positive,
+                                      pattern, y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps,
                                       dual_scale, x_new, x_half, ax_new, ax_bar, lam_new, shift)
             )
-    retire(np.ones(len(rows), dtype=bool), False)
+    for i in range(len(rows)):
+        retire_iterate(i, "max_iter")
     return reports
+
+
+def _polish(a, y, eps, w, x, lam, tol):
+    """The minimizer of the program restricted to x's sign pattern, with its
+    multiplier and pair residual, as (z, lam, residual); None if the try
+    fails (see the module docstring). All arguments but tol are 1-D vectors
+    of one row."""
+    free = (x != 0.0) | (w == 0.0)
+    a_f = a[:, free]
+    if a_f.shape[1] > a.shape[0]:
+        return None
+    cost = w * np.sign(x)  # c on F, zero off it
+    c = cost[free]
+    gram = a_f.T @ a_f
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    # at eps = 0 the second column solves for the projection of lam
+    z_f, g = np.linalg.solve(gram, np.stack([a_f.T @ y, c if eps > 0.0 else c + a_f.T @ lam], axis=1)).T
+    if eps > 0.0:
+        fit = a_f @ z_f - y
+        r2, q = fit @ fit, c @ g
+        if not (q > 0.0 and r2 < eps * eps):
+            return None
+        t = math.sqrt(eps * eps - r2) / math.sqrt(q)
+        z_f = z_f - t * g
+    if not np.array_equal(w[free] * np.sign(z_f), c):
+        return None
+    z = np.zeros_like(x)
+    z[free] = z_f
+    residual = a @ z - y
+    lam = residual / t if eps > 0.0 else lam - a_f @ g
+    v = a.T @ lam
+    pair = np.where(free, np.abs(v + cost), np.abs(v) - w).max(initial=0.0)
+    # written so that a NaN fails
+    if math.sqrt(residual @ residual) - eps <= tol.feas_tol and pair <= tol.opt_tol:
+        return z, lam, pair
+    return None
 
 
 def kkt_check(problem: RecoveryProblem, x) -> float:
@@ -330,9 +430,10 @@ def kkt_check(problem: RecoveryProblem, x) -> float:
     signs = np.sign(x)
     target = weights * signs * active  # required value of (A^T lam)_i on the support
 
-    if problem.epsilon == 0.0:
-        # Equality-constrained: find lam with A^T lam matching the subgradient
-        # on the support and wherever the weight vanishes, check box elsewhere.
+    if problem.epsilon == 0.0 or (res_norm == 0.0 and problem.epsilon <= _BOUNDARY_TOL):
+        # Equality-constrained, or a zero residual on a ball too small to give
+        # it a direction: find lam with A^T lam matching the subgradient on
+        # the support and wherever the weight vanishes, check box elsewhere.
         rows = active | (weights == 0.0)
         if not rows.any():
             return feas

@@ -176,13 +176,65 @@ def solve_l0_oracle(entries, y, eps, k_max, feas_tol=1e-8):
     return None
 
 
-def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1e-9, max_iter=200_000):
+def polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol):
+    """The polish try of one iterate: the minimizer of the weighted l1
+    program with x's sign pattern held, its multiplier and its pair residual,
+    or None when the try fails.
+
+    F = {x_i != 0} | {w_i = 0} is free, c = w_F sign(x_F) and G = A_F^T A_F.
+    At eps > 0 the point is z_ls - t G^-1 c with t = sqrt(eps^2 - r^2) /
+    sqrt(c^T G^-1 c) and the multiplier (A z - y) / t; at eps = 0 it is the
+    least-squares fit z_ls, and the multiplier is lam projected onto
+    A_F^T lam = -c. Accepted when the signs on F with w > 0 hold, the point
+    is feasible to feas_tol and the pair residual is at most opt_tol.
+    """
+    free = (x != 0.0) | (weights == 0.0)
+    if free.sum() > a.shape[0]:
+        return None
+    a_f = a[:, free]
+    c = weights[free] * np.sign(x[free])
+    gram = a_f.T @ a_f
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    second = c if eps > 0.0 else c + a_f.T @ lam
+    z_f, g = np.linalg.solve(gram, np.stack([a_f.T @ y, second], axis=1)).T
+    if eps > 0.0:
+        fit = a_f @ z_f - y
+        r2, q = fit @ fit, c @ g
+        if q <= 0.0 or r2 >= eps * eps:
+            return None
+        t = math.sqrt(eps * eps - r2) / math.sqrt(q)
+        z_f = z_f - t * g
+    positive = weights[free] > 0.0
+    if not np.array_equal(np.sign(z_f)[positive], np.sign(x[free])[positive]):
+        return None
+    z = np.zeros_like(x)
+    z[free] = z_f
+    residual = a @ z - y
+    lam = residual / t if eps > 0.0 else lam - a_f @ g
+    v = a.T @ lam
+    on = np.abs(v[free] + c).max(initial=0.0)
+    off = max(0.0, (np.abs(v[~free]) - weights[~free]).max(initial=0.0))
+    pair = max(on, off)
+    if math.isnan(on) or math.isnan(off) or pair > opt_tol:
+        return None
+    if math.sqrt(residual @ residual) - eps > feas_tol:
+        return None
+    return z, lam, pair
+
+
+def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1e-9, max_iter=200_000,
+                              polish_every=10):
     """The weighted l1 primal-dual iteration on one problem with 1-D vectors.
 
     The reference the batched solver must match bit for bit: the same
     operations in the same order, on plain vectors, with a gemv per matrix
-    product and a ddot per norm. Returns (x, lam, iterations, converged,
-    opt_residual).
+    product and a ddot per norm. Every polish_every iterations, when the
+    signs of x on w > 0 are those of the previous check, the iterate tries
+    polish_one; at eps > 0 a pattern that failed is not tried again. Returns
+    (x, lam, iterations, converged, opt_residual, exit, polish tries).
     """
     a = np.asarray(entries, dtype=float)
     norm_y = math.sqrt(y @ y)
@@ -196,7 +248,8 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
 
     x = np.zeros(a.shape[1])
     ax, ax_prev, lam = np.zeros(a.shape[0]), np.zeros(a.shape[0]), np.zeros(a.shape[0])
-    iterations, converged, opt_residual = 0, False, math.inf
+    iterations, opt_residual = 0, math.inf
+    previous, rejected, tries = None, set(), 0
     for iterations in range(1, max_iter + 1):
         ax_bar = 2.0 * ax - ax_prev
         shift = lam + sigma * ax_bar - sigma_y
@@ -212,9 +265,21 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
         feas = max(math.sqrt(residual @ residual) - eps, 0.0)
         x, ax_prev, ax, lam = x_new, ax, ax_new, lam_new
         if opt_residual <= opt_tol and feas <= feas_tol:
-            converged = True
-            break
-    return x, lam, iterations, converged, opt_residual
+            return x, lam, iterations, True, opt_residual, "converged", tries
+        if iterations % polish_every:
+            continue
+        pattern = tuple(np.sign(x[weights > 0.0]))
+        settled, previous = pattern == previous, pattern
+        if not settled or (eps > 0.0 and pattern in rejected):
+            continue
+        tries += 1
+        polished = polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol)
+        if polished is None:
+            rejected.add(pattern)
+            continue
+        z, lam, pair = polished
+        return z, lam, iterations, True, pair, "polished", tries
+    return x, lam, iterations, False, opt_residual, "max_iter", tries
 
 
 def csv_cells(values):

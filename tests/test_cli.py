@@ -106,6 +106,7 @@ class TestSolveCommand:
         assert code == 0
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert lines["converged"] == "true"
+        assert lines["exit"] in ("polished", "converged")
         x = [float(v) for v in lines["x_star"].split(",")]
         assert np.allclose(x, [0.0, 0.0, 1.0], atol=1e-6)
         assert float(lines["objective"]) == pytest.approx(1.0, abs=1e-6)
@@ -131,8 +132,8 @@ class TestSolveCommand:
                                "--max-iter", "0")
         assert code == 0
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
-        assert (lines["x_star"], lines["iterations"], lines["converged"], lines["opt_residual"]) \
-            == ("0.0,0.0,0.0", "0", "false", "inf")
+        assert (lines["x_star"], lines["iterations"], lines["converged"], lines["exit"],
+                lines["opt_residual"]) == ("0.0,0.0,0.0", "0", "false", "max_iter", "inf")
 
     def test_missing_section_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -288,6 +289,7 @@ class TestExperimentCommands:
         (line,) = err.splitlines()
         match = re.fullmatch(
             r"verify: 12 solves in one batch, iterations p50=\d+ p90=\d+ max=(\d+), "
+            r"exits polished=(\d+) converged=(\d+) max_iter=0, polish tries (\d+), "
             r"draw \d+\.\d{3} s, solve \d+\.\d{3} s \(\d+\.\d us per loop iteration\), "
             r"tabulate \d+\.\d{3} s", line
         )
@@ -295,6 +297,8 @@ class TestExperimentCommands:
         with open(tmp_path / "verify.csv", newline="") as fh:
             iterations = [int(row["iterations"]) for row in csv.DictReader(fh)]
         assert int(match.group(1)) == max(iterations)
+        polished, converged, tries = map(int, match.group(2, 3, 4))
+        assert polished + converged == 12 and tries >= polished
         assert "solves" not in out
 
     def test_verify_nonconverged_exits_3(self, tmp_path, capsys):
@@ -462,14 +466,14 @@ def test_default_sweep_outputs_are_pinned(command, tmp_path, capsys):
 PINNED_VERIFY = {
     "default-trials2": (
         {"trials": "2"},
-        "f4ac05a66e620c3fca7d8ed552ea6b57e14ad8c2f06ed4307f8346080aadcde7",
+        "2ab3eb051e649b4b292b40edc627a742f8c49ca79c6cbbcbc8347b6b836d600f",
         "04727563a5dfc0e78d82a4c29d14c5bb96509b620d561803b2b312dc9f167906",
     ),
     "gauss32x64-eps0": (
         {"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0",
          "trials": "20"},
-        "c78eaa952eebd8980038cd78daf09dc95f39ff61244ebb191e034974bf07777e",
-        "4ada8ad698de3bf956060c3ed872993be2aac6dd0d44e63b309631124d1961d9",
+        "79e65a3d5370e87ab72559d5cc7529379a2b4a5bd28f17284e5f080bbc12f20c",
+        "7d1d5ec0b31ed46d1d65f141d839e35d052b70de2efdfdff72205599018eec18",
     ),
 }
 
@@ -483,6 +487,23 @@ def test_benchmark_verify_outputs_are_pinned(variant, tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest() == csv_digest
     assert (hashlib.sha256((tmp_path / "verify_summary.csv").read_bytes()).hexdigest()
             == summary_digest)
+
+
+@pytest.mark.parametrize("workload", ["verify-noisy", "verify-noiseless-gauss"])
+def test_benchmark_verify_lhs_is_near_reference(workload, tmp_path, capsys):
+    """The benchmark's own check, tightened: the solver-independent columns
+    match bench/reference.json byte for byte, and every lhs is within 1e-8
+    of it (the benchmark allows 1e-6)."""
+    workloads = _bench_workloads()
+    (command,) = workloads.commands(workload, "full", 0)
+    code, _, _ = run_cli(capsys, *workloads.argv(command, str(tmp_path)))
+    assert code == 0
+    reference_path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    (pinned,) = json.loads(reference_path.read_text())[workload]["full"][workloads.variant_of(workload, 0)]
+    got = workloads.fingerprint(command, str(tmp_path))
+    assert got["fixed_columns_sha256"] == pinned["fixed_columns_sha256"]
+    assert len(got["lhs"]) == len(pinned["lhs"])
+    assert max(abs(float(a) - float(b)) for a, b in zip(got["lhs"], pinned["lhs"])) <= 1e-8
 
 
 def _env_with_src() -> dict:

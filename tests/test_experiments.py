@@ -271,6 +271,26 @@ class TestVerifyLocal:
             if residual > 1e-6 and problem.epsilon == 0.0:
                 residual = dual_certificate_residual(problem, report)
             assert residual <= 1e-6
+            if report.exit == "polished":
+                # a polished point comes with its own exact multiplier
+                assert dual_certificate_residual(problem, report) <= 1e-9
+
+    @pytest.mark.parametrize("overrides, total, longest", [
+        ({"trials": "2"}, 3224, 308),
+        ({"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0", "trials": "20"},
+         8550, 60),
+    ], ids=["verify-noisy", "verify-noiseless-gauss"])
+    def test_polish_keeps_iteration_counts_down(self, batch_solves, overrides, total, longest):
+        # the benchmark's verify configs; total and longest were measured with
+        # the polish step (without it: 14,305 and 1,067; 67,785 and 437), and a
+        # lost polish breaks the 10% margin
+        table = run_verify_local(load_config("verify-local", overrides=overrides))
+        iterations = table.column("iterations")
+        assert iterations.sum() <= 1.1 * total
+        assert iterations.max() <= 1.1 * longest
+        if overrides.get("epsilon") == "0":
+            ((_, reports),) = batch_solves
+            assert {report.exit for report in reports} == {"polished"}
 
     def test_rho_half_alpha_grid(self):
         cfg = small_verify_config(rho_list=(0.5,), w_grid=(0.5,), trials=2)

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from priorcs import (
 )
 from priorcs.experiments import load_config, run_verify_local
 from priorcs.matrices import format_real, write_matrix_text
-from priorcs.solver import operator_norm, read_problem_text
+from priorcs.solver import POLISH_EVERY, operator_norm, read_problem_text
 
 from oracles import (
     min_weighted_l1_by_vertex_enumeration,
@@ -40,7 +41,8 @@ def tri_problem(weights, epsilon=0.0):
 def report_bits(report):
     """Every field a solve decides, as exact bits."""
     return (report.x_star.tobytes(), report.dual.tobytes(), report.iterations,
-            report.converged, struct.pack("<d", report.opt_residual))
+            report.converged, struct.pack("<d", report.opt_residual), report.exit,
+            report.polish_tries)
 
 
 class TestOperatorNorm:
@@ -118,6 +120,7 @@ class TestSolveWeightedL1:
         report = solve_weighted_l1(problem, SolveTolerances(max_iter=3))
         assert not report.converged
         assert report.iterations == 3
+        assert report.exit == "max_iter"
 
     @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
     def test_non_integer_max_iter_rejected(self, max_iter):
@@ -245,6 +248,49 @@ class TestSolveWeightedL1:
         assert a.iterations == b.iterations
 
 
+class TestPolish:
+    def test_single_spike_polishes_to_the_shrunk_spike_exactly(self, identity4):
+        # min |x|_1 s.t. ||x - 2 e_2|| <= 0.5 is 1.5 e_2 with multiplier -e_2;
+        # the loop's stop test cannot pass at opt_tol 1e-16 by the second
+        # check, where the closed form lands with a zero pair residual
+        problem = RecoveryProblem.create(identity4, np.array([0.0, 2.0, 0.0, 0.0]), 0.5, np.ones(4))
+        report = solve_weighted_l1(problem, SolveTolerances(opt_tol=1e-16))
+        assert (report.exit, report.iterations, report.polish_tries) == ("polished", 2 * POLISH_EVERY, 1)
+        assert report.converged
+        assert np.array_equal(report.x_star, [0.0, 1.5, 0.0, 0.0])
+        assert np.array_equal(report.dual, [0.0, -1.0, 0.0, 0.0])
+        assert report.opt_residual == 0.0
+
+    def test_noiseless_zero_weight_prior_support_polishes(self):
+        # w = 0 on T = supp(x): T must be free although its cost is zero
+        matrix = generate_matrix("gaussian-normalized", 32, 64, 7)
+        x = np.zeros(64)
+        x[[3, 40]] = [1.2, -0.7]
+        problem = RecoveryProblem.with_prior_support(matrix, matrix.entries @ x, 0.0, (3, 40), 0.0)
+        report = solve_weighted_l1(problem)
+        assert report.exit == "polished"
+        assert np.abs(report.x_star - x).max() <= 1e-12
+        cert = -(matrix.entries.T @ report.dual)
+        assert np.abs(cert[[3, 40]]).max() <= 1e-8
+        assert np.all(np.abs(cert) <= problem.weights + 1e-8)
+
+    def test_zero_cost_pattern_is_left_to_the_loop(self):
+        # eps > 0 and w = 0 on T = supp(x): c = 0, so the minimizer is not
+        # unique and has no closed form; the settled pattern is tried once,
+        # rejected, and never tried again
+        rng = np.random.default_rng(5)
+        matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
+        x = np.zeros(32)
+        x[[4, 20]] = [1.0, -0.5]
+        noise = rng.standard_normal(16)
+        noise *= 0.05 / np.linalg.norm(noise)
+        y = matrix.entries @ x + noise
+        report = solve_weighted_l1(RecoveryProblem.with_prior_support(matrix, y, 0.05, (4, 20), 0.0))
+        assert report.exit == "converged"
+        assert report.iterations > 3 * POLISH_EVERY
+        assert report.polish_tries == 1
+
+
 class TestBatch:
     @pytest.mark.parametrize("overrides", [
         {"trials": "2"},
@@ -256,11 +302,11 @@ class TestBatch:
         alone = [report_bits(solve_weighted_l1(p)) for p in problems]
         assert len({bits[2] for bits in alone}) > 1  # rows retire at different iterations
         for problem, bits in zip(problems, alone):
-            x, lam, iterations, converged, opt_residual = primal_dual_one_at_a_time(
+            x, lam, iterations, converged, opt_residual, exit, tries = primal_dual_one_at_a_time(
                 problem.matrix.entries, problem.y, problem.epsilon, problem.weights
             )
             assert bits == (x.tobytes(), lam.tobytes(), iterations, converged,
-                            struct.pack("<d", opt_residual))
+                            struct.pack("<d", opt_residual), exit, tries)
         assert [report_bits(r) for r in solve_weighted_l1_batch(problems)] == alone
         reversed_sub = problems[4:0:-1]
         assert [report_bits(r) for r in solve_weighted_l1_batch(reversed_sub)] == alone[4:0:-1]
@@ -274,7 +320,7 @@ class TestBatch:
             x[rng.choice(32, 2, replace=False)] = rng.standard_normal(2)
             problems.append(RecoveryProblem.create(matrix, matrix.entries @ x, 0.0, np.ones(32)))
         uncapped = [solve_weighted_l1(p).iterations for p in problems]
-        cap = sorted(uncapped)[3]
+        cap = max(uncapped) - 1  # the zero row stops at once, the others later
         tol = SolveTolerances(max_iter=cap)
         reports = solve_weighted_l1_batch(problems, tol)
         unfinished = [it > cap for it in uncapped]
@@ -402,6 +448,16 @@ class TestKktCheck:
         assert report.converged
         assert np.allclose(report.x_star, [1.5, 0.0, 0.0, 0.0], atol=1e-8)
         assert kkt_check(problem, report.x_star) <= 1e-8
+
+    def test_zero_residual_on_a_tiny_ball_reads_the_equality_multiplier(self):
+        # ||Ax - y|| = 0 with eps below the boundary tolerance has no residual
+        # direction; (1, 1, 0, 0) costs 2.0 where (0, 0, 1, 1) costs 0.2
+        matrix = SensingMatrix.from_array(np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]))
+        problem = RecoveryProblem.create(matrix, np.ones(2), 1e-12, np.array([1.0, 1.0, 0.1, 0.1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kkt_check(problem, np.array([1.0, 1.0, 0.0, 0.0])) >= 0.8
+            assert kkt_check(problem, np.array([0.0, 0.0, 1.0, 1.0])) <= 1e-12
 
     def test_input_validation(self, identity4):
         problem = RecoveryProblem.create(identity4, np.zeros(4), 0.0, np.ones(4))
