@@ -210,8 +210,9 @@ def _cmd_experiment(args) -> int:
             f"verify: {len(iterations)} solves in one batch, iterations "
             f"p50={_nearest_rank(iterations, 0.5)} p90={_nearest_rank(iterations, 0.9)} "
             f"max={iterations[-1]}, exits {exits}, polish tries {timings['polish_tries']}, "
-            f"draw {timings['draw_s']:.3f} s, "
-            f"solve {timings['solve_s']:.3f} s ({timings['solve_s'] / iterations[-1] * 1e6:.1f} us "
+            f"draw {timings['draw_s']:.3f} s, solve {timings['solve_s']:.3f} s "
+            f"(polish {timings['polish_s']:.3f} s, "
+            f"{(timings['solve_s'] - timings['polish_s']) / iterations[-1] * 1e6:.1f} us "
             f"per loop iteration), tabulate {timings['tabulate_s']:.3f} s",
             file=sys.stderr,
         )

@@ -353,60 +353,68 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     """Monte-Carlo check of the local bound: solve, then compare
     ||x*_T - x_T||_2 against c0*eps + c1*e per trial.
 
-    Every trial is drawn first and all are solved in one batch (they share A
-    and eps), which gives each trial the bits of a solve on its own. The
-    noise has norm exactly eps. Violations are only counted on converged
+    Every trial draws its signal and noise from its own generator; then all
+    are solved in one batch (they share A and eps), which gives each trial
+    the bits of a solve on its own. The noise has norm exactly eps. The
+    support bookkeeping runs once per (rho, alpha) pair, on the stack of
+    its trials over the w grid. Violations are only counted on converged
     trials whose premises hold; the expected count is zero.
     If timings is a dict, the wall seconds of the three phases go to it:
-    drawing the matrix and the trials (draw_s), the batch solve (solve_s) and
-    building the table (tabulate_s); so do the solves' count of each exit
-    reason (exits, in EXITS order) and their polish tries (polish_tries).
+    drawing the matrix and the trials (draw_s), the batch solve (solve_s),
+    of which the polish tries (polish_s), and building the table
+    (tabulate_s); so do the solves' count of each exit reason (exits, in
+    EXITS order) and their polish tries (polish_tries).
     """
     start = time.perf_counter()
     matrix = generate_matrix(cfg.matrix_kind, cfg.m, cfg.n, cfg.seed)
     mu = matrix.mu
     a = matrix.entries
-    combos = [
-        (rho, alpha, w)
-        for rho in cfg.rho_list
-        for alpha in _alphas_for(cfg, rho)
-        for w in w_values(cfg)
-    ]
-    trials = []  # (w, x, T, problem) in trial order
-    for rho, alpha, w in combos:
-        for _ in range(cfg.trials):
-            rng = np.random.default_rng([cfg.seed, len(trials)])
-            x = _draw_signal(cfg, rng)
-            noise = np.zeros(cfg.m)
-            if cfg.epsilon > 0.0:
-                direction = rng.standard_normal(cfg.m)
-                noise = direction / np.linalg.norm(direction) * cfg.epsilon
-            y = a @ x + noise
-            t = prior_support_for(x, cfg.k, rho, alpha)
-            trials.append((w, x, t, RecoveryProblem.with_prior_support(matrix, y, cfg.epsilon, t, w)))
+    # a block is one (rho, alpha) pair: its trials run through the w grid,
+    # cfg.trials per w, and share the size of T
+    ws = np.repeat(np.array(w_values(cfg), dtype=float), cfg.trials)
+    blocks = [(rho, alpha) for rho in cfg.rho_list for alpha in _alphas_for(cfg, rho)]
+    count = len(blocks) * ws.size
+    signals, noise = np.empty((count, cfg.n)), np.zeros((count, cfg.m))
+    for i in range(count):
+        rng = np.random.default_rng([cfg.seed, i])
+        signals[i] = _draw_signal(cfg, rng)
+        if cfg.epsilon > 0.0:
+            direction = rng.standard_normal(cfg.m)
+            noise[i] = direction / np.linalg.norm(direction) * cfg.epsilon
+    ys = (a @ signals[:, :, None])[:, :, 0] + noise  # a gemv per row: the bits of a @ x
+    rows = [slice(b * ws.size, (b + 1) * ws.size) for b in range(len(blocks))]
+    supports = [prior_support_for(signals[r], cfg.k, rho, alpha)
+                for r, (rho, alpha) in zip(rows, blocks)]
+    weights = np.ones((count, cfg.n))
+    for r, t in zip(rows, supports):
+        np.put_along_axis(weights[r], t, ws[:, None], axis=1)
+    # create() would check each row, and none can fail: y is finite, eps and
+    # the weights passed validate_config
+    eps = float(cfg.epsilon)
+    problems = [RecoveryProblem(matrix, y, eps, row) for y, row in zip(ys, weights)]
 
     drawn = time.perf_counter()
-    reports = solve_weighted_l1_batch(
-        [problem for *_, problem in trials], SolveTolerances(max_iter=cfg.max_iter)
-    )
+    reports = solve_weighted_l1_batch(problems, SolveTolerances(max_iter=cfg.max_iter), timings)
     solved = time.perf_counter()
 
-    models, terms, lhs = [], [], []
-    for (w, x, t, _), report in zip(trials, reports):
-        models.append(support_model(x, t, cfg.k, w))
-        terms.append(error_terms(x, models[-1]))
-        t_idx = np.asarray(t, dtype=int)
-        lhs.append(float(np.linalg.norm(report.x_star[t_idx] - x[t_idx])))
-    rho, alpha, w = (np.array([getattr(m, name) for m in models]) for name in ("rho", "alpha", "w"))
+    x_star = np.array([report.x_star for report in reports])
+    per_block = []  # (rho, alpha, T, e_local, lhs), one entry per trial
+    for r, t in zip(rows, supports):
+        model = support_model(signals[r], t, cfg.k, ws)
+        # x*_T - x_T compacted, so each norm is one ddot, as np.linalg.norm
+        d = np.take_along_axis(x_star[r], t, axis=1) - np.take_along_axis(signals[r], t, axis=1)
+        per_block.append((np.full(ws.size, model.rho), model.alpha, format_index_set(t),
+                          error_terms(signals[r], model).e_local, np.sqrt(np.vecdot(d, d))))
+    rho, alpha, sets, e_local, lhs = (np.concatenate(part) for part in zip(*per_block))
+    w = np.tile(ws, len(blocks))
     res = bounds.local_bound(bounds.GuaranteeParams(mu=mu, k=cfg.k, rho=rho, alpha=alpha, w=w))
     premise_k = cfg.k < res.k_max
     premise_d = bounds.local_denominator(mu, cfg.k, rho, alpha, w) > 0.0
     converged = np.array([report.converged for report in reports], dtype=bool)
-    e_local, lhs = np.array([term.e_local for term in terms]), np.array(lhs)
     rhs = res.c0 * cfg.epsilon + res.c1 * e_local
     table = SweepTable.from_columns({
-        "trial": np.arange(len(trials)), "rho": rho, "alpha": alpha, "w": w,
-        "T": [format_index_set(m.T) for m in models], "converged": converged,
+        "trial": np.arange(count), "rho": rho, "alpha": alpha, "w": w,
+        "T": sets, "converged": converged,
         "iterations": [report.iterations for report in reports],
         "premise_k": premise_k, "premise_d": premise_d,
         "k_max": res.k_max, "c0": res.c0, "c1": res.c1, "e_local": e_local,

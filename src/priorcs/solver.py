@@ -43,10 +43,12 @@ signs, is feasible, and certifies itself: the pair residual
 max(||A_F^T lam + c||_inf, max_{j not in F} (|A_j^T lam| - w_j)_+) is at
 most opt_tol. A polished row retires at once. At eps > 0 the try depends on
 the pattern alone, so a rejected pattern is not tried again; rows with
-c = 0 (all of F at zero weight) never polish and stay with the loop. Each
-try reads only its row, so the batch contract holds. A report's exit says
-how the row stopped: "polished", "converged" (the loop's stop test) or
-"max_iter".
+c = 0 (all of F at zero weight) never polish and stay with the loop. The
+rows that try at one check are grouped by |F|, and each group is one
+stacked gram, Cholesky, solve and gemv per product, whose items are the
+calls of a lone try, bit for bit, so the batch contract holds; a row whose
+gram does not factor fails alone. A report's exit says how the row
+stopped: "polished", "converged" (the loop's stop test) or "max_iter".
 
 The first-order optimality check rebuilds a multiplier from x alone, so it
 judges a solution independently of the solver that produced it.
@@ -57,11 +59,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from .errors import InfeasibleProblemError, InvalidInputError
 from .matrices import SensingMatrix, read_matrix_text
+from .supports import index_sets
 
 # kkt_check: |x_i| above _SUPPORT_TOL * max(1, max |x|) counts as on the
 # support, and ||Ax - y|| within _BOUNDARY_TOL of eps as on the noise ball
@@ -106,12 +110,7 @@ class RecoveryProblem:
         if not 0.0 <= w <= 1.0:
             raise InvalidInputError(f"w must be in [0, 1], got {w}")
         weights = np.ones(matrix.n)
-        t = list(T)
-        if t:
-            idx = np.asarray(t, dtype=int)
-            if idx.min() < 0 or idx.max() >= matrix.n:
-                raise InvalidInputError("T out of range")
-            weights[idx] = w
+        weights[index_sets(T, 1, matrix.n)[0]] = w
         return cls.create(matrix, y, epsilon, weights)
 
     def objective(self, x) -> float:
@@ -186,15 +185,17 @@ def solve_weighted_l1(problem: RecoveryProblem, tolerances: SolveTolerances | No
     return solve_weighted_l1_batch([problem], tolerances)[0]
 
 
-def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None) -> list[SolveReport]:
+def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
+                            timings: dict | None = None) -> list[SolveReport]:
     """Solve problems that share A and eps; one report per problem, in order.
 
     Each report is bit for bit the one the problem gets when solved alone:
-    rows are stacked gemv and ddot calls, a polish try reads its row alone,
-    and a row leaves the batch as soon as it converges or polishes. An empty
-    list, or problems with different matrices or eps, raise
-    InvalidInputError; a row that no x can satisfy raises
-    InfeasibleProblemError naming its index.
+    rows are stacked gemv and ddot calls, each polish try is one item of
+    stacked calls, and a row leaves the batch as soon as it converges or
+    polishes. An empty list, or problems with different matrices or eps,
+    raise InvalidInputError; a row that no x can satisfy raises
+    InfeasibleProblemError naming its index. If timings is a dict, the wall
+    seconds of the polish tries go to its polish_s.
     """
     problems = list(problems)
     if not problems:
@@ -225,6 +226,8 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
 
     m, n = a.shape
     a_t = a.T
+    clock = {} if timings is None else timings
+    clock["polish_s"] = 0.0
     norm_a = operator_norm(a)
     step = 0.99 / norm_a if norm_a > 0.0 else 1.0
     weights = np.array([p.weights for p in problems])[:, :, None]
@@ -246,22 +249,29 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
     tries = [0] * batch
     rejected = [set() for _ in range(batch)]
 
-    def retire(i, x_i, lam_i, residual, exit):
-        problem = problems[rows[i]]
-        reports[rows[i]] = SolveReport(
-            x_star=x_i,
-            objective=problem.objective(x_i),
-            feasibility_residual=problem.feasibility_residual(x_i),
-            iterations=iterations,
-            converged=exit != "max_iter",
-            opt_residual=float(residual),
-            dual=lam_i,
-            exit=exit,
-            polish_tries=tries[rows[i]],
-        )
+    def retire(live, x_rows, lam_rows, residuals, exit):
+        # reports for the live rows `live` at the (G, n) points x_rows; the
+        # objective is one pairwise sum and the feasibility one gemv and
+        # ddot per row, the bits of RecoveryProblem.objective and
+        # feasibility_residual
+        objective = (weights[live, :, 0] * np.abs(x_rows)).sum(axis=1).tolist()
+        feasibility = np.maximum(_norms(a @ x_rows[:, :, None] - y[live])[:, 0, 0] - eps, 0.0).tolist()
+        residuals = residuals.tolist()
+        for j, i in enumerate(rows[live].tolist()):
+            reports[i] = SolveReport(
+                x_star=x_rows[j],
+                objective=objective[j],
+                feasibility_residual=feasibility[j],
+                iterations=iterations,
+                converged=exit != "max_iter",
+                opt_residual=residuals[j],
+                dual=lam_rows[j],
+                exit=exit,
+                polish_tries=tries[i],
+            )
 
-    def retire_iterate(i, exit):
-        retire(i, x[i, :, 0].copy(), lam[i, :, 0].copy(), opt_residual[i, 0, 0], exit)
+    def retire_iterate(live, exit):
+        retire(live, x[live, :, 0], lam[live, :, 0], opt_residual[live, 0, 0], exit)
 
     # y = 0 or w = 0 leaves 0/0 in omega, which np.where drops; shift = 0
     # leaves sigma_eps/0, which fmax maps to a zero multiplier
@@ -328,8 +338,7 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
                 continue
             if optimal:
                 done = ((opt_residual <= tol.opt_tol) & (_norms(ax - y) - eps <= tol.feas_tol))[:, 0, 0]
-                for i in np.flatnonzero(done):
-                    retire_iterate(i, "converged")
+                retire_iterate(np.flatnonzero(done), "converged")
             else:
                 done = np.zeros(len(rows), dtype=bool)
             if check:
@@ -337,17 +346,26 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
                 latest *= positive
                 settled = (latest == pattern).all(axis=(1, 2)) & ~done
                 pattern = latest
-                for i in np.flatnonzero(settled):
+                trying, keys = [], []
+                for i in np.flatnonzero(settled).tolist():
                     key = latest[i].tobytes()
                     if eps > 0.0 and key in rejected[rows[i]]:
                         continue
                     tries[rows[i]] += 1
-                    polished = _polish(a, y[i, :, 0], eps, weights[i, :, 0], x[i, :, 0], lam[i, :, 0], tol)
-                    if polished is None:
-                        rejected[rows[i]].add(key)
-                    else:
-                        done[i] = True
-                        retire(i, *polished, "polished")
+                    trying.append(i)
+                    keys.append(key)
+                if trying:
+                    started = perf_counter()
+                    polished = _polish(a, y[trying, :, 0], eps, weights[trying, :, 0],
+                                       x[trying, :, 0], lam[trying, :, 0], tol)
+                    clock["polish_s"] += perf_counter() - started
+                    accepted, *point = polished
+                    live = np.array(trying)[accepted]
+                    done[live] = True
+                    retire(live, *(part[accepted] for part in point), "polished")
+                    for i, key, ok in zip(trying, keys, accepted.tolist()):
+                        if not ok:
+                            rejected[rows[i]].add(key)
             if not done.any():
                 continue
             keep = ~done
@@ -361,48 +379,82 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None)
                                       pattern, y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps,
                                       dual_scale, x_new, x_half, ax_new, ax_bar, lam_new, shift)
             )
-    for i in range(len(rows)):
-        retire_iterate(i, "max_iter")
+    retire_iterate(np.arange(len(rows)), "max_iter")
     return reports
 
 
 def _polish(a, y, eps, w, x, lam, tol):
-    """The minimizer of the program restricted to x's sign pattern, with its
-    multiplier and pair residual, as (z, lam, residual); None if the try
-    fails (see the module docstring). All arguments but tol are 1-D vectors
-    of one row."""
+    """Polish tries of some rows at one check, as (accepted, z, lam, residual)
+    with one entry per row: the minimizer of the program restricted to the
+    row's sign pattern, its multiplier and its pair residual (see the module
+    docstring); where a row is not accepted its other entries are scratch.
+    y, w, x and lam are (G, k) stacks of the trying rows.
+
+    Rows are grouped by |F|, and a group makes one stacked call per step.
+    Its A_F^T items are gathered rows of A^T, so their transposes are
+    F-ordered like a[:, F], and the gram, A_F^T y, A_F z and the solve run
+    the BLAS and LAPACK calls of a try on 1-D vectors, with the same bits
+    (C-ordered A_F items would run gemv_n where the 1-D try runs gemv_t).
+    """
+    count, n = x.shape
+    accepted = np.zeros(count, dtype=bool)
+    z, lam_out, pair = np.zeros((count, n)), np.empty_like(lam), np.empty(count)
     free = (x != 0.0) | (w == 0.0)
-    a_f = a[:, free]
-    if a_f.shape[1] > a.shape[0]:
-        return None
-    cost = w * np.sign(x)  # c on F, zero off it
-    c = cost[free]
-    gram = a_f.T @ a_f
+    sizes = np.count_nonzero(free, axis=1)
+    # a row with |F| > m is not tried
+    for size in np.flatnonzero(np.bincount(sizes)[: a.shape[0] + 1]).tolist():
+        rows = np.flatnonzero(sizes == size)
+        fr = free[rows]
+        a_ft = a.T[np.nonzero(fr)[1].reshape(rows.size, size)]  # (G, |F|, m), C-ordered
+        gram = a_ft @ a_ft.transpose(0, 2, 1)
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            # the stacked call fails as a whole: keep the rows that factor
+            keep = np.array([_factors(item) for item in gram])
+            rows, fr, a_ft, gram = rows[keep], fr[keep], a_ft[keep], gram[keep]
+            if not rows.size:
+                continue
+        a_f = a_ft.transpose(0, 2, 1)
+        w_g, y_g, lam_g = w[rows], y[rows][:, :, None], lam[rows][:, :, None]
+        w_f = w_g[fr].reshape(rows.size, size)
+        c = w_f * np.sign(x[rows][fr].reshape(rows.size, size))
+        # at eps = 0 the second column solves for the projection of lam
+        second = c[:, :, None] if eps > 0.0 else c[:, :, None] + a_ft @ lam_g
+        solution = np.linalg.solve(gram, np.concatenate((a_ft @ y_g, second), axis=2))
+        z_f, g = solution[:, :, 0], solution[:, :, 1:]
+        ok = True
+        if eps > 0.0:
+            fit = a_f @ solution[:, :, :1] - y_g
+            q = np.vecdot(c, g[:, :, 0])
+            r2 = np.vecdot(fit, fit, axis=1)[:, 0]
+            ok = (q > 0.0) & (r2 < eps * eps)
+            t = np.sqrt(eps * eps - r2) / np.sqrt(q)
+            z_f = z_f - t[:, None] * g[:, :, 0]
+        ok = ok & (w_f * np.sign(z_f) == c).all(axis=1)
+        z_g = np.zeros((rows.size, n))
+        z_g[fr] = z_f.reshape(-1)
+        residual = a @ z_g[:, :, None] - y_g
+        lam_g = residual / t[:, None, None] if eps > 0.0 else lam_g - a_f @ g
+        v = (a.T @ lam_g)[:, :, 0]
+        # the pair residual: |v + c| on F, |v| - w off it
+        excess = np.abs(v)
+        excess -= w_g
+        excess[fr] = np.abs(v[fr] + c.reshape(-1))
+        pair_g = excess.max(axis=1, initial=0.0)
+        # written so that a NaN fails
+        ok &= (_norms(residual)[:, 0, 0] - eps <= tol.feas_tol) & (pair_g <= tol.opt_tol)
+        accepted[rows], z[rows], lam_out[rows], pair[rows] = ok, z_g, lam_g[:, :, 0], pair_g
+    return accepted, z, lam_out, pair
+
+
+def _factors(gram) -> bool:
+    """Whether the Cholesky factorization of one matrix succeeds."""
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        return None
-    # at eps = 0 the second column solves for the projection of lam
-    z_f, g = np.linalg.solve(gram, np.stack([a_f.T @ y, c if eps > 0.0 else c + a_f.T @ lam], axis=1)).T
-    if eps > 0.0:
-        fit = a_f @ z_f - y
-        r2, q = fit @ fit, c @ g
-        if not (q > 0.0 and r2 < eps * eps):
-            return None
-        t = math.sqrt(eps * eps - r2) / math.sqrt(q)
-        z_f = z_f - t * g
-    if not np.array_equal(w[free] * np.sign(z_f), c):
-        return None
-    z = np.zeros_like(x)
-    z[free] = z_f
-    residual = a @ z - y
-    lam = residual / t if eps > 0.0 else lam - a_f @ g
-    v = a.T @ lam
-    pair = np.where(free, np.abs(v + cost), np.abs(v) - w).max(initial=0.0)
-    # written so that a NaN fails
-    if math.sqrt(residual @ residual) - eps <= tol.feas_tol and pair <= tol.opt_tol:
-        return z, lam, pair
-    return None
+        return False
+    return True
 
 
 def kkt_check(problem: RecoveryProblem, x) -> float:

@@ -30,8 +30,8 @@ def batch_solves(monkeypatch):
     calls = []
     solve = experiments.solve_weighted_l1_batch
 
-    def record(problems, tolerances=None):
-        reports = solve(problems, tolerances)
+    def record(problems, tolerances=None, timings=None):
+        reports = solve(problems, tolerances, timings)
         calls.append((list(problems), reports))
         return reports
 

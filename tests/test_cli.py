@@ -290,7 +290,8 @@ class TestExperimentCommands:
         match = re.fullmatch(
             r"verify: 12 solves in one batch, iterations p50=\d+ p90=\d+ max=(\d+), "
             r"exits polished=(\d+) converged=(\d+) max_iter=0, polish tries (\d+), "
-            r"draw \d+\.\d{3} s, solve \d+\.\d{3} s \(\d+\.\d us per loop iteration\), "
+            r"draw \d+\.\d{3} s, solve (\d+\.\d{3}) s \(polish (\d+\.\d{3}) s, "
+            r"\d+\.\d us per loop iteration\), "
             r"tabulate \d+\.\d{3} s", line
         )
         assert match
@@ -299,6 +300,7 @@ class TestExperimentCommands:
         assert int(match.group(1)) == max(iterations)
         polished, converged, tries = map(int, match.group(2, 3, 4))
         assert polished + converged == 12 and tries >= polished
+        assert float(match.group(6)) <= float(match.group(5))  # the tries are part of the solve
         assert "solves" not in out
 
     def test_verify_nonconverged_exits_3(self, tmp_path, capsys):

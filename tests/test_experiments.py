@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import priorcs.solver as solver
 from priorcs import GuaranteeParams, kkt_check, local_bound
 from priorcs.errors import ConfigError
 from priorcs.experiments import (
@@ -291,6 +292,33 @@ class TestVerifyLocal:
         if overrides.get("epsilon") == "0":
             ((_, reports),) = batch_solves
             assert {report.exit for report in reports} == {"polished"}
+
+    def test_polish_tries_run_stacked(self, monkeypatch):
+        # the benchmark's verify-noiseless-gauss config: its 304 tries fall
+        # on a few checks, and each check is one polish call that makes one
+        # LAPACK solve per free-set size; tries made one row at a time would
+        # make a call and a solve per try
+        calls, solves = [], []
+        polish, solve = solver._polish, np.linalg.solve
+
+        def count_polish(*args):
+            calls.append(len(args[4]))  # the rows of x
+            return polish(*args)
+
+        def count_solve(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(solver, "_polish", count_polish)
+        monkeypatch.setattr(np.linalg, "solve", count_solve)
+        timings = {}
+        overrides = {"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0",
+                     "trials": "20"}
+        table = run_verify_local(load_config("verify-local", overrides=overrides), timings)
+        tries = timings["polish_tries"]
+        assert sum(calls) == tries
+        assert len(calls) <= table.column("iterations").max() // solver.POLISH_EVERY
+        assert 10 * len(solves) < tries
 
     def test_rho_half_alpha_grid(self):
         cfg = small_verify_config(rho_list=(0.5,), w_grid=(0.5,), trials=2)

@@ -18,6 +18,7 @@ from priorcs import (
     solve_weighted_l1,
     solve_weighted_l1_batch,
 )
+import priorcs.solver as solver
 from priorcs.experiments import load_config, run_verify_local
 from priorcs.matrices import format_real, write_matrix_text
 from priorcs.solver import POLISH_EVERY, operator_norm, read_problem_text
@@ -43,6 +44,13 @@ def report_bits(report):
     return (report.x_star.tobytes(), report.dual.tobytes(), report.iterations,
             report.converged, struct.pack("<d", report.opt_residual), report.exit,
             report.polish_tries)
+
+
+def scored_as_alone(problem, report) -> bool:
+    """Whether the report's objective and feasibility residual, which the
+    batch computes on stacks, are the bits of the problem's own methods."""
+    return struct.pack("<dd", report.objective, report.feasibility_residual) == struct.pack(
+        "<dd", problem.objective(report.x_star), problem.feasibility_residual(report.x_star))
 
 
 class TestOperatorNorm:
@@ -291,6 +299,51 @@ class TestPolish:
         assert report.polish_tries == 1
 
 
+    def test_one_check_polishes_each_free_set_size_and_a_singular_row_fails_alone(self, monkeypatch):
+        # column 21 of A duplicates column 7; the last two rows put zero
+        # weight on both, so their free set always holds the pair and its
+        # gram is singular. The other rows' signals have 3 or 2 nonzeros, so
+        # a check tries free sets of both sizes, and a singular row can
+        # share its size with rows that polish.
+        a = generate_matrix("gaussian-normalized", 16, 32, 4).entries.copy()
+        a[:, 21] = a[:, 7]
+        matrix = SensingMatrix.from_array(a)
+        rng = np.random.default_rng(8)
+        pool = [i for i in range(32) if i not in (7, 21)]
+        problems = []
+        for size, singular in [(3, False)] * 3 + [(2, False)] * 3 + [(1, True)] * 2:
+            x = np.zeros(32)
+            x[rng.choice(pool, size, replace=False)] = rng.standard_normal(size)
+            weights = np.ones(32)
+            if singular:
+                weights[[7, 21]] = 0.0
+            problems.append(RecoveryProblem.create(matrix, a @ x, 0.0, weights))
+        checks = []  # per polish call: each trying row's |F|, whether its gram is singular, accepted
+        polish = solver._polish
+
+        def spy(a, y, eps, w, x, lam, tol):
+            result = polish(a, y, eps, w, x, lam, tol)
+            free = (x != 0.0) | (w == 0.0)
+            checks.append((free.sum(axis=1), free[:, 7] & free[:, 21], result[0]))
+            return result
+
+        monkeypatch.setattr(solver, "_polish", spy)
+        tol = SolveTolerances(max_iter=300)
+        reports = solve_weighted_l1_batch(problems, tol)
+        assert any(
+            len(set(sizes.tolist())) > 1
+            and any(accepted[~singular & (sizes == size)].any() for size in sizes[singular])
+            for sizes, singular, accepted in checks
+        )
+        assert [report.exit for report in reports] == ["polished"] * 6 + ["converged"] * 2
+        for problem, report in zip(problems, reports):
+            x, lam, iterations, converged, opt_residual, exit, tries = primal_dual_one_at_a_time(
+                problem.matrix.entries, problem.y, problem.epsilon, problem.weights, max_iter=300
+            )
+            assert report_bits(report) == (x.tobytes(), lam.tobytes(), iterations, converged,
+                                           struct.pack("<d", opt_residual), exit, tries)
+
+
 class TestBatch:
     @pytest.mark.parametrize("overrides", [
         {"trials": "2"},
@@ -307,7 +360,9 @@ class TestBatch:
             )
             assert bits == (x.tobytes(), lam.tobytes(), iterations, converged,
                             struct.pack("<d", opt_residual), exit, tries)
-        assert [report_bits(r) for r in solve_weighted_l1_batch(problems)] == alone
+        batch = solve_weighted_l1_batch(problems)
+        assert [report_bits(r) for r in batch] == alone
+        assert all(scored_as_alone(p, r) for p, r in zip(problems, batch))
         reversed_sub = problems[4:0:-1]
         assert [report_bits(r) for r in solve_weighted_l1_batch(reversed_sub)] == alone[4:0:-1]
 
@@ -329,6 +384,7 @@ class TestBatch:
             assert report.converged is not late
             if late:
                 assert report.iterations == cap
+            assert scored_as_alone(problem, report)
             assert report_bits(report) == report_bits(solve_weighted_l1(problem, tol))
 
     def test_equal_matrices_may_be_distinct_objects(self):
@@ -380,6 +436,8 @@ class TestRecoveryProblemValidation:
             RecoveryProblem.with_prior_support(identity4, np.zeros(4), 0.0, (1,), 1.5)
         with pytest.raises(InvalidInputError):
             RecoveryProblem.with_prior_support(identity4, np.zeros(4), 0.0, (9,), 0.5)
+        with pytest.raises(InvalidInputError, match="integers"):  # not truncated to index 1
+            RecoveryProblem.with_prior_support(identity4, np.zeros(4), 0.1, [1.5], 0.5)
 
 
 class TestL0Oracle:

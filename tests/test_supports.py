@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -216,3 +217,86 @@ class TestIndexSetSerialization:
         assert format_index_set(()) == ""
         t = (0, 5, 17)
         assert tuple(int(i) - 1 for i in format_index_set(t).split(",")) == t
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("call", [
+        lambda: support_model(np.array([3.0, 1.0, 2.0]), [1.5], 2, 0.5),  # was index 1
+        lambda: format_index_set([2.0, 1]),  # was "2,3.0"
+        lambda: format_index_set(5),
+        lambda: best_k_term(np.array([3.0, 1.0, 2.0]), 2.5),  # was a TypeError
+        lambda: best_k_term(np.array([3.0, 1.0, 2.0]), "2"),
+        lambda: best_k_term(np.array([3.0, np.nan, 2.0]), 2),  # was a support skipping the NaN
+        lambda: prior_support_for(np.array([3.0, np.nan, 2.0, 0.5]), 2, 1.0, 0.5),
+        lambda: error_terms(np.array([3.0, np.nan]), support_model(np.array([3.0, 1.0]), (0,), 1, 0.5)),
+        lambda: support_model(np.ones((2, 4)), (0, 1), 2, 0.5),  # a stack needs one set per row
+        lambda: prior_support_for(np.ones((0, 4)), 2, 1.0, 0.5),  # no signal at all
+    ], ids=["support-model-float-index", "format-float-index", "format-scalar", "k-float", "k-str",
+            "best-k-nan", "prior-support-nan", "error-terms-nan", "stack-one-set", "empty-stack"])
+    def test_rejected(self, call):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
+def bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestStacks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_each_row_is_the_one_dimensional_call(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        b = data.draw(st.integers(1, 5), label="rows")
+        # zeros in the rows, so their T0 sizes differ
+        entry = st.one_of(st.just(0.0), st.floats(-10, 10, allow_nan=False))
+        x = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=b, max_size=b)))
+        k = data.draw(st.integers(1, n), label="k")
+        t_size = data.draw(st.integers(0, n), label="t_size")
+        t = np.array([data.draw(st.permutations(range(n)))[:t_size] for _ in range(b)], dtype=int)
+        t = t.reshape(b, t_size)
+        w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=b, max_size=b)))
+
+        x_k, t0 = best_k_term(x, k)
+        model = support_model(x, t, k, w)
+        terms = error_terms(x, model)
+        sets = format_index_set(t)
+        assert model.rho == t_size / k
+        for i in range(b):
+            row_k, row_t0 = best_k_term(x[i], k)
+            assert x_k[i].tobytes() == row_k.tobytes() and t0[i] == row_t0
+            row = support_model(x[i], t[i], k, float(w[i]))
+            assert (model.T[i], model.T0[i], model.rho) == (row.T, row.T0, row.rho)
+            assert bits(model.alpha[i]) == bits(row.alpha)
+            row_terms = error_terms(x[i], row)
+            for name in ("tail_k", "off_prior_off_top", "missed_top", "e_local"):
+                assert bits(getattr(terms, name)[i]) == bits(getattr(row_terms, name))
+            assert sets[i] == format_index_set(t[i])
+
+        overlap = data.draw(st.integers(0, t_size), label="overlap")
+        rho, alpha = t_size / k, (overlap / t_size if t_size else 0.0)
+        outcomes = []
+        for i in range(b):
+            try:
+                outcomes.append(prior_support_for(x[i], k, rho, alpha))
+            except InvalidInputError:
+                outcomes.append(None)
+        if None in outcomes:  # the stack fails when one of its rows does
+            with pytest.raises(InvalidInputError):
+                prior_support_for(x, k, rho, alpha)
+        else:
+            stacked = prior_support_for(x, k, rho, alpha)
+            assert [tuple(row) for row in stacked.tolist()] == outcomes
+
+    def test_rows_whose_top_supports_differ_in_size(self):
+        # T0 has 2, 1 and 3 entries, so each error term sums rows of three
+        # different counts
+        x = np.array([[3.0, 0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 2.0, 0.0], [1.0, -2.0, 3.0, 4.0, 0.5]])
+        model = support_model(x, [(0, 4), (1, 2), (3, 4)], 3, 0.25)
+        assert model.T0 == ((0, 3), (3,), (1, 2, 3))
+        assert np.array_equal(model.alpha, [0.5, 0.0, 0.5])
+        terms = error_terms(x, model)
+        assert np.array_equal(terms.tail_k, [0.0, 0.0, 1.5])
+        assert np.array_equal(terms.missed_top, [1.0, 2.0, 5.0])
+        for i, row in enumerate(x):
+            assert terms.e_local[i] == error_terms(row, support_model(row, model.T[i], 3, 0.25)).e_local
