@@ -20,16 +20,23 @@ row's report does not depend on the batch it ran in, bit for bit. Rows are
 (B, k, 1) stacks, so ``A @ X`` runs one gemv per row and each norm one ddot
 per row, the very calls a lone solve makes; a 2-D gemm over an n x B block
 would round a column differently at each batch width. Elementwise steps
-round the same either way, and a row leaves the batch when it converges.
+round the same either way, and a row leaves the batch when it stops.
 
 The loop allocates no full-size stack: each step writes into a preallocated
 (B, k, 1) buffer with out=, in the order of its formula, the state swaps
 between two buffers, and the step sizes are expanded once to full stacks.
-Buffers are re-sliced only when rows retire. One min() per iteration screens
-the stop test, so the feasibility norm is built only once some row is
-optimal, and the done mask only then or at a polish check.
+Buffers are re-sliced only when rows retire. A row can stop only at a check,
+every POLISH_EVERY iterations, or at the last iteration (PDLP too evaluates
+its termination criteria periodically, arXiv:2105.12715), so the other
+iterations build no residual.
 
-Every POLISH_EVERY iterations a live row whose sign pattern (on the
+At a check, the stop test runs first. Then a row whose iterate is 0
+wherever w > 0, feasible, and unchanged since the previous check retires
+"certified": its objective is 0, so it is optimal, with the zero multiplier
+and a pair residual of 0. That is the case of a zero-cost minimizer that is
+not unique (w = 0 on the support), where the iterate comes to rest long
+before its multiplier decays to 0; waiting for the rest returns the very
+point the loop would stop at. Then a live row whose sign pattern (on the
 coordinates with w > 0) matches the one at the previous check tries to
 polish (OSQP's solution polishing, arXiv:1711.08013; proximal methods fix
 the active set after finitely many steps, arXiv:1712.03577). With the free
@@ -43,12 +50,11 @@ signs, is feasible, and certifies itself: the pair residual
 max(||A_F^T lam + c||_inf, max_{j not in F} (|A_j^T lam| - w_j)_+) is at
 most opt_tol. A polished row retires at once. At eps > 0 the try depends on
 the pattern alone, so a rejected pattern is not tried again; rows with
-c = 0 (all of F at zero weight) never polish and stay with the loop. The
-rows that try at one check are grouped by |F|, and each group is one
-stacked gram, Cholesky, solve and gemv per product, whose items are the
-calls of a lone try, bit for bit, so the batch contract holds; a row whose
-gram does not factor fails alone. A report's exit says how the row
-stopped: "polished", "converged" (the loop's stop test) or "max_iter".
+c = 0 (all of F at zero weight) never polish and are left to the stop test
+and the certificate. The rows that try at one check are grouped by |F|,
+and each group is one stacked gram, Cholesky, solve and gemv per product,
+whose items are the calls of a lone try, bit for bit, so the batch
+contract holds; a row whose gram does not factor fails alone.
 
 The first-order optimality check rebuilds a multiplier from x alone, so it
 judges a solution independently of the solver that produced it.
@@ -76,7 +82,7 @@ _BOUNDARY_TOL = 1e-9
 POLISH_EVERY = 10
 
 # how a solve can stop, as SolveReport.exit names it
-EXITS = ("polished", "converged", "max_iter")
+EXITS = ("polished", "certified", "converged", "max_iter")
 
 
 @dataclass(eq=False)
@@ -149,6 +155,14 @@ class SolveTolerances:
 
 @dataclass(eq=False)
 class SolveReport:
+    """The pair (x_star, dual) a solve returns and how it stopped.
+
+    exit is one of EXITS: "polished" (the closed-form minimizer of a settled
+    sign pattern), "certified" (a zero-cost iterate at rest, with dual = 0),
+    "converged" (the loop's stop test) or "max_iter" (converged is False).
+    opt_residual is the pair's first-order residual, 0 when certified.
+    """
+
     x_star: np.ndarray
     objective: float
     feasibility_residual: float
@@ -156,7 +170,7 @@ class SolveReport:
     converged: bool
     opt_residual: float
     dual: np.ndarray
-    exit: str  # one of EXITS
+    exit: str
     polish_tries: int
 
 
@@ -191,8 +205,8 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
 
     Each report is bit for bit the one the problem gets when solved alone:
     rows are stacked gemv and ddot calls, each polish try is one item of
-    stacked calls, and a row leaves the batch as soon as it converges or
-    polishes. An empty list, or problems with different matrices or eps,
+    stacked calls, and a row leaves the batch at the first check where it
+    stops. An empty list, or problems with different matrices or eps,
     raise InvalidInputError; a row that no x can satisfy raises
     InfeasibleProblemError naming its index. If timings is a dict, the wall
     seconds of the polish tries go to its polish_s.
@@ -248,8 +262,11 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
     pattern = np.full((batch, n, 1), 2, dtype=np.int8)
     tries = [0] * batch
     rejected = [set() for _ in range(batch)]
+    still = {}  # per problem, its zero-cost iterate at the last check
 
     def retire(live, x_rows, lam_rows, residuals, exit):
+        if not live.size:
+            return
         # reports for the live rows `live` at the (G, n) points x_rows; the
         # objective is one pairwise sum and the feasibility one gemv and
         # ddot per row, the bits of RecoveryProblem.objective and
@@ -311,39 +328,47 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
             np.subtract(x_half, x_new, out=x_new)
             np.matmul(a, x_new, out=ax_new)
 
+            # The stop test runs at each check and at the final iteration.
             # Both residuals belong to the pair (x_new, lam_new) that is
             # returned: primal = (x - x_new) / tau lies in the
             # subdifferential of ||.||_{1,w} at x_new plus A^T lam_new, dual
             # = (lam - lam_new) / sigma + (ax_bar - ax_new) in the
             # subdifferential of the noise-ball support function at lam_new
             # minus A x_new. They reuse the buffers of x_half and shift.
-            primal, dual = x_half, shift
-            np.subtract(x, x_new, out=primal)
-            np.divide(primal, tau, out=primal)
-            np.subtract(lam, lam_new, out=dual)
-            np.divide(dual, sigma, out=dual)
-            np.subtract(ax_bar, ax_new, out=ax_bar)
-            np.add(dual, ax_bar, out=dual)
-            opt_residual = np.maximum(_norms(primal), _norms(dual) / dual_scale)
+            check = iterations % POLISH_EVERY == 0
+            stop = check or iterations == tol.max_iter
+            if stop:
+                primal, dual = x_half, shift
+                np.subtract(x, x_new, out=primal)
+                np.divide(primal, tau, out=primal)
+                np.subtract(lam, lam_new, out=dual)
+                np.divide(dual, sigma, out=dual)
+                np.subtract(ax_bar, ax_new, out=ax_bar)
+                np.add(dual, ax_bar, out=dual)
+                opt_residual = np.maximum(_norms(primal), _norms(dual) / dual_scale)
 
             x, x_new = x_new, x
             ax_prev, ax, ax_new = ax, ax_new, ax_prev
             lam, lam_new = lam_new, lam
-            # One reduction screens the iteration (a NaN row passes the
-            # screen and fails the mask); the feasibility norm is needed
-            # only once some row is optimal.
-            optimal = opt_residual.min() <= tol.opt_tol
-            check = iterations % POLISH_EVERY == 0
-            if not (optimal or check):
+            if not stop:
                 continue
-            if optimal:
-                done = ((opt_residual <= tol.opt_tol) & (_norms(ax - y) - eps <= tol.feas_tol))[:, 0, 0]
-                retire_iterate(np.flatnonzero(done), "converged")
-            else:
-                done = np.zeros(len(rows), dtype=bool)
+            feasible = (_norms(ax - y) - eps <= tol.feas_tol)[:, 0, 0]
+            done = (opt_residual[:, 0, 0] <= tol.opt_tol) & feasible
+            retire_iterate(np.flatnonzero(done), "converged")
             if check:
                 latest = np.sign(x).astype(np.int8)
                 latest *= positive
+                # a feasible zero-cost iterate that has not moved since the
+                # previous check retires with the zero multiplier
+                zero_cost = ~latest.any(axis=(1, 2)) & ~done
+                resting = zero_cost & feasible
+                for i in np.flatnonzero(resting).tolist():
+                    resting[i] = np.array_equal(x[i, :, 0], still.get(rows[i]))
+                live = np.flatnonzero(resting)
+                retire(live, x[live, :, 0], np.zeros((live.size, m)), np.zeros(live.size), "certified")
+                done |= resting
+                still = {rows[i]: x[i, :, 0].copy()
+                         for i in np.flatnonzero(zero_cost & ~resting).tolist()}
                 settled = (latest == pattern).all(axis=(1, 2)) & ~done
                 pattern = latest
                 trying, keys = [], []

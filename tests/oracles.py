@@ -226,15 +226,19 @@ def polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol):
 
 
 def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1e-9, max_iter=200_000,
-                              polish_every=10):
+                              polish_every=10, certify=True):
     """The weighted l1 primal-dual iteration on one problem with 1-D vectors.
 
     The reference the batched solver must match bit for bit: the same
     operations in the same order, on plain vectors, with a gemv per matrix
-    product and a ddot per norm. Every polish_every iterations, when the
-    signs of x on w > 0 are those of the previous check, the iterate tries
-    polish_one; at eps > 0 a pattern that failed is not tried again. Returns
-    (x, lam, iterations, converged, opt_residual, exit, polish tries).
+    product and a ddot per norm. The stop test runs every polish_every
+    iterations (a check) and at iteration max_iter. At a check that the stop
+    test does not end, an iterate that is 0 wherever w > 0, feasible and
+    equal to the iterate of the previous check is certified with the zero
+    multiplier (unless certify is false); otherwise, when the signs of x on
+    w > 0 are those of the previous check, the iterate tries polish_one, and
+    at eps > 0 a pattern that failed is not tried again. Returns (x, lam,
+    iterations, converged, opt_residual, exit, polish tries).
     """
     a = np.asarray(entries, dtype=float)
     norm_y = math.sqrt(y @ y)
@@ -249,7 +253,7 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
     x = np.zeros(a.shape[1])
     ax, ax_prev, lam = np.zeros(a.shape[0]), np.zeros(a.shape[0]), np.zeros(a.shape[0])
     iterations, opt_residual = 0, math.inf
-    previous, rejected, tries = None, set(), 0
+    previous, still, rejected, tries = None, None, set(), 0
     for iterations in range(1, max_iter + 1):
         ax_bar = 2.0 * ax - ax_prev
         shift = lam + sigma * ax_bar - sigma_y
@@ -264,10 +268,17 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
         opt_residual = max(math.sqrt(primal @ primal), math.sqrt(dual @ dual) / dual_scale)
         feas = max(math.sqrt(residual @ residual) - eps, 0.0)
         x, ax_prev, ax, lam = x_new, ax, ax_new, lam_new
+        check = iterations % polish_every == 0
+        if not check and iterations < max_iter:
+            continue
         if opt_residual <= opt_tol and feas <= feas_tol:
             return x, lam, iterations, True, opt_residual, "converged", tries
-        if iterations % polish_every:
+        if not check:
             continue
+        zero_cost = not x[weights > 0.0].any()
+        if certify and zero_cost and feas <= feas_tol and np.array_equal(x, still):
+            return x, np.zeros_like(lam), iterations, True, 0.0, "certified", tries
+        still = x.copy() if zero_cost else None
         pattern = tuple(np.sign(x[weights > 0.0]))
         settled, previous = pattern == previous, pattern
         if not settled or (eps > 0.0 and pattern in rejected):

@@ -197,6 +197,14 @@ class TestCriterion7EmpiricalLocalBound:
         assert summary["nonconverged"] == 0
         assert summary["violations"] == 0
         assert summary["min_slack"] > 0.0
+        # no straggler: in the rho = 1, alpha = 1, w = 0 cell the minimizers
+        # cost 0 and are not unique, and each row must be certified once its
+        # iterate rests (waiting for the multiplier to decay took up to
+        # 156,917 iterations)
+        iterations = table.column("iterations")
+        assert iterations.max() <= 1000
+        cell = (table.column("rho") == 1.0) & (table.column("alpha") == 1.0) & (table.column("w") == 0.0)
+        assert cell.sum() == 34 and iterations[cell].max() <= 120
         _report(7, f"{summary['trials']} trials, all converged, zero violations, "
                    f"min slack {summary['min_slack']:.4f} ({time.perf_counter() - t0:.1f} s)")
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import priorcs
+from priorcs import generate_matrix
 from priorcs.cli import main
-from priorcs.matrices import read_matrix_file
+from priorcs.matrices import format_real, read_matrix_file, write_matrix_text
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,27 @@ class TestSolveCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_zero_cost_resting_point_is_certified(self, tmp_path, capsys):
+        # w = 0 on T = {2, 7} and noise just inside the ball: the iterate
+        # rests at a zero-cost point while the multiplier is still decaying
+        matrix = generate_matrix("gaussian-normalized", 6, 12, 0)
+        noise = np.random.default_rng(0).standard_normal(6)
+        noise *= 0.099 / np.linalg.norm(noise)
+        y = matrix.entries[:, [2, 7]] @ np.array([1.0, -0.5]) + noise
+        weights = np.ones(12)
+        weights[[2, 7]] = 0.0
+        problem = tmp_path / "p.txt"
+        problem.write_text("MATRIX\n" + write_matrix_text(matrix)
+                           + "VECTOR\n" + " ".join(format_real(v) for v in y)
+                           + "\nEPSILON\n0.1\nWEIGHTS\n" + " ".join(format_real(v) for v in weights) + "\n")
+        code, out, _ = run_cli(capsys, "solve", "--problem", str(problem))
+        assert code == 0
+        lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert (lines["exit"], lines["converged"], lines["objective"], lines["feasibility_residual"],
+                lines["opt_residual"]) == ("certified", "true", "0.0", "0.0", "0.0")
+        x = np.array([float(v) for v in lines["x_star"].split(",")])
+        assert np.count_nonzero(x) == 2 and x[2] != 0.0 and x[7] != 0.0
 
     def test_zero_iterations_report_the_unconverged_start(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "solve", "--problem", str(write_small_problem(tmp_path)),
@@ -289,7 +311,7 @@ class TestExperimentCommands:
         (line,) = err.splitlines()
         match = re.fullmatch(
             r"verify: 12 solves in one batch, iterations p50=\d+ p90=\d+ max=(\d+), "
-            r"exits polished=(\d+) converged=(\d+) max_iter=0, polish tries (\d+), "
+            r"exits polished=(\d+) certified=(\d+) converged=(\d+) max_iter=0, polish tries (\d+), "
             r"draw \d+\.\d{3} s, solve (\d+\.\d{3}) s \(polish (\d+\.\d{3}) s, "
             r"\d+\.\d us per loop iteration\), "
             r"tabulate \d+\.\d{3} s", line
@@ -298,9 +320,9 @@ class TestExperimentCommands:
         with open(tmp_path / "verify.csv", newline="") as fh:
             iterations = [int(row["iterations"]) for row in csv.DictReader(fh)]
         assert int(match.group(1)) == max(iterations)
-        polished, converged, tries = map(int, match.group(2, 3, 4))
-        assert polished + converged == 12 and tries >= polished
-        assert float(match.group(6)) <= float(match.group(5))  # the tries are part of the solve
+        polished, certified, converged, tries = map(int, match.group(2, 3, 4, 5))
+        assert polished + certified + converged == 12 and tries >= polished
+        assert float(match.group(7)) <= float(match.group(6))  # the tries are part of the solve
         assert "solves" not in out
 
     def test_verify_nonconverged_exits_3(self, tmp_path, capsys):
@@ -468,7 +490,7 @@ def test_default_sweep_outputs_are_pinned(command, tmp_path, capsys):
 PINNED_VERIFY = {
     "default-trials2": (
         {"trials": "2"},
-        "2ab3eb051e649b4b292b40edc627a742f8c49ca79c6cbbcbc8347b6b836d600f",
+        "c4b543efef33c3f84387a5315c1fb33ba693b87881f4867c1fe38a1e73965f49",
         "04727563a5dfc0e78d82a4c29d14c5bb96509b620d561803b2b312dc9f167906",
     ),
     "gauss32x64-eps0": (

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorcs import (
     InfeasibleProblemError,
@@ -129,6 +131,24 @@ class TestSolveWeightedL1:
         assert not report.converged
         assert report.iterations == 3
         assert report.exit == "max_iter"
+
+    def test_the_last_iteration_runs_the_stop_test(self, identity4):
+        # rows stop only at checks, except at max_iter: a zero instance is
+        # optimal from iteration 1, and an unfinished row reports the
+        # residual of its last iteration
+        tol = SolveTolerances(max_iter=3)
+        zero = RecoveryProblem.create(identity4, np.zeros(4), 0.0, np.ones(4))
+        assert solve_weighted_l1(zero).iterations == POLISH_EVERY
+        capped = solve_weighted_l1(zero, tol)
+        assert (capped.iterations, capped.exit) == (3, "converged")
+        for problem in (zero, tri_problem(np.ones(3))):
+            report = solve_weighted_l1(problem, tol)
+            x, lam, iterations, converged, opt_residual, exit, tries = primal_dual_one_at_a_time(
+                problem.matrix.entries, problem.y, problem.epsilon, problem.weights, max_iter=3
+            )
+            assert report_bits(report) == (x.tobytes(), lam.tobytes(), iterations, converged,
+                                           struct.pack("<d", opt_residual), exit, tries)
+            assert math.isfinite(report.opt_residual)
 
     @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
     def test_non_integer_max_iter_rejected(self, max_iter):
@@ -342,6 +362,74 @@ class TestPolish:
             )
             assert report_bits(report) == (x.tobytes(), lam.tobytes(), iterations, converged,
                                            struct.pack("<d", opt_residual), exit, tries)
+
+
+class TestCertificate:
+    def test_certified_reports_are_optimal_with_the_zero_multiplier(self):
+        # w = 0 on T and y = A_T z + e with ||e|| < eps: every point of T
+        # inside the noise ball costs 0. Noise just inside the ball leaves
+        # the multiplier decaying slowly while x rests, which is what the
+        # certificate ends; the rest of the draws stop on the stop test.
+        certified = []
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.integers(0, 2**32 - 1), st.integers(3, 8))
+        def check(seed, m):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(m + 1, 2 * m + 1))
+            matrix = generate_matrix("gaussian-normalized", m, n, seed)
+            eps = float(rng.uniform(0.01, 1.0))
+            problems = []
+            for _ in range(8):
+                t = rng.choice(n, int(rng.integers(1, max(2, m // 2))), replace=False)
+                e = rng.standard_normal(m)
+                e *= (1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * eps / np.linalg.norm(e)
+                y = matrix.entries[:, t] @ rng.standard_normal(t.size) + e
+                problems.append(RecoveryProblem.with_prior_support(matrix, y, eps, t.tolist(), 0.0))
+            for problem, report in zip(problems, solve_weighted_l1_batch(problems)):
+                assert report.converged
+                if report.exit != "certified":
+                    continue
+                certified.append(report.iterations)
+                assert report.iterations % POLISH_EVERY == 0
+                assert (report.objective, report.feasibility_residual, report.opt_residual) == (0.0, 0.0, 0.0)
+                assert not report.dual.any()
+                assert kkt_check(problem, report.x_star) <= 1e-9
+
+        check()
+        assert len(certified) >= 10
+
+    def test_an_infeasible_resting_iterate_is_not_certified(self):
+        # the fit on T = {1} misses the noise ball: x_T comes to rest at a
+        # zero-cost point while the multiplier grows, until it pushes a
+        # weighted coordinate off 0
+        matrix = generate_matrix("gaussian-normalized", 3, 6, 1)
+        noise = np.random.default_rng(1).standard_normal(3)
+        noise *= 0.15 / np.linalg.norm(noise)
+        problem = RecoveryProblem.with_prior_support(matrix, matrix.entries[:, 1] + noise, 0.1, (1,), 0.0)
+        report = solve_weighted_l1(problem)
+        assert report.exit == "polished"
+        assert report.objective > 1e-3
+        assert kkt_check(problem, report.x_star) <= 1e-9
+
+    def test_noisy_benchmark_stragglers_rest_at_the_loop_limit(self, batch_solves):
+        # the benchmark's verify-noisy config: trials 24 and 25 (rho = 1,
+        # alpha = 1, w = 0) have zero-cost minimizers that are not unique.
+        # Their iterates rest long before the multiplier decays, and the
+        # resting point is the one the loop returns when run to convergence.
+        run_verify_local(load_config("verify-local", overrides={"trials": "2"}))
+        ((problems, reports),) = batch_solves
+        for i in (24, 25):
+            problem, report = problems[i], reports[i]
+            assert report.exit == "certified"
+            assert report.iterations <= 110
+            args = (problem.matrix.entries, problem.y, problem.epsilon, problem.weights)
+            x, lam, iterations, converged, opt_residual, exit, tries = primal_dual_one_at_a_time(*args)
+            assert report_bits(report) == (x.tobytes(), lam.tobytes(), iterations, converged,
+                                           struct.pack("<d", opt_residual), exit, tries)
+            x, _, iterations, _, _, exit, _ = primal_dual_one_at_a_time(*args, certify=False)
+            assert (exit, iterations > report.iterations) == ("converged", True)
+            assert report.x_star.tobytes() == x.tobytes()
 
 
 class TestBatch:
