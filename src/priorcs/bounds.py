@@ -30,7 +30,7 @@ baselines, cai's and haixiao's, in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,18 +39,7 @@ from .errors import InvalidInputError
 _INT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GuaranteeParams:
-    """Parameter grid shared by all guarantee calculators.
-
-    mu is the coherence of the sensing matrix (a free scalar here: the bounds
-    only see the value, never a concrete matrix). rho, alpha and w are numbers
-    or arrays broadcast together into the grid of points. a, b, t are the free
-    constants of friedlander (a), chen (a, b) and ge (t), finite when given.
-    None means the coherence-scale default (a = 2; a = b = k; t = 2), and is
-    an error when the theorem is given its isometry constants.
-    """
-
+class _GuaranteeParams(NamedTuple):
     mu: float
     k: int
     rho: float | np.ndarray = 0.0
@@ -60,7 +49,23 @@ class GuaranteeParams:
     b: float | None = None
     t: float | None = None
 
-    def __post_init__(self):
+
+class GuaranteeParams(_GuaranteeParams):
+    """Parameter grid shared by all guarantee calculators.
+
+    mu is the coherence of the sensing matrix (a free scalar here: the bounds
+    only see the value, never a concrete matrix). rho, alpha and w are numbers
+    or arrays broadcast together into the grid of points. a, b, t are the free
+    constants of friedlander (a), chen (a, b) and ge (t), finite when given.
+    None means the coherence-scale default (a = 2; a = b = k; t = 2), and is
+    an error when the theorem is given its isometry constants. Every way to
+    build one, _make and _replace included, checks the values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.mu <= 1.0) or not math.isfinite(self.mu):
             raise InvalidInputError(f"mu must be in (0, 1], got {self.mu}")
         if self.k < 1 or int(self.k) != self.k:
@@ -77,10 +82,15 @@ class GuaranteeParams:
                 *((not math.isfinite(v), f"{name} must be finite, got {v}")
                   for name, v in (("a", self.a), ("b", self.b), ("t", self.t)) if v is not None),
             ], rho=rho, alpha=alpha, overlap=alpha * rho, w=w)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the NamedTuple _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class GuaranteeResult:
+class GuaranteeResult(NamedTuple):
     """One guarantee evaluated over a parameter grid.
 
     k_max is +inf when the guarantee puts no condition on k beyond the

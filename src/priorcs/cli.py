@@ -26,7 +26,6 @@ import gc
 import math
 import os
 import sys
-from dataclasses import astuple, fields
 
 from . import bounds as bounds_mod
 from .errors import ConfigError, InvalidInputError, PriorCSError
@@ -84,9 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sol = sub.add_parser("solve", help="solve a weighted l1 problem file")
     sol.add_argument("--problem", required=True)
-    sol.add_argument("--opt-tol", type=float, default=SolveTolerances.opt_tol)
-    sol.add_argument("--feas-tol", type=float, default=SolveTolerances.feas_tol)
-    sol.add_argument("--max-iter", type=int, default=SolveTolerances.max_iter)
+    defaults = SolveTolerances._field_defaults
+    sol.add_argument("--opt-tol", type=float, default=defaults["opt_tol"])
+    sol.add_argument("--feas-tol", type=float, default=defaults["feas_tol"])
+    sol.add_argument("--max-iter", type=int, default=defaults["max_iter"])
 
     bnd = sub.add_parser("bounds", help="evaluate recovery guarantees at one parameter point")
     bnd.add_argument("--theorem", choices=THEOREMS + ("all",), default="all")
@@ -153,7 +153,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    columns = [f.name for f in fields(bounds_mod.GuaranteeResult)]  # one row per theorem
+    columns = list(bounds_mod.GuaranteeResult._fields)  # one row per theorem
     print(",".join(columns))
     p = bounds_mod.GuaranteeParams(
         mu=args.mu, k=args.k, rho=args.rho, alpha=args.alpha, w=args.w,
@@ -162,7 +162,7 @@ def _cmd_bounds(args) -> int:
     constants = {name: getattr(args, name) for name in _CONSTANTS}
     wanted = THEOREMS if args.theorem == "all" else (args.theorem,)
     # every row is evaluated before any is printed, so an error leaves no partial table
-    rows = [astuple(bounds_mod.evaluate(name, p, **constants)) for name in wanted]
+    rows = [bounds_mod.evaluate(name, p, **constants) for name in wanted]
     table = SweepTable(columns=columns, data=list(zip(*rows)))
     print(to_csv_text(table).split("\n", 1)[1], end="")
     return 0

@@ -12,7 +12,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ SIGNAL_KINDS = ("gaussian", "sparse-gaussian")
 VIOLATION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Settings shared by all experiment kinds; per-kind defaults differ."""
 
     kind: str
@@ -59,7 +58,7 @@ class ExperimentConfig:
     seed: int = 20240901
     trials: int = 34
     epsilon: float = 0.05
-    max_iter: int = SolveTolerances.max_iter
+    max_iter: int = SolveTolerances._field_defaults["max_iter"]
     out_dir: str = "out"
 
 
@@ -78,8 +77,10 @@ _KIND_DEFAULTS = {
 EXPERIMENT_KINDS = tuple(_KIND_DEFAULTS)
 
 # field name -> declared type as written in ExperimentConfig ("float", "int",
-# "str", "tuple" or "tuple | None"; annotations are strings in this module)
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# "str", "tuple" or "tuple | None"; annotations are strings in this module,
+# which NamedTuple wraps in ForwardRef)
+_FIELD_TYPES = {name: getattr(t, "__forward_arg__", t)
+                for name, t in ExperimentConfig.__annotations__.items()}
 
 
 def default_config(kind: str) -> ExperimentConfig:
@@ -143,7 +144,7 @@ def load_config(kind: str, path=None, overrides=None) -> ExperimentConfig:
                 raise ConfigError(f"config names experiment {raw!r} but {kind!r} was requested")
             continue
         updates[key] = raw if not isinstance(raw, str) else _parse_value(key, raw)
-    cfg = replace(cfg, **updates)
+    cfg = cfg._replace(**updates)
     validate_config(cfg)
     return cfg
 

@@ -9,7 +9,7 @@ to serve as oracles for the coherence-based upper bounds used everywhere else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,15 +27,17 @@ _UNIT_NORM_SLACK = 64 * np.finfo(float).eps
 MATRIX_KINDS = ("gaussian-normalized", "identity-plus-orthobasis", "explicit")
 
 
-@dataclass(eq=False)
 class SensingMatrix:
     """A real m x n measurement matrix with unit-norm columns.
 
     ``entries`` stores the column-normalized matrix (read-only).
     """
 
-    entries: np.ndarray
-    _mu: float | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("entries", "_mu")
+
+    def __init__(self, entries: np.ndarray):
+        self.entries = entries
+        self._mu = None
 
     @classmethod
     def from_array(cls, raw) -> "SensingMatrix":
@@ -144,8 +146,7 @@ def roc_exact(matrix: SensingMatrix, s: int, s_tilde: int) -> float:
     return worst
 
 
-@dataclass
-class IsometryReport:
+class IsometryReport(NamedTuple):
     """Exact and coherence-bound isometry data for one sparsity level."""
 
     k: int

@@ -64,8 +64,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,14 +85,16 @@ POLISH_EVERY = 10
 EXITS = ("polished", "certified", "converged", "max_iter")
 
 
-@dataclass(eq=False)
 class RecoveryProblem:
     """One weighted l1 recovery instance: min ||x||_{1,w} s.t. ||Ax - y|| <= eps."""
 
-    matrix: SensingMatrix
-    y: np.ndarray
-    epsilon: float
-    weights: np.ndarray
+    __slots__ = ("matrix", "y", "epsilon", "weights")
+
+    def __init__(self, matrix: SensingMatrix, y: np.ndarray, epsilon: float, weights: np.ndarray):
+        self.matrix = matrix
+        self.y = y
+        self.epsilon = epsilon
+        self.weights = weights
 
     @classmethod
     def create(cls, matrix: SensingMatrix, y, epsilon: float, weights) -> "RecoveryProblem":
@@ -126,8 +128,13 @@ class RecoveryProblem:
         return max(float(np.linalg.norm(self.matrix.entries @ x - self.y)) - self.epsilon, 0.0)
 
 
-@dataclass
-class SolveTolerances:
+class _SolveTolerances(NamedTuple):
+    opt_tol: float = 1e-8
+    feas_tol: float = 1e-9
+    max_iter: int = 200_000
+
+
+class SolveTolerances(_SolveTolerances):
     """Stopping control for the primal-dual solver.
 
     opt_tol bounds the first-order residuals of the returned pair (x, lam),
@@ -136,13 +143,14 @@ class SolveTolerances:
     subdifferential plus A^T lam, in units of the weights) and the dual
     residual (relative to max(1, ||y||)). feas_tol is an absolute slack on
     the noise-ball constraint. max_iter = 0 returns the unconverged start.
+    The defaults are SolveTolerances._field_defaults; every way to build
+    one, _make and _replace included, checks the values.
     """
 
-    opt_tol: float = 1e-8
-    feas_tol: float = 1e-9
-    max_iter: int = 200_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.opt_tol < math.inf:
             raise InvalidInputError(f"opt_tol must be finite and > 0, got {self.opt_tol}")
         if not 0.0 <= self.feas_tol < math.inf:
@@ -151,9 +159,14 @@ class SolveTolerances:
             raise InvalidInputError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise InvalidInputError(f"max_iter must be >= 0, got {self.max_iter}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the NamedTuple _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
 
-@dataclass(eq=False)
 class SolveReport:
     """The pair (x_star, dual) a solve returns and how it stopped.
 
@@ -163,15 +176,21 @@ class SolveReport:
     opt_residual is the pair's first-order residual, 0 when certified.
     """
 
-    x_star: np.ndarray
-    objective: float
-    feasibility_residual: float
-    iterations: int
-    converged: bool
-    opt_residual: float
-    dual: np.ndarray
-    exit: str
-    polish_tries: int
+    __slots__ = ("x_star", "objective", "feasibility_residual", "iterations", "converged",
+                 "opt_residual", "dual", "exit", "polish_tries")
+
+    def __init__(self, x_star: np.ndarray, objective: float, feasibility_residual: float,
+                 iterations: int, converged: bool, opt_residual: float, dual: np.ndarray,
+                 exit: str, polish_tries: int):
+        self.x_star = x_star
+        self.objective = objective
+        self.feasibility_residual = feasibility_residual
+        self.iterations = iterations
+        self.converged = converged
+        self.opt_residual = opt_residual
+        self.dual = dual
+        self.exit = exit
+        self.polish_tries = polish_tries
 
 
 def operator_norm(entries: np.ndarray) -> float:

@@ -16,7 +16,7 @@ together, so numpy's pairwise summation groups them as in a 1-D sum.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +102,7 @@ def best_k_term(x, k: int):
     return (x_k[0], _sets(in_t0[0])) if single else (x_k, _sets(in_t0))
 
 
-@dataclass(frozen=True)
-class SupportModel:
+class SupportModel(NamedTuple):
     """Prior-support geometry: |T| = rho*k and |T inter T0| = alpha*|T|.
 
     rho and alpha are the correctly rounded quotients of those counts; w may
@@ -150,8 +149,7 @@ def support_model(x, T, k: int, w) -> SupportModel:
                         w=float(w) if weights.ndim == 0 else weights)
 
 
-@dataclass(frozen=True)
-class ErrorTerms:
+class ErrorTerms(NamedTuple):
     """The l1 error pieces multiplying C1 in the recovery guarantees.
 
     e_local = w*tail_k + (1-w)*off_prior_off_top + missed_top is the

@@ -13,7 +13,6 @@ eyeball regression; the CSV carries the data contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -34,16 +33,15 @@ _PALETTE = (
 )
 
 
-@dataclass
 class SweepTable:
     """Named columns of equal length: columns holds the names, data one array
     (or sequence, converted to an array) per name."""
 
-    columns: list
-    data: list
+    __slots__ = ("columns", "data")
 
-    def __post_init__(self):
-        self.data = [np.asarray(values) for values in self.data]
+    def __init__(self, columns: list, data: list):
+        self.columns = columns
+        self.data = [np.asarray(values) for values in data]
         lengths = [len(values) for values in self.data]
         if len(lengths) != len(self.columns) or len(set(lengths)) > 1:
             raise InvalidInputError(f"{len(self.columns)} names for columns of lengths {lengths}")

@@ -442,6 +442,15 @@ class TestParamsValidation:
         with pytest.raises(InvalidInputError):
             GuaranteeParams(mu=0.1, k=2, rho=2.0, alpha=1.0)  # overlap exceeds k
 
+    def test_replace_and_make_check_too(self):
+        p = GuaranteeParams(mu=0.1, k=2)
+        with pytest.raises(InvalidInputError, match="mu must be in"):
+            p._replace(mu=2.0)
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            GuaranteeParams._make([0.1, 0])
+        q = p._replace(w=0.5)
+        assert type(q) is GuaranteeParams and q.w == 0.5 and q[:2] == (0.1, 2)
+
 
 def bits(values):
     """Bit patterns of floats, every nan mapped to one pattern."""

@@ -155,6 +155,13 @@ class TestSolveWeightedL1:
         with pytest.raises(InvalidInputError, match="max_iter must be an integer"):
             SolveTolerances(max_iter=max_iter)
 
+    def test_replace_and_make_check_too(self):
+        with pytest.raises(InvalidInputError, match="max_iter must be >= 0"):
+            SolveTolerances()._replace(max_iter=-1)
+        with pytest.raises(InvalidInputError, match="opt_tol must be finite"):
+            SolveTolerances._make([0.0, 1e-9, 10])
+        assert SolveTolerances()._replace(max_iter=5) == (1e-8, 1e-9, 5)
+
     def test_numpy_integer_max_iter_accepted(self):
         report = solve_weighted_l1(tri_problem(np.ones(3)), SolveTolerances(max_iter=np.int64(3)))
         assert report.iterations == 3
