@@ -4,16 +4,18 @@ A table stores one numpy array per named column; row i is the i-th entry of
 every column. CSV cells are formatted by the column's type: booleans as
 true/false, integers as decimal, reals at 12 significant digits, anything
 else as text, sanitized so cells never contain line breaks and quoted when
-they hold a comma; one %-format call writes 4096 CSV rows, or one SVG
-polyline. Both emitters write LF line endings and are byte-reproducible for
-identical inputs. The SVG is a deliberately plain fixed-size line plot of a
-wide table, every column after the first drawn against the first, meant for
-eyeball regression; the CSV carries the data contract.
+they hold a comma; one %-format call writes 4096 CSV rows. An SVG's "%.2f"
+pixel cells come from one exact fixed-point byte kernel per plot, _fixed2:
+near-ties and cells outside [0, 9999.995) go through Python's own "%.2f".
+Both emitters write LF line endings and are byte-reproducible for identical
+inputs. The SVG is a deliberately plain fixed-size line plot of a wide table,
+every column after the first drawn against the first, meant for eyeball
+regression; the CSV carries the data contract.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -84,6 +86,9 @@ def _cells(values) -> tuple:
     if kind == "f":
         return "%.12g", values.tolist()
     texts = list(map(str, values.tolist()))
+    joined = "".join(texts)
+    if not any(char in joined for char in '\n\r,"'):
+        return "%s", texts
     encoded = {text: _encode_text(text) for text in set(texts)}
     return "%s", list(map(encoded.__getitem__, texts))
 
@@ -121,15 +126,56 @@ def _axis_range(values):
     return lo, hi
 
 
+# "00" to "99" as 16-bit little-endian words, first digit in the low byte
+_PAIRS = np.array([ord(a) | ord(b) << 8 for a in "0123456789" for b in "0123456789"],
+                  dtype=np.uint64)
+_DOT = np.uint64(ord(".") << 32)
+
+
+def _fixed2(values) -> np.ndarray:
+    """The "%.2f" text of every value, one row each of an (N, W) uint8 matrix,
+    NUL where a byte is absent; W is 7 unless a fallback cell is longer.
+
+    For 0 <= x < 1e4, p = 100 * x in floats is below 2**20, so within 2**-33
+    (about 1.2e-10) of the exact 100 x: unless p is within 1e-6 of a tie, the
+    correctly rounded integer that CPython's "%.2f" prints is n = rint(p),
+    spelt from digit pairs as divmod(n, 100) without the leading zeros. Python's
+    own "%.2f" writes the rest: non-finite values, negative ones and -0.0,
+    those from 9999.995 on (five integer digits), and near-ties.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    p = x * 100.0
+    n = np.rint(p)
+    with np.errstate(invalid="ignore"):  # inf - inf: a fallback cell
+        fast = ~np.signbit(p) & (p < 999_999.5) & (np.abs(p - n) < 0.5 - 1e-6)
+    whole, cents = np.divmod(np.where(fast, n, 0.0).astype(np.int32), 100)
+    hi, lo = np.divmod(whole, 100)
+    words = _PAIRS.take(hi) | _PAIRS.take(lo) << 16 | _DOT | _PAIRS.take(cents) << 40
+    # the integer part's leading zeros are the word's low bytes
+    words >>= ((whole < 10).astype(np.uint8) + (whole < 100) + (whole < 1000)) * np.uint8(8)
+    cells = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :7]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = np.array(("%.2f " * slow.size % tuple(x[slow].tolist())).split(), dtype="S")
+        cells = np.pad(cells, ((0, 0), (0, max(0, texts.itemsize - 7))))
+        cells[slow] = texts.astype(f"S{cells.shape[1]}").view(np.uint8).reshape(slow.size, -1)
+    return cells
+
+
 def to_svg_text(table: SweepTable, title: str, y_label: str) -> str:
     """A line plot of every column after the first against the first, whose
     name labels the x axis."""
     if not len(table):
         raise InvalidInputError("nothing to plot: table has no rows")
-    xs, *columns = (np.asarray(values, dtype=float) for values in table.data)
-    series = list(zip(table.columns[1:], columns))
+    if len(table.columns) < 2:
+        raise InvalidInputError("nothing to plot: table has no column after the x column")
+    try:
+        xs, *columns = (np.asarray(values, dtype=float) for values in table.data)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"cannot plot a non-numeric column: {exc}") from exc
+    ys = np.stack(columns)
     x_lo, x_hi = _axis_range(xs)
-    y_lo, y_hi = _axis_range(np.concatenate([ys for _, ys in series]))
+    y_lo, y_hi = _axis_range(ys)
 
     plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -170,23 +216,28 @@ def to_svg_text(table: SweepTable, title: str, y_label: str) -> str:
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
-    # every series shares the x column: format its pixel cells once
-    x_cells = np.array(("%.2f " * len(xs) % tuple(px(xs).tolist())).split(), dtype=object)
-    for k, (name, ys) in enumerate(series):
+    # one byte block of every point drawn, x "," y and a space, or a newline
+    # where its polyline ends: non-finite values break a line, never bridged
+    x_ok = np.isfinite(xs)
+    drawn = x_ok & np.isfinite(ys)
+    ends = drawn & ~np.pad(drawn[:, 1:], ((0, 0), (0, 1)))
+    x_cells = _fixed2(np.where(x_ok, px(xs), 0.0))
+    y_cells = _fixed2(np.where(drawn, py(ys), 0.0)).reshape(*drawn.shape, -1)
+    wx = x_cells.shape[1]
+    block = np.empty((*drawn.shape, wx + y_cells.shape[2] + 2), dtype=np.uint8)
+    block[..., :wx] = x_cells
+    block[..., wx] = ord(",")
+    block[..., wx + 1:-1] = y_cells
+    block[..., -1] = np.where(ends, ord("\n"), ord(" "))
+    block[~drawn] = 0
+    polylines = iter(block[block != 0].tobytes().decode().split("\n"))
+    for k, (name, count) in enumerate(zip(table.columns[1:], ends.sum(1).tolist())):
         color = _PALETTE[k % len(_PALETTE)]
-        # break the polyline at non-finite values instead of bridging gaps
-        drawn = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
-        gy = py(ys)
-        cuts = [0, *(np.flatnonzero(np.diff(drawn) > 1) + 1).tolist(), len(drawn)]
-        for start, stop in zip(cuts, cuts[1:]):
-            if start < stop:
-                seg = drawn[start:stop]
-                pairs = chain.from_iterable(zip(x_cells[seg].tolist(), gy[seg].tolist()))
-                points = " ".join(["%s,%.2f"] * len(seg)) % tuple(pairs)
-                out.append(
-                    f'<polyline points="{points}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
+        for points in islice(polylines, count):
+            out.append(
+                f'<polyline points="{points}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
+            )
         ly = _MARGIN_TOP + 14 + 16 * k
         lx = SVG_WIDTH - _MARGIN_RIGHT + 14
         out.append(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import csv_text, svg_polyline_points
 from priorcs.errors import InvalidInputError
-from priorcs.tables import SweepTable, to_csv_text, to_svg_text
+from priorcs.tables import SweepTable, _fixed2, to_csv_text, to_svg_text
 
 
 def read_rows(text):
@@ -186,6 +186,18 @@ class TestSvg:
         svg = to_svg_text(t, "", "")
         assert "polyline" in svg
 
+    def test_x_column_alone_rejected(self):
+        t = SweepTable(columns=["x"], data=[[0.0, 1.0]])
+        with pytest.raises(InvalidInputError):
+            to_svg_text(t, "", "")
+
+    def test_text_column_rejected(self):
+        for data in ([[0.0, 1.0], ["a", "b"]], [["a", "b"], [0.0, 1.0]],
+                     [[0.0, 1.0], np.array(["a", 1.0], dtype=object)],
+                     [[0.0, 1.0], np.array([{}, 1.0], dtype=object)]):
+            with pytest.raises(InvalidInputError):
+                to_svg_text(SweepTable(columns=["x", "y"], data=data), "", "")
+
 
 def polylines(svg):
     return re.findall(r'<polyline points="([^"]*)"', svg)
@@ -232,3 +244,46 @@ class TestSvgMatchesPerPointOracle:
                            data=[xs, *series])
         svg = to_svg_text(table, "", "")
         assert polylines(svg) == svg_polyline_points(xs, series)
+
+
+def fixed2_texts(values):
+    cells = _fixed2(np.array(values, dtype=float))
+    assert cells.dtype == np.uint8 and cells.shape[0] == len(values) and cells.shape[1] >= 7
+    return [bytes(row[row != 0]).decode() for row in cells]
+
+
+@st.composite
+def near_ties(draw):
+    """k/100 + 0.005 in floats, nudged a few ulps either way."""
+    value = draw(st.integers(0, 999_999)) / 100 + 0.005
+    for _ in range(draw(st.integers(0, 4))):
+        value = np.nextafter(value, draw(st.sampled_from([0.0, math.inf])))
+    return float(value)
+
+
+class TestFixed2MatchesPercentFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1e4, exclude_max=True), near_ties()),
+                    min_size=1, max_size=40))
+    def test_in_window_and_near_ties(self, values):
+        assert fixed2_texts(values) == ["%.2f" % v for v in values]
+
+    def test_exact_ties_round_half_even(self):
+        values = [0.125, 0.375, 80.125, 80.375, 0.5, 2.5, 0.005, 0.015, 9999.985, 1023.875]
+        assert fixed2_texts(values) == ["%.2f" % v for v in values]
+        assert fixed2_texts([0.125, 80.125, 0.375]) == ["0.12", "80.12", "0.38"]
+
+    def test_fallback_values(self):
+        values = [math.nan, math.inf, -math.inf, -0.0, -1e-9, -0.004, -0.005, -1234.567,
+                  9999.994, 9999.995, 9999.999, 1e4, 12345.678, 1e22, 1e300, 5e-324, 0.0]
+        assert fixed2_texts(values) == ["%.2f" % v for v in values]
+
+    def test_empty(self):
+        assert fixed2_texts([]) == []
+
+    def test_pixel_on_a_tie_end_to_end(self):
+        # px(0.125) = 80 + 550 * 0.125 / 550 = 80.125 exactly, which "%.2f" rounds to even
+        xs, ys = [0.0, 0.125, 550.0], [1.0, 2.0, 3.0]
+        svg = to_svg_text(SweepTable(columns=["x", "y"], data=[xs, ys]), "", "")
+        assert polylines(svg) == svg_polyline_points(xs, [ys])
+        assert polylines(svg)[0].split()[1].startswith("80.12,")
