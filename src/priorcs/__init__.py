@@ -7,8 +7,8 @@ Library layout:
 - ``supports``: best k-term approximations, prior-support geometry
   (rho, alpha), error-multiplier terms.
 - ``solver``: the weighted l1 primal-dual solver (one problem, or a batch
-  that shares one matrix), the first-order optimality check, problem file
-  reader.
+  that shares one matrix), the first-order optimality check of a solution
+  pair (x, lam), problem file reader.
 - ``bounds``: the local recovery guarantee and five global guarantees, plus
   coherence-scale substitutions and the admissible-sparsity ratios.
 - ``experiments``: deterministic sweeps and the Monte-Carlo verification.

@@ -45,7 +45,7 @@ from .matrices import (
     read_matrix_file,
     write_matrix_file,
 )
-from .solver import SolveTolerances, read_problem_file, solve_weighted_l1
+from .solver import SolveTolerances, kkt_check, read_problem_file, solve_weighted_l1
 from .tables import SweepTable, to_csv_text
 
 OUT_DIR_ENV = "PRIORCS_OUT_DIR"
@@ -149,6 +149,7 @@ def _cmd_solve(args) -> int:
     print(f"converged={'true' if report.converged else 'false'}")
     print(f"exit={report.exit}")
     print(f"opt_residual={format_real(report.opt_residual)}")
+    print(f"kkt_residual={format_real(kkt_check(problem, report.x_star, report.dual))}")
     return 0
 
 
@@ -181,6 +182,18 @@ def _parse_overrides(pairs) -> dict:
 def _nearest_rank(ordered: list, q: float):
     """The q-quantile of sorted values by the nearest-rank rule."""
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
+def _name_nonconverged(table, shown=5) -> str:
+    """The first non-converged trials of a verify table, each with its
+    (rho, alpha, w) and iteration count; their exit is always max_iter."""
+    columns = ("trial", "rho", "alpha", "w", "iterations", "converged")
+    failed = [row for row in zip(*(table.column(c).tolist() for c in columns)) if not row[-1]]
+    names = [f"trial {trial} (rho={rho:g}, alpha={alpha:g}, w={w:g}, {iterations} iterations)"
+             for trial, rho, alpha, w, iterations, _ in failed[:shown]]
+    if len(failed) > shown:
+        names.append(f"and {len(failed) - shown} more")
+    return ", ".join(names)
 
 
 def _cmd_experiment(args) -> int:
@@ -225,8 +238,8 @@ def _cmd_experiment(args) -> int:
         if data["violations"] > 0:
             print("assertion failed: local bound violated on converged trials", file=sys.stderr)
         if data["nonconverged"] > 0:
-            print(f"assertion failed: {data['nonconverged']} trial(s) did not converge",
-                  file=sys.stderr)
+            print(f"assertion failed: {data['nonconverged']} trial(s) did not converge: "
+                  f"{_name_nonconverged(table)}", file=sys.stderr)
         if data["violations"] > 0 or data["nonconverged"] > 0:
             return 3
     return 0

@@ -123,6 +123,10 @@ def _axis_range(values):
     lo, hi = float(finite.min()), float(finite.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    # the pixel maps and gridlines scale the span by less than SVG_WIDTH
+    if not 0.0 < (hi - lo) * SVG_WIDTH < np.inf:
+        raise InvalidInputError(f"cannot draw an axis from {lo!r} to {hi!r}: "
+                                "its span overflows or vanishes")
     return lo, hi
 
 

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import priorcs as pc
-from priorcs.bounds import GuaranteeParams, local_denominator
+from priorcs.bounds import GuaranteeParams
 from priorcs.cli import main as cli_main
 from priorcs.experiments import (
     default_config,
-    run_fig1,
     run_fig3,
     run_fig4,
     run_verify_local,

@@ -111,6 +111,7 @@ class TestSolveCommand:
         x = [float(v) for v in lines["x_star"].split(",")]
         assert np.allclose(x, [0.0, 0.0, 1.0], atol=1e-6)
         assert float(lines["objective"]) == pytest.approx(1.0, abs=1e-6)
+        assert 0.0 <= float(lines["kkt_residual"]) <= 1e-8
 
     @pytest.mark.parametrize("flag, message", [
         ("--opt-tol=nan", "opt_tol must be finite and > 0, got nan"),
@@ -145,7 +146,8 @@ class TestSolveCommand:
         assert code == 0
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert (lines["exit"], lines["converged"], lines["objective"], lines["feasibility_residual"],
-                lines["opt_residual"]) == ("certified", "true", "0.0", "0.0", "0.0")
+                lines["opt_residual"], lines["kkt_residual"]) == (
+            "certified", "true", "0.0", "0.0", "0.0", "0.0")
         x = np.array([float(v) for v in lines["x_star"].split(",")])
         assert np.count_nonzero(x) == 2 and x[2] != 0.0 and x[7] != 0.0
 
@@ -156,6 +158,9 @@ class TestSolveCommand:
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert (lines["x_star"], lines["iterations"], lines["converged"], lines["exit"],
                 lines["opt_residual"]) == ("0.0,0.0,0.0", "0", "false", "max_iter", "inf")
+        # the zero pair is optimal but for its infeasibility, ||y|| - eps
+        problem = priorcs.read_problem_file(write_small_problem(tmp_path))
+        assert float(lines["kkt_residual"]) == np.linalg.norm(problem.y) - problem.epsilon
 
     def test_missing_section_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -333,8 +338,19 @@ class TestExperimentCommands:
         )
         assert code == 3
         assert "converged=0" in out
-        assert "did not converge" in err
+        assert err.splitlines()[-1] == (
+            "assertion failed: 3 trial(s) did not converge: "
+            "trial 0 (rho=1, alpha=0, w=0.5, 3 iterations), trial 1 (rho=1, alpha=0.5, w=0.5, "
+            "3 iterations), trial 2 (rho=1, alpha=1, w=0.5, 3 iterations)"
+        )
         assert (tmp_path / "verify.csv").exists()
+        # past five trials the line names the first five and counts the rest
+        code, _, err = run_cli(capsys, "verify", "--out-dir", str(tmp_path), "-o", "m=16", "-o", "n=32",
+                               "-o", "trials=2", "-o", "seed=5", "-o", "max_iter=3")
+        assert code == 3
+        last = err.splitlines()[-1]
+        assert last.startswith("assertion failed: 30 trial(s) did not converge: trial 0 (rho=0.5, ")
+        assert last.count("iterations)") == 5 and last.endswith(", and 25 more")
 
     def test_unknown_override_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fig1", "--out-dir", str(tmp_path), "-o", "sigma=1")

@@ -23,7 +23,6 @@ from priorcs.experiments import (
     run_fig4,
     run_verify_local,
     summarize_verify,
-    w_values,
 )
 from priorcs.tables import to_csv_text
 
@@ -36,22 +35,6 @@ def small_verify_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def dual_certificate_residual(problem, report) -> float:
-    """Optimality residual of x_star certified by the report's own multiplier.
-
-    With eps = 0 every multiplier is admissible, so x_star is optimal when it
-    is feasible and -A^T dual lies in the weighted l1 subdifferential there.
-    kkt_check rebuilds the minimal-norm multiplier instead, which need not be
-    a certificate when the support is smaller than m.
-    """
-    x, w = report.x_star, problem.weights
-    cert = -(problem.matrix.entries.T @ report.dual)
-    active = np.abs(x) > 1e-7 * max(1.0, float(np.abs(x).max(initial=0.0)))
-    on = np.abs(cert - w * np.sign(x))[active].max(initial=0.0)
-    off = np.maximum(np.abs(cert) - w, 0.0)[~active].max(initial=0.0)
-    return max(problem.feasibility_residual(x), float(on), float(off))
 
 
 class TestConfig:
@@ -268,13 +251,11 @@ class TestVerifyLocal:
         assert len(reports) == len(table.rows)
         for problem, report in zip(problems, reports):
             assert report.converged
-            residual = kkt_check(problem, report.x_star)
-            if residual > 1e-6 and problem.epsilon == 0.0:
-                residual = dual_certificate_residual(problem, report)
+            residual = kkt_check(problem, report.x_star, report.dual)
             assert residual <= 1e-6
-            if report.exit == "polished":
-                # a polished point comes with its own exact multiplier
-                assert dual_certificate_residual(problem, report) <= 1e-9
+            if report.exit in ("polished", "certified"):
+                # these points come with their own exact multipliers
+                assert residual <= 1e-9
 
     @pytest.mark.parametrize("overrides, total, longest", [
         ({"trials": "2"}, 3224, 308),

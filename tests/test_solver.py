@@ -1,6 +1,5 @@
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +54,15 @@ def scored_as_alone(problem, report) -> bool:
         "<dd", problem.objective(report.x_star), problem.feasibility_residual(report.x_star))
 
 
+def small_noiseless_problems(rng, count=20, m=4, n=8):
+    """eps = 0 problems with random weights whose y is A times a 2-sparse x."""
+    for _ in range(count):
+        matrix = SensingMatrix.from_array(rng.standard_normal((m, n)))
+        x = np.zeros(n)
+        x[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
+        yield RecoveryProblem.create(matrix, matrix.entries @ x, 0.0, rng.uniform(0.1, 1.0, size=n))
+
+
 class TestOperatorNorm:
     def test_matches_svd(self):
         # the largest singular value is the root of the largest eigenvalue of A A^T
@@ -98,19 +106,11 @@ class TestSolveWeightedL1:
         assert report.objective == pytest.approx(SQRT2, abs=1e-7)
 
     def test_matches_vertex_enumeration_oracle(self):
-        rng = np.random.default_rng(12)
-        for trial in range(20):
-            m, n = 4, 8
-            matrix = SensingMatrix.from_array(rng.standard_normal((m, n)))
-            x = np.zeros(n)
-            support = rng.choice(n, 2, replace=False)
-            x[support] = rng.standard_normal(2)
-            y = matrix.entries @ x
-            weights = rng.uniform(0.1, 1.0, size=n)
-            problem = RecoveryProblem.create(matrix, y, 0.0, weights)
+        for problem in small_noiseless_problems(np.random.default_rng(12)):
             report = solve_weighted_l1(problem)
             assert report.converged
-            best_value, _ = min_weighted_l1_by_vertex_enumeration(matrix.entries, y, weights)
+            best_value, _ = min_weighted_l1_by_vertex_enumeration(
+                problem.matrix.entries, problem.y, problem.weights)
             assert report.objective == pytest.approx(best_value, rel=1e-7, abs=1e-9)
 
     def test_zero_instance(self, identity4):
@@ -223,7 +223,7 @@ class TestSolveWeightedL1:
         problem = RecoveryProblem.with_prior_support(matrix, y, c * eps, (2, 5), 0.5)
         report = solve_weighted_l1(problem)
         assert report.converged
-        assert kkt_check(problem, report.x_star) <= 1e-6
+        assert kkt_check(problem, report.x_star, report.dual) <= 1e-6
 
     def test_dual_certifies_the_returned_point(self):
         # the stop test reads residuals of the returned pair (x_star, dual), so
@@ -237,11 +237,7 @@ class TestSolveWeightedL1:
             problem = RecoveryProblem.create(matrix, matrix.entries @ x, 0.0, weights)
             report = solve_weighted_l1(problem)
             assert report.converged
-            cert = -(matrix.entries.T @ report.dual)
-            active = report.x_star != 0.0
-            bound = 1e-8 + 1e-12  # opt_tol plus rounding
-            assert np.all(np.abs(cert - weights * np.sign(report.x_star))[active] <= bound)
-            assert np.all(np.abs(cert[~active]) <= weights[~active] + bound)
+            assert kkt_check(problem, report.x_star, report.dual) <= 1e-8 + 1e-12  # opt_tol plus rounding
 
     def test_w1_identical_for_any_prior_support(self):
         matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
@@ -401,7 +397,7 @@ class TestCertificate:
                 assert report.iterations % POLISH_EVERY == 0
                 assert (report.objective, report.feasibility_residual, report.opt_residual) == (0.0, 0.0, 0.0)
                 assert not report.dual.any()
-                assert kkt_check(problem, report.x_star) <= 1e-9
+                assert kkt_check(problem, report.x_star, report.dual) <= 1e-12
 
         check()
         assert len(certified) >= 10
@@ -417,7 +413,7 @@ class TestCertificate:
         report = solve_weighted_l1(problem)
         assert report.exit == "polished"
         assert report.objective > 1e-3
-        assert kkt_check(problem, report.x_star) <= 1e-9
+        assert kkt_check(problem, report.x_star, report.dual) <= 1e-9
 
     def test_noisy_benchmark_stragglers_rest_at_the_loop_limit(self, batch_solves):
         # the benchmark's verify-noisy config: trials 24 and 25 (rho = 1,
@@ -572,27 +568,49 @@ class TestKktCheck:
     def test_converged_solution_passes(self):
         problem = tri_problem(np.ones(3))
         report = solve_weighted_l1(problem)
-        assert kkt_check(problem, report.x_star) <= 1e-8
+        assert kkt_check(problem, report.x_star, report.dual) <= 1e-8
 
     def test_perturbed_point_fails(self):
-        # feasible ascent direction from the optimal vertex: objective grows,
-        # and the certificate cannot be completed
+        # feasible ascent direction from the optimal vertex: the objective
+        # grows, and the optimal multiplier no longer certifies the point
         problem = tri_problem(np.ones(3))
+        report = solve_weighted_l1(problem)
         direction = np.array([-1.0 / SQRT2, -1.0 / SQRT2, 1.0])
         perturbed = np.array([0.0, 0.0, 1.0]) + 1e-2 * direction
         assert np.linalg.norm(problem.matrix.entries @ perturbed - problem.y) <= 1e-12
-        assert kkt_check(problem, perturbed) > 1e-4
+        assert kkt_check(problem, perturbed, report.dual) > 1e-4
+
+    def test_reports_certify_and_a_nudged_multiplier_fails(self):
+        # soundness: each report's pair certifies a point of minimum
+        # objective; power: the same multiplier moved by 1e-3 does not
+        rng = np.random.default_rng(31)
+        for problem in small_noiseless_problems(rng):
+            report = solve_weighted_l1(problem)
+            assert kkt_check(problem, report.x_star, report.dual) <= 1e-9
+            best_value, _ = min_weighted_l1_by_vertex_enumeration(
+                problem.matrix.entries, problem.y, problem.weights)
+            assert report.objective == pytest.approx(best_value, abs=1e-8)
+            nudge = rng.standard_normal(problem.matrix.m)
+            nudge *= 1e-3 / np.linalg.norm(nudge)
+            assert kkt_check(problem, report.x_star, report.dual + nudge) > 1e-5
 
     def test_unconstrained_feasible_optimum(self, identity4):
+        # A = I: lam = -sign(y) on the support, and |lam_i| <= 1 off it
         y = np.array([1.0, -2.0, 0.0, 0.5])
         problem = RecoveryProblem.create(identity4, y, 0.0, np.ones(4))
-        assert kkt_check(problem, y) <= 1e-12
+        assert kkt_check(problem, y, np.array([-1.0, 1.0, 0.0, -1.0])) == 0.0
+        assert kkt_check(problem, y, np.array([-1.0, 1.0, 0.0, 0.0])) == 1.0  # x_4 unbalanced
+        assert kkt_check(problem, y, np.array([-1.0, 1.0, 1.5, -1.0])) == 0.5  # |lam_3| > w_3
 
     def test_slack_ball_requires_zero_subgradient(self, identity4):
         y = np.array([1.0, 0.0, 0.0, 0.0])
         problem = RecoveryProblem.create(identity4, y, 2.0, np.ones(4))
-        assert kkt_check(problem, np.zeros(4)) == 0.0  # x = 0 feasible and optimal
-        assert kkt_check(problem, y) > 0.5  # staying at y is not optimal
+        assert kkt_check(problem, np.zeros(4), np.zeros(4)) == 0.0  # x = 0 feasible and optimal
+        # staying at y is not optimal: the zero multiplier leaves its
+        # subgradient unbalanced, and the multiplier that balances it needs
+        # A y - y = 0 on the ball's boundary, at distance eps = 2
+        assert kkt_check(problem, y, np.zeros(4)) == 1.0
+        assert kkt_check(problem, y, np.array([-1.0, 0.0, 0.0, 0.0])) == 2.0
 
     def test_active_ball_shrunk_point_passes(self, identity4):
         y = np.array([2.0, 0.0, 0.0, 0.0])
@@ -600,24 +618,25 @@ class TestKktCheck:
         report = solve_weighted_l1(problem)
         assert report.converged
         assert np.allclose(report.x_star, [1.5, 0.0, 0.0, 0.0], atol=1e-8)
-        assert kkt_check(problem, report.x_star) <= 1e-8
+        assert kkt_check(problem, report.x_star, report.dual) <= 1e-8
+        # by hand: A x - y = (-0.5, 0, 0, 0) lies along lam = (-1, 0, 0, 0)
+        lam = np.array([-1.0, 0.0, 0.0, 0.0])
+        assert kkt_check(problem, np.array([1.5, 0.0, 0.0, 0.0]), lam) == 0.0
+        # half that multiplier balances half the subgradient
+        assert kkt_check(problem, np.array([1.5, 0.0, 0.0, 0.0]), lam / 2.0) == 0.5
+        # outside the ball, by 0.5
+        assert kkt_check(problem, np.array([1.0, 0.0, 0.0, 0.0]), lam) == 0.5
+        # inside it, a nonzero multiplier misses the normal cone by 0.25,
+        # read relative to ||y|| = 2
+        assert kkt_check(problem, np.array([1.75, 0.0, 0.0, 0.0]), lam) == 0.125
 
-    def test_zero_residual_on_a_tiny_ball_reads_the_equality_multiplier(self):
-        # ||Ax - y|| = 0 with eps below the boundary tolerance has no residual
-        # direction; (1, 1, 0, 0) costs 2.0 where (0, 0, 1, 1) costs 0.2
-        matrix = SensingMatrix.from_array(np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]))
-        problem = RecoveryProblem.create(matrix, np.ones(2), 1e-12, np.array([1.0, 1.0, 0.1, 0.1]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert kkt_check(problem, np.array([1.0, 1.0, 0.0, 0.0])) >= 0.8
-            assert kkt_check(problem, np.array([0.0, 0.0, 1.0, 1.0])) <= 1e-12
-
-    def test_input_validation(self, identity4):
-        problem = RecoveryProblem.create(identity4, np.zeros(4), 0.0, np.ones(4))
-        with pytest.raises(InvalidInputError):
-            kkt_check(problem, np.zeros(3))
-        with pytest.raises(InvalidInputError):
-            kkt_check(problem, np.array([np.nan, 0.0, 0.0, 0.0]))
+    def test_input_validation(self):
+        problem = tri_problem(np.ones(3))  # x has 3 entries and lam 2
+        for x, lam in [(np.zeros(2), np.zeros(2)), (np.zeros(3), np.zeros(3)),
+                       (np.zeros(3), np.zeros((2, 1))), (np.array([np.nan, 0.0, 0.0]), np.zeros(2)),
+                       (np.zeros(3), np.array([np.inf, 0.0]))]:
+            with pytest.raises(InvalidInputError):
+                kkt_check(problem, x, lam)
 
 
 def write_problem_text(problem):

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,20 @@ class TestSvg:
         t = SweepTable(columns=["x", "y"], data=[[0.0, 1.0], [2.0, 2.0]])
         svg = to_svg_text(t, "", "")
         assert "polyline" in svg
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([-1e308, 0.0, 1e308], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [-1e308, 0.0, 1e308]),
+        ([-1e306, 1e306], [0.0, 1.0]),  # the span is finite, 550 pixels times it is not
+        ([0.0, 1.0], [-1e307, 1e307]),  # the span is finite, ten gridlines times it are not
+        ([1e20, 1e20], [0.0, 1.0]),  # padding by 0.5 leaves no span
+    ], ids=["x-overflow", "y-overflow", "x-pixels-overflow", "y-gridlines-overflow", "x-no-span"])
+    def test_axis_that_cannot_be_drawn_rejected(self, xs, ys):
+        t = SweepTable(columns=["x", "y"], data=[xs, ys])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                to_svg_text(t, "", "")
 
     def test_x_column_alone_rejected(self):
         t = SweepTable(columns=["x"], data=[[0.0, 1.0]])

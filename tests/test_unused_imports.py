@@ -1,4 +1,4 @@
-"""Every name a priorcs module imports is used in that module.
+"""Every name a priorcs module or test module imports is used in that module.
 
 A stdlib-ast stand-in for a linter's unused-import rule (F401), so that a
 simplification cannot leave a stale import behind. An import statement whose
@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "priorcs"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+# package modules by file name, test modules by their path from the root
+MODULES = {p.name: p for p in sorted((ROOT / "src" / "priorcs").glob("*.py")) if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.name}": p for p in sorted((ROOT / "tests").glob("*.py"))})
 
 
 def unused_imports(source: str) -> list:
@@ -32,7 +34,7 @@ def unused_imports(source: str) -> list:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(MODULES[module].read_text()) == []
 
 
 def test_check_finds_an_unused_name():
