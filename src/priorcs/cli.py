@@ -27,6 +27,7 @@ import math
 import os
 import sys
 
+from . import MATRIX_KINDS
 from . import bounds as bounds_mod
 from .errors import ConfigError, InvalidInputError, PriorCSError
 from .experiments import (
@@ -37,15 +38,6 @@ from .experiments import (
     run_experiment,
     summarize_verify,
 )
-from .matrices import (
-    MATRIX_KINDS,
-    format_real,
-    generate_matrix,
-    isometry_report,
-    read_matrix_file,
-    write_matrix_file,
-)
-from .solver import SolveTolerances, kkt_check, read_problem_file, solve_weighted_l1
 from .tables import SweepTable, to_csv_text
 
 OUT_DIR_ENV = "PRIORCS_OUT_DIR"
@@ -59,15 +51,7 @@ THEOREMS = tuple(bounds_mod.THEOREMS)
 _CONSTANTS = [c for _, own in bounds_mod.THEOREMS.values() for c in own]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="priorcs",
-        description="Weighted l1 sparse recovery with prior support: solvers, "
-                    "guarantee calculators, and comparison experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen-matrix", help="generate a sensing matrix file")
+def _gen_matrix_arguments(gen) -> None:
     gen.add_argument("--kind", choices=MATRIX_KINDS, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
@@ -75,20 +59,25 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--in", dest="source", help="matrix file to pass through (explicit kind)")
     gen.add_argument("--out", required=True)
 
-    ana = sub.add_parser("analyze", help="coherence and isometry data for a matrix file")
+
+def _analyze_arguments(ana) -> None:
     ana.add_argument("--matrix", required=True)
     ana.add_argument("--k", type=int, default=None)
     ana.add_argument("--no-exact", action="store_true",
                      help="skip the exhaustive RIC/ROC even when within budget")
 
-    sol = sub.add_parser("solve", help="solve a weighted l1 problem file")
+
+def _solve_arguments(sol) -> None:
+    from .solver import SolveTolerances
+
     sol.add_argument("--problem", required=True)
     defaults = SolveTolerances._field_defaults
     sol.add_argument("--opt-tol", type=float, default=defaults["opt_tol"])
     sol.add_argument("--feas-tol", type=float, default=defaults["feas_tol"])
     sol.add_argument("--max-iter", type=int, default=defaults["max_iter"])
 
-    bnd = sub.add_parser("bounds", help="evaluate recovery guarantees at one parameter point")
+
+def _bounds_arguments(bnd) -> None:
     bnd.add_argument("--theorem", choices=THEOREMS + ("all",), default="all")
     bnd.add_argument("--mu", type=float, required=True)
     bnd.add_argument("--k", type=int, required=True)
@@ -101,16 +90,38 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _CONSTANTS:
         bnd.add_argument("--" + name.replace("_", "-"), type=float, default=None)
 
-    for name in _FIG_KINDS:
-        fig = sub.add_parser(name, help=f"run the {name} experiment")
-        fig.add_argument("--config", default=None)
-        fig.add_argument("-o", "--override", action="append", default=[],
-                         metavar="KEY=VALUE", help="override one config entry")
-        fig.add_argument("--out-dir", default=None)
+
+def _experiment_arguments(fig) -> None:
+    fig.add_argument("--config", default=None)
+    fig.add_argument("-o", "--override", action="append", default=[],
+                     metavar="KEY=VALUE", help="override one config entry")
+    fig.add_argument("--out-dir", default=None)
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser with the subparser that argv[0] names, or with all of them
+    when it names none, so that the usage, the help and every error name all
+    nine: building all nine costs about 5 ms a process."""
+    parser = argparse.ArgumentParser(
+        prog="priorcs",
+        description="Weighted l1 sparse recovery with prior support: solvers, "
+                    "guarantee calculators, and comparison experiments.",
+    )
+    names = argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    # argparse spells the usage from the subparsers built; with one built, the
+    # metavar spells the same text. With all built, none is set, because an
+    # error naming the command argument would print the metavar for its name.
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, _ = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def _cmd_gen_matrix(args) -> int:
+    from .matrices import format_real, generate_matrix, read_matrix_file, write_matrix_file
+
     entries = None if args.source is None else read_matrix_file(args.source).entries
     matrix = generate_matrix(args.kind, args.m, args.n, args.seed, entries=entries)
     coherence = format_real(matrix.mu)  # before writing, so a failed command leaves no file
@@ -121,6 +132,8 @@ def _cmd_gen_matrix(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .matrices import format_real, isometry_report, read_matrix_file
+
     matrix = read_matrix_file(args.matrix)
     print(f"m={matrix.m}")
     print(f"n={matrix.n}")
@@ -137,6 +150,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .matrices import format_real
+    from .solver import SolveTolerances, kkt_check, read_problem_file, solve_weighted_l1
+
     problem = read_problem_file(args.problem)
     report = solve_weighted_l1(
         problem,
@@ -245,12 +261,16 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-# every other subcommand is an experiment
-_COMMANDS = {
-    "gen-matrix": _cmd_gen_matrix,
-    "analyze": _cmd_analyze,
-    "solve": _cmd_solve,
-    "bounds": _cmd_bounds,
+# subcommand -> (help line, function adding its arguments, function running it)
+_SUBCOMMANDS = {
+    "gen-matrix": ("generate a sensing matrix file", _gen_matrix_arguments, _cmd_gen_matrix),
+    "analyze": ("coherence and isometry data for a matrix file", _analyze_arguments,
+                _cmd_analyze),
+    "solve": ("solve a weighted l1 problem file", _solve_arguments, _cmd_solve),
+    "bounds": ("evaluate recovery guarantees at one parameter point", _bounds_arguments,
+               _cmd_bounds),
+    **{name: (f"run the {name} experiment", _experiment_arguments, _cmd_experiment)
+       for name in _FIG_KINDS},
 }
 
 
@@ -258,9 +278,10 @@ def main(argv=None) -> int:
     # unregister first: repeated in-process calls keep one callback
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return _COMMANDS.get(args.command, _cmd_experiment)(args)
+        return _SUBCOMMANDS[args.command][2](args)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

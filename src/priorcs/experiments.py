@@ -9,6 +9,7 @@ byte-reproducible and independent of scheduling order.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import os
 import time
@@ -16,21 +17,41 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds
+from . import MATRIX_KINDS, MAX_ITER, bounds
 from .errors import ConfigError, InvalidInputError
-from .matrices import MATRIX_KINDS, generate_matrix
-# solve_weighted_l1 stays importable from this module: bench/traced_cli.py
-# looks it up here when it installs its wrappers, so without it every traced
-# run fails.
-from .solver import (  # noqa: F401
-    EXITS,
-    RecoveryProblem,
-    SolveTolerances,
-    solve_weighted_l1,
-    solve_weighted_l1_batch,
-)
-from .supports import error_terms, format_index_set, prior_support_for, support_model
 from .tables import SweepTable, emit_csv, emit_svg
+
+# Names of the modules that only fig2 and verify run: run_fig2 and
+# run_verify_local bind them into this module's namespace with _bind, and a
+# lookup from outside, such as experiments.solve_weighted_l1_batch, binds
+# them through __getattr__ (PEP 562). They stay module attributes that the
+# function bodies read as globals, and _bind never replaces one already set,
+# so a wrapper that a test or bench/traced_cli.py sets here is what the
+# runs call. No function here calls solve_weighted_l1; it is listed because
+# the tracer looks it up on this module.
+_LAZY = {
+    "matrices": ("generate_matrix",),
+    "solver": ("EXITS", "RecoveryProblem", "SolveTolerances", "solve_weighted_l1",
+               "solve_weighted_l1_batch"),
+    "supports": ("error_terms", "format_index_set", "prior_support_for", "support_model"),
+}
+
+
+def _bind(*modules) -> None:
+    namespace = globals()
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SIGNAL_KINDS = ("gaussian", "sparse-gaussian")
 
@@ -58,7 +79,7 @@ class ExperimentConfig(NamedTuple):
     seed: int = 20240901
     trials: int = 34
     epsilon: float = 0.05
-    max_iter: int = SolveTolerances._field_defaults["max_iter"]
+    max_iter: int = MAX_ITER
     out_dir: str = "out"
 
 
@@ -278,6 +299,7 @@ def _draw_signal(cfg: ExperimentConfig, rng) -> np.ndarray:
 def run_fig2(cfg: ExperimentConfig) -> SweepTable:
     """Error multiplier e and c1*e for one drawn signal over (alpha, w); only
     e_local and the bound vary along the w grid, the rest is per alpha."""
+    _bind("supports")
     rng = np.random.default_rng(cfg.seed)
     x = _draw_signal(cfg, rng)
     ws = np.array(w_values(cfg), dtype=float)
@@ -366,6 +388,7 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     (tabulate_s); so do the solves' count of each exit reason (exits, in
     EXITS order) and their polish tries (polish_tries).
     """
+    _bind("matrices", "solver", "supports")
     start = time.perf_counter()
     matrix = generate_matrix(cfg.matrix_kind, cfg.m, cfg.n, cfg.seed)
     mu = matrix.mu

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import MATRIX_KINDS
 from .errors import BudgetExceededError, InvalidInputError
 
 # Exhaustive-enumeration budgets. C(16,6) supports with 6x6 eigenproblems
@@ -23,8 +24,6 @@ RIC_MAX_K = 6
 # Columns whose norm is already within this many ulps of 1 are not re-divided,
 # so write -> read -> construct round-trips bit-identically.
 _UNIT_NORM_SLACK = 64 * np.finfo(float).eps
-
-MATRIX_KINDS = ("gaussian-normalized", "identity-plus-orthobasis", "explicit")
 
 
 class SensingMatrix:

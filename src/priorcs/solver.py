@@ -69,6 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import MAX_ITER
 from .errors import InfeasibleProblemError, InvalidInputError
 from .matrices import SensingMatrix, read_matrix_text
 from .supports import index_sets
@@ -126,7 +127,7 @@ class RecoveryProblem:
 class _SolveTolerances(NamedTuple):
     opt_tol: float = 1e-8
     feas_tol: float = 1e-9
-    max_iter: int = 200_000
+    max_iter: int = MAX_ITER
 
 
 class SolveTolerances(_SolveTolerances):

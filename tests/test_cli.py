@@ -546,6 +546,62 @@ def test_benchmark_verify_lhs_is_near_reference(workload, tmp_path, capsys):
     assert max(abs(float(a) - float(b)) for a, b in zip(got["lhs"], pinned["lhs"])) <= 1e-8
 
 
+_USAGE = """\
+usage: priorcs [-h]
+               {gen-matrix,analyze,solve,bounds,fig1,fig2,fig3,fig4,verify}
+               ...
+"""
+
+# (stdout, stderr, exit code) of each command, at a terminal 80 columns wide
+CLI_TEXTS = {
+    ("--help",): (_USAGE + """
+Weighted l1 sparse recovery with prior support: solvers, guarantee
+calculators, and comparison experiments.
+
+positional arguments:
+  {gen-matrix,analyze,solve,bounds,fig1,fig2,fig3,fig4,verify}
+    gen-matrix          generate a sensing matrix file
+    analyze             coherence and isometry data for a matrix file
+    solve               solve a weighted l1 problem file
+    bounds              evaluate recovery guarantees at one parameter point
+    fig1                run the fig1 experiment
+    fig2                run the fig2 experiment
+    fig3                run the fig3 experiment
+    fig4                run the fig4 experiment
+    verify              run the verify experiment
+
+options:
+  -h, --help            show this help message and exit
+""", "", 0),
+    ("nope",): ("", _USAGE + "priorcs: error: argument command: invalid choice: 'nope' "
+                "(choose from 'gen-matrix', 'analyze', 'solve', 'bounds', 'fig1', 'fig2', "
+                "'fig3', 'fig4', 'verify')\n", 2),
+    ("fig3", "--bogus"): ("", _USAGE + "priorcs: error: unrecognized arguments: --bogus\n", 2),
+    ("solve", "--help"): ("""\
+usage: priorcs solve [-h] --problem PROBLEM [--opt-tol OPT_TOL]
+                     [--feas-tol FEAS_TOL] [--max-iter MAX_ITER]
+
+options:
+  -h, --help           show this help message and exit
+  --problem PROBLEM
+  --opt-tol OPT_TOL
+  --feas-tol FEAS_TOL
+  --max-iter MAX_ITER
+""", "", 0),
+}
+
+
+@pytest.mark.parametrize("argv", CLI_TEXTS, ids=" ".join)
+def test_usage_help_and_errors_name_every_command(argv, capsys, monkeypatch):
+    """The parser builds only the subparser argv[0] names; the text it prints
+    is the same as with all nine built."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, exc.value.code) == CLI_TEXTS[argv]
+
+
 def _env_with_src() -> dict:
     """The environment with this priorcs first on PYTHONPATH, for subprocesses."""
     src = str(Path(priorcs.__file__).resolve().parents[1])
