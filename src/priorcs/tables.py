@@ -140,18 +140,29 @@ def _fixed2(values) -> np.ndarray:
     """The "%.2f" text of every value, one row each of an (N, W) uint8 matrix,
     NUL where a byte is absent; W is 7 unless a fallback cell is longer.
 
-    For 0 <= x < 1e4, p = 100 * x in floats is below 2**20, so within 2**-33
-    (about 1.2e-10) of the exact 100 x: unless p is within 1e-6 of a tie, the
-    correctly rounded integer that CPython's "%.2f" prints is n = rint(p),
-    spelt from digit pairs as divmod(n, 100) without the leading zeros. Python's
-    own "%.2f" writes the rest: non-finite values, negative ones and -0.0,
-    those from 9999.995 on (five integer digits), and near-ties.
+    CPython's "%.2f" prints the exact 100 x rounded to an integer n, ties to
+    even. The float p = 100 * x is within half an ulp of the exact product,
+    and every half-integer below 2**52 is a float, so n = rint(p) unless p
+    itself is a half-integer; then the sign of the rounding error of p says
+    which way the exact product lies (an exact tie keeps rint's even n). That
+    error is computed exactly by Dekker's product, with a Veltkamp split of
+    x (100 has 7 significant bits). n is spelt from digit pairs as
+    divmod(n, 100) without the leading zeros. Python's own "%.2f" writes the
+    rest: non-finite values, negative ones and -0.0, and those from 9999.995
+    on (five integer digits).
     """
     x = np.asarray(values, dtype=float).ravel()
     p = x * 100.0
     n = np.rint(p)
     with np.errstate(invalid="ignore"):  # inf - inf: a fallback cell
-        fast = ~np.signbit(p) & (p < 999_999.5) & (np.abs(p - n) < 0.5 - 1e-6)
+        fast = ~np.signbit(p) & (p < 999_999.5)
+        ties = np.flatnonzero(fast & (np.abs(p - n) == 0.5))
+    if ties.size:
+        t = x[ties]
+        t_hi = t * 134217729.0  # 2**27 + 1: t_hi keeps the top 26 bits of t
+        t_hi -= t_hi - t
+        error = (t_hi * 100.0 - p[ties]) + (t - t_hi) * 100.0  # the exact 100 t - p
+        n[ties] = np.where(error == 0.0, n[ties], p[ties] + np.copysign(0.5, error))
     whole, cents = np.divmod(np.where(fast, n, 0.0).astype(np.int32), 100)
     hi, lo = np.divmod(whole, 100)
     words = _PAIRS.take(hi) | _PAIRS.take(lo) << 16 | _DOT | _PAIRS.take(cents) << 40

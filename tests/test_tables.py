@@ -288,6 +288,16 @@ class TestFixed2MatchesPercentFormat:
         assert fixed2_texts(values) == ["%.2f" % v for v in values]
         assert fixed2_texts([0.125, 80.125, 0.375]) == ["0.12", "80.12", "0.38"]
 
+    def test_the_pixel_cells_of_a_fine_w_grid(self):
+        """The x pixels of fig4 -o w_step=0.0001: p = 100 x lands on a
+        half-integer for 3,859 of them, and within 1e-6 of one for 1,141 more."""
+        w = np.array([round(i * 1e-4, 12) for i in range(10_001)])
+        x = 80 + 550 * (w - 0.0) / (1.0 - 0.0)
+        p = x * 100.0
+        assert np.sum(np.abs(p - np.rint(p)) == 0.5) == 3859
+        assert np.sum(np.abs(np.abs(p - np.rint(p)) - 0.5) < 1e-6) == 5000
+        assert fixed2_texts(x) == ["%.2f" % v for v in x.tolist()]
+
     def test_fallback_values(self):
         values = [math.nan, math.inf, -math.inf, -0.0, -1e-9, -0.004, -0.005, -1234.567,
                   9999.994, 9999.995, 9999.999, 1e4, 12345.678, 1e22, 1e300, 5e-324, 0.0]
