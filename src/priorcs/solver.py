@@ -8,10 +8,12 @@ of ``min sum_i w_i |x_i|  s.t.  ||A x - y||_2 <= eps``: the dual step is a
 shrink against the noise-ball support function, the primal step a weighted
 soft threshold. eps = 0 (equality constraint) falls out of the same prox
 formulas. The step sizes satisfy tau*sigma*||A||^2 = 0.99^2 with the exact
-operator norm, and their ratio sigma/tau = (||w|| / ||y||)^2 follows the
-problem's scale (the initial primal weight of PDLP, arXiv:2105.12715):
-scaling y and eps by c scales every primal iterate by c and leaves the
-multiplier unchanged. The stop test reads unscaled first-order residuals, so
+operator norm, and their ratio sigma/tau = omega^2 follows the problem's
+scale: omega = ||w|| / (||y|| - eps) when ||y|| > eps, the scale of A x* on
+the ball, and ||w|| / ||y|| otherwise (the initial primal weight of PDLP,
+arXiv:2105.12715, is ||w|| / ||y||; with ||y|| used when y is mostly noise,
+the iterate stalls at x = 0). Scaling y and eps by c scales every primal
+iterate by c and leaves the multiplier unchanged. The stop test reads unscaled first-order residuals, so
 it means the same thing at any step ratio.
 
 Problems that share A and eps are solved as one batch, and a single problem
@@ -309,7 +311,8 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
     # leaves sigma_eps/0, which fmax maps to a zero multiplier
     with np.errstate(divide="ignore", invalid="ignore"):
         norm_w = _norms(weights)
-        omega = np.where((norm_w > 0.0) & (norm_y > 0.0), norm_w / norm_y, 1.0)
+        scale_y = np.where(norm_y > eps, norm_y - eps, norm_y)
+        omega = np.where((norm_w > 0.0) & (scale_y > 0.0), norm_w / scale_y, 1.0)
         tau, sigma = step / omega, step * omega
         tau_w = tau * weights
         neg_tau_w = -tau_w

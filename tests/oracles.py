@@ -245,7 +245,8 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
     norm_a = float(np.linalg.norm(a, 2))
     step = 0.99 / norm_a if norm_a > 0.0 else 1.0
     norm_w = math.sqrt(weights @ weights)
-    omega = norm_w / norm_y if norm_w > 0.0 and norm_y > 0.0 else 1.0
+    scale_y = norm_y - eps if norm_y > eps else norm_y
+    omega = norm_w / scale_y if norm_w > 0.0 and scale_y > 0.0 else 1.0
     tau, sigma = step / omega, step * omega
     tau_w, sigma_y, sigma_eps = tau * weights, sigma * y, sigma * eps
     dual_scale = max(1.0, norm_y)

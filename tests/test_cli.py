@@ -352,6 +352,17 @@ class TestExperimentCommands:
         assert last.startswith("assertion failed: 30 trial(s) did not converge: trial 0 (rho=0.5, ")
         assert last.count("iterations)") == 5 and last.endswith(", and 25 more")
 
+    def test_verify_converges_when_y_is_mostly_noise(self, tmp_path, capsys):
+        # ||y|| is about 1e5 + 1 at eps = 1e5: a step ratio taken from ||y||
+        # instead of ||y|| - eps left two of the three solves at x = 0
+        # through all 200,000 iterations
+        code, out, _ = run_cli(capsys, "verify", "--out-dir", str(tmp_path), "-o", "trials=1",
+                               "-o", "epsilon=1e5", "-o", "rho_list=1", "-o", "w_grid=0.5")
+        assert code == 0
+        assert "trials=3 converged=3 nonconverged=0 violations=0" in out
+        with open(tmp_path / "verify.csv", newline="") as fh:
+            assert max(int(row["iterations"]) for row in csv.DictReader(fh)) <= 500
+
     def test_unknown_override_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fig1", "--out-dir", str(tmp_path), "-o", "sigma=1")
         assert code == 2
@@ -506,7 +517,7 @@ def test_default_sweep_outputs_are_pinned(command, tmp_path, capsys):
 PINNED_VERIFY = {
     "default-trials2": (
         {"trials": "2"},
-        "c4b543efef33c3f84387a5315c1fb33ba693b87881f4867c1fe38a1e73965f49",
+        "445e68c919ca530076d663589107db5ff77943559f0a51900d192c000b3eb1e7",
         "04727563a5dfc0e78d82a4c29d14c5bb96509b620d561803b2b312dc9f167906",
     ),
     "gauss32x64-eps0": (

@@ -419,20 +419,21 @@ class TestCertificate:
         # the benchmark's verify-noisy config: trials 24 and 25 (rho = 1,
         # alpha = 1, w = 0) have zero-cost minimizers that are not unique.
         # Their iterates rest long before the multiplier decays, and the
-        # resting point is the one the loop returns when run to convergence.
+        # resting point is, to one ulp, the one the loop returns when run to
+        # convergence.
         run_verify_local(load_config("verify-local", overrides={"trials": "2"}))
         ((problems, reports),) = batch_solves
         for i in (24, 25):
             problem, report = problems[i], reports[i]
             assert report.exit == "certified"
-            assert report.iterations <= 110
+            assert report.iterations <= 90
             args = (problem.matrix.entries, problem.y, problem.epsilon, problem.weights)
             x, lam, iterations, converged, opt_residual, exit, tries = primal_dual_one_at_a_time(*args)
             assert report_bits(report) == (x.tobytes(), lam.tobytes(), iterations, converged,
                                            struct.pack("<d", opt_residual), exit, tries)
             x, _, iterations, _, _, exit, _ = primal_dual_one_at_a_time(*args, certify=False)
             assert (exit, iterations > report.iterations) == ("converged", True)
-            assert report.x_star.tobytes() == x.tobytes()
+            np.testing.assert_array_max_ulp(report.x_star, x, maxulp=1)
 
 
 class TestBatch:
