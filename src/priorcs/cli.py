@@ -27,8 +27,7 @@ import math
 import os
 import sys
 
-from . import MATRIX_KINDS
-from . import bounds as bounds_mod
+from . import MATRIX_KINDS, bounds as bounds_mod
 from .errors import ConfigError, InvalidInputError, PriorCSError
 from .experiments import (
     EXPERIMENT_KINDS,
@@ -99,15 +98,15 @@ def _experiment_arguments(fig) -> None:
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser with the subparser that argv[0] names, or with all of them
-    when it names none, so that the usage, the help and every error name all
-    nine: building all nine costs about 5 ms a process."""
+    """The parser with only the subparser that argv[0] names, which saves
+    1-2 ms a process; with all nine when it names none, so that the help and
+    the errors about the command list them all."""
     parser = argparse.ArgumentParser(
         prog="priorcs",
         description="Weighted l1 sparse recovery with prior support: solvers, "
                     "guarantee calculators, and comparison experiments.",
     )
-    names = argv[:1] if argv[:1] and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
     # argparse spells the usage from the subparsers built; with one built, the
     # metavar spells the same text. With all built, none is set, because an
     # error naming the command argument would print the metavar for its name.

@@ -13,8 +13,9 @@ scale: omega = ||w|| / (||y|| - eps) when ||y|| > eps, the scale of A x* on
 the ball, and ||w|| / ||y|| otherwise (the initial primal weight of PDLP,
 arXiv:2105.12715, is ||w|| / ||y||; with ||y|| used when y is mostly noise,
 the iterate stalls at x = 0). Scaling y and eps by c scales every primal
-iterate by c and leaves the multiplier unchanged. The stop test reads unscaled first-order residuals, so
-it means the same thing at any step ratio.
+iterate by c and leaves the multiplier unchanged. The stop test reads
+unscaled first-order residuals, so it means the same thing at any step
+ratio.
 
 Problems that share A and eps are solved as one batch, and a single problem
 is the batch of one, so there is one iteration loop. The batch contract: a

@@ -2,8 +2,7 @@
 
 A stdlib-ast stand-in for a linter's unused-import rule (F401), so that a
 simplification cannot leave a stale import behind. An import statement whose
-first line carries ``# noqa: F401`` is exempt (a deliberate re-export), and so
-is the package ``__init__``, whose imports are the public surface.
+first line carries ``# noqa: F401`` is exempt (a deliberate re-export).
 
 A module that defers loading other package modules lists the names it takes
 from each in a ``_LAZY`` table, {module: names}; every listed name must be
@@ -17,10 +16,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "priorcs").glob("*.py"))
 # package modules by file name, test modules by their path from the root
-MODULES = {p.name: p for p in sorted((ROOT / "src" / "priorcs").glob("*.py")) if p.name != "__init__.py"}
+MODULES = {p.name: p for p in PACKAGE}
 MODULES.update({f"tests/{p.name}": p for p in sorted((ROOT / "tests").glob("*.py"))})
-PACKAGE = {p.stem: p for p in sorted((ROOT / "src" / "priorcs").glob("*.py"))}
 
 
 def unused_imports(source: str) -> list:
@@ -78,7 +77,7 @@ def stale_lazy_names(source: str, sources: dict) -> list:
 
 
 def test_lazy_tables_name_what_their_modules_define():
-    sources = {name: path.read_text() for name, path in PACKAGE.items()}
+    sources = {path.stem: path.read_text() for path in PACKAGE}
     assert {name for name, text in sources.items() if lazy_table(text)} == {"__init__", "experiments"}
     for name, text in sources.items():
         assert stale_lazy_names(text, sources) == [], name
