@@ -4,8 +4,8 @@ Library layout:
 
 - ``matrices``: sensing-matrix generation, coherence, exact tiny-scale
   restricted isometry/orthogonality constants, matrix file format.
-- ``supports``: best k-term approximations, prior-support geometry
-  (rho, alpha), error-multiplier terms.
+- ``supports``: prior-support geometry (rho, alpha) against the top-k
+  support, error-multiplier terms.
 - ``solver``: the weighted l1 primal-dual solver (one problem, or a batch
   that shares one matrix), the first-order optimality check of a solution
   pair (x, lam), problem file reader.
@@ -49,8 +49,8 @@ _LAZY = {
         "solve_weighted_l1", "solve_weighted_l1_batch",
     ),
     "supports": (
-        "ErrorTerms", "SupportModel", "best_k_term", "error_terms", "format_index_set",
-        "prior_support_for", "support_model",
+        "ErrorTerms", "SupportModel", "error_terms", "format_index_set", "prior_support_for",
+        "support_model",
     ),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}

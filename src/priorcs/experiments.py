@@ -67,7 +67,6 @@ class ExperimentConfig(NamedTuple):
     kind: str
     mu: float = 0.1
     k: int = 4
-    rho: float = 1.0
     rho_list: tuple = (0.5, 1.0)
     alpha_list: tuple | None = None  # None: derive / default grid per kind
     w_grid: tuple | None = None      # None: 0..1 with step w_step
@@ -89,7 +88,7 @@ _KIND_DEFAULTS = {
     # n small enough that the top-k entries carry a visible share of the l1
     # mass; with a long dense tail the smallest c1*e moves away from
     # (alpha=1, w=0) because c1 keeps shrinking toward (alpha=0, w=1)
-    "fig2-error-terms": dict(n=16),
+    "fig2-error-terms": dict(n=16, rho_list=(1.0,)),
     "fig3-kratio": dict(rho_list=(0.5, 0.75)),
     "fig4-comparison": dict(k=2, rho_list=(1.0,), alpha_list=(1.0,)),
     "verify-local": dict(k=2, w_grid=(0.0, 0.5, 1.0), m=64, n=128, signal="sparse-gaussian"),
@@ -200,6 +199,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("alpha_list must be non-empty (or 'auto')")
     if cfg.alpha_list is not None and any(not 0.0 <= a <= 1.0 for a in cfg.alpha_list):
         raise ConfigError(f"alpha values must lie in [0, 1], got {cfg.alpha_list}")
+    if cfg.kind == "fig2-error-terms" and len(cfg.rho_list) > 1:
+        raise ConfigError("fig2 draws one prior support size; give one value of rho_list")
     if cfg.kind == "fig4-comparison" and (len(cfg.rho_list) > 1 or len(cfg.alpha_list or ()) > 1):
         raise ConfigError("fig4 compares at one (rho, alpha); give one value of each")
     if not 0.0 < cfg.w_step <= 1.0:
@@ -303,10 +304,11 @@ def run_fig2(cfg: ExperimentConfig) -> SweepTable:
     rng = np.random.default_rng(cfg.seed)
     x = _draw_signal(cfg, rng)
     ws = np.array(w_values(cfg), dtype=float)
+    rho = cfg.rho_list[0]
     per_alpha, sets, e_local = [], [], []
-    for alpha in _alphas_for(cfg, cfg.rho):
+    for alpha in _alphas_for(cfg, rho):
         try:
-            t = prior_support_for(x, cfg.k, cfg.rho, alpha)
+            t = prior_support_for(x, cfg.k, rho, alpha)
         except InvalidInputError as exc:
             raise ConfigError(f"requested overlap unachievable for the drawn signal: {exc}") from exc
         model = support_model(x, t, cfg.k, ws)

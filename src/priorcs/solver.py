@@ -120,9 +120,6 @@ class RecoveryProblem:
         weights[index_sets(T, 1, matrix.n)[0]] = w
         return cls.create(matrix, y, epsilon, weights)
 
-    def objective(self, x) -> float:
-        return float(np.sum(self.weights * np.abs(x)))
-
     def feasibility_residual(self, x) -> float:
         return max(float(np.linalg.norm(self.matrix.entries @ x - self.y)) - self.epsilon, 0.0)
 
@@ -287,8 +284,8 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
             return
         # reports for the live rows `live` at the (G, n) points x_rows; the
         # objective is one pairwise sum and the feasibility one gemv and
-        # ddot per row, the bits of RecoveryProblem.objective and
-        # feasibility_residual
+        # ddot per row, the bits of a 1-D sum of w |x| and of
+        # RecoveryProblem.feasibility_residual
         objective = (weights[live, :, 0] * np.abs(x_rows)).sum(axis=1).tolist()
         feasibility = np.maximum(_norms(a @ x_rows[:, :, None] - y[live])[:, 0, 0] - eps, 0.0).tolist()
         residuals = residuals.tolist()

@@ -1,9 +1,9 @@
 """Support-set arithmetic for prior-support sparse recovery.
 
-Everything here is index bookkeeping: best k-term approximations, the
-(rho, alpha) geometry of a prior support T against the top-k support T0, and
-the l1 error terms that multiply the guarantee coefficients. Indices are
-0-based throughout the Python API; the CLI and CSV serializations are 1-based.
+Everything here is index bookkeeping: the (rho, alpha) geometry of a prior
+support T against the top-k support T0, and the l1 error terms that multiply
+the guarantee coefficients. Indices are 0-based throughout the Python API;
+the CLI and CSV serializations are 1-based.
 
 Each function takes one signal x of length n or a (B, n) stack of signals,
 one per row, and a 1-D signal is the stack of one: row i of a stack's result
@@ -81,52 +81,21 @@ def _mask(shape, idx):
     return mask
 
 
-def _sets(mask):
-    """The sorted index tuple of a 1-D mask, or one per row of a stack."""
-    if mask.ndim == 1:
-        return tuple(np.flatnonzero(mask).tolist())
-    return tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
-
-
-def best_k_term(x, k: int):
-    """Best k-term approximation of x and its support.
-
-    Keeps the k largest-magnitude entries (ties broken by lowest index) and
-    zeros the rest. Returns (x_k, T0) where T0 is the support of x_k; T0 can
-    have fewer than k elements when x has fewer than k nonzeros. For a stack,
-    x_k is a stack and T0 holds one tuple per row.
-    """
-    xs, single = _signals(x)
-    order, in_t0 = _ranked(xs, k)
-    x_k = np.where(_mask(xs.shape, order[:, :k]), xs, 0.0)
-    return (x_k[0], _sets(in_t0[0])) if single else (x_k, _sets(in_t0))
-
-
 class SupportModel(NamedTuple):
     """Prior-support geometry: |T| = rho*k and |T inter T0| = alpha*|T|.
 
     rho and alpha are the correctly rounded quotients of those counts; w may
     be an array of weights, giving e_local per weight. in_t and in_t0 are
-    the membership masks of T and T0. For a stack of signals the masks have
-    one row per signal and alpha one entry per signal; T and T0 then hold
-    one tuple per signal.
+    the membership masks of T and of T0, the nonzero entries among the k
+    largest magnitudes (ties to the lowest index). For a stack of signals
+    the masks have one row per signal and alpha one entry per signal.
     """
 
-    n: int
-    k: int
     in_t: np.ndarray
     in_t0: np.ndarray
     rho: float
     alpha: float | np.ndarray
     w: float | np.ndarray
-
-    @property
-    def T(self) -> tuple:
-        return _sets(self.in_t)
-
-    @property
-    def T0(self) -> tuple:
-        return _sets(self.in_t0)
 
 
 def support_model(x, T, k: int, w) -> SupportModel:
@@ -143,7 +112,7 @@ def support_model(x, T, k: int, w) -> SupportModel:
         raise InvalidInputError(f"w must be in [0, 1], got {w}")
     _, in_t0 = _ranked(xs, k)
     alpha = (in_t & in_t0).sum(axis=1) / t_size if t_size else np.zeros(rows)
-    return SupportModel(n=n, k=k, in_t=in_t[0] if single else in_t,
+    return SupportModel(in_t=in_t[0] if single else in_t,
                         in_t0=in_t0[0] if single else in_t0, rho=t_size / k,
                         alpha=float(alpha[0]) if single else alpha,
                         w=float(w) if weights.ndim == 0 else weights)

@@ -5,8 +5,8 @@ every column. CSV cells are formatted by the column's type: booleans as
 true/false, integers as decimal, reals at 12 significant digits, anything
 else as text, sanitized so cells never contain line breaks and quoted when
 they hold a comma; one %-format call writes 4096 CSV rows. An SVG's "%.2f"
-pixel cells come from one exact fixed-point byte kernel per plot, _fixed2:
-near-ties and cells outside [0, 9999.995) go through Python's own "%.2f".
+pixel cells come from one exact fixed-point byte kernel per plot, _fixed2,
+which spells every value in [0, 9999.995).
 Both emitters write LF line endings and are byte-reproducible for identical
 inputs. The SVG is a deliberately plain fixed-size line plot of a wide table,
 every column after the first drawn against the first, meant for eyeball
@@ -137,44 +137,35 @@ _DOT = np.uint64(ord(".") << 32)
 
 
 def _fixed2(values) -> np.ndarray:
-    """The "%.2f" text of every value, one row each of an (N, W) uint8 matrix,
-    NUL where a byte is absent; W is 7 unless a fallback cell is longer.
+    """The "%.2f" text of every value in [0, 9999.995), one row each of an
+    (N, 7) uint8 matrix, NUL where a byte is absent.
 
-    CPython's "%.2f" prints the exact 100 x rounded to an integer n, ties to
-    even. The float p = 100 * x is within half an ulp of the exact product,
-    and every half-integer below 2**52 is a float, so n = rint(p) unless p
-    itself is a half-integer; then the sign of the rounding error of p says
-    which way the exact product lies (an exact tie keeps rint's even n). That
-    error is computed exactly by Dekker's product, with a Veltkamp split of
-    x (100 has 7 significant bits). n is spelt from digit pairs as
-    divmod(n, 100) without the leading zeros. Python's own "%.2f" writes the
-    rest: non-finite values, negative ones and -0.0, and those from 9999.995
-    on (five integer digits).
+    to_svg_text's pixel coordinates lie in [0, SVG_WIDTH], so every cell is
+    in that window. CPython's "%.2f" prints the exact 100 x rounded to an
+    integer n, ties to even. The float p = 100 * x is within half an ulp of
+    the exact product, and every half-integer below 2**52 is a float, so
+    n = rint(p) unless p itself is a half-integer; then the sign of the
+    rounding error of p says which way the exact product lies (an exact tie
+    keeps rint's even n). That error is computed exactly by Dekker's
+    product, with a Veltkamp split of x (100 has 7 significant bits). n is
+    spelt from digit pairs as divmod(n, 100) without the leading zeros.
     """
     x = np.asarray(values, dtype=float).ravel()
     p = x * 100.0
     n = np.rint(p)
-    with np.errstate(invalid="ignore"):  # inf - inf: a fallback cell
-        fast = ~np.signbit(p) & (p < 999_999.5)
-        ties = np.flatnonzero(fast & (np.abs(p - n) == 0.5))
+    ties = np.flatnonzero(np.abs(p - n) == 0.5)
     if ties.size:
         t = x[ties]
         t_hi = t * 134217729.0  # 2**27 + 1: t_hi keeps the top 26 bits of t
         t_hi -= t_hi - t
         error = (t_hi * 100.0 - p[ties]) + (t - t_hi) * 100.0  # the exact 100 t - p
         n[ties] = np.where(error == 0.0, n[ties], p[ties] + np.copysign(0.5, error))
-    whole, cents = np.divmod(np.where(fast, n, 0.0).astype(np.int32), 100)
+    whole, cents = np.divmod(n.astype(np.int32), 100)
     hi, lo = np.divmod(whole, 100)
     words = _PAIRS.take(hi) | _PAIRS.take(lo) << 16 | _DOT | _PAIRS.take(cents) << 40
     # the integer part's leading zeros are the word's low bytes
     words >>= ((whole < 10).astype(np.uint8) + (whole < 100) + (whole < 1000)) * np.uint8(8)
-    cells = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :7]
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        texts = np.array(("%.2f " * slow.size % tuple(x[slow].tolist())).split(), dtype="S")
-        cells = np.pad(cells, ((0, 0), (0, max(0, texts.itemsize - 7))))
-        cells[slow] = texts.astype(f"S{cells.shape[1]}").view(np.uint8).reshape(slow.size, -1)
-    return cells
+    return words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :7]
 
 
 def to_svg_text(table: SweepTable, title: str, y_label: str) -> str:
@@ -236,13 +227,10 @@ def to_svg_text(table: SweepTable, title: str, y_label: str) -> str:
     x_ok = np.isfinite(xs)
     drawn = x_ok & np.isfinite(ys)
     ends = drawn & ~np.pad(drawn[:, 1:], ((0, 0), (0, 1)))
-    x_cells = _fixed2(np.where(x_ok, px(xs), 0.0))
-    y_cells = _fixed2(np.where(drawn, py(ys), 0.0)).reshape(*drawn.shape, -1)
-    wx = x_cells.shape[1]
-    block = np.empty((*drawn.shape, wx + y_cells.shape[2] + 2), dtype=np.uint8)
-    block[..., :wx] = x_cells
-    block[..., wx] = ord(",")
-    block[..., wx + 1:-1] = y_cells
+    block = np.empty((*drawn.shape, 16), dtype=np.uint8)
+    block[..., :7] = _fixed2(np.where(x_ok, px(xs), 0.0))
+    block[..., 7] = ord(",")
+    block[..., 8:15] = _fixed2(np.where(drawn, py(ys), 0.0)).reshape(*drawn.shape, 7)
     block[..., -1] = np.where(ends, ord("\n"), ord(" "))
     block[~drawn] = 0
     polylines = iter(block[block != 0].tobytes().decode().split("\n"))

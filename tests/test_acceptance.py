@@ -139,7 +139,7 @@ class TestCriterion5AlgebraicIdentities:
             t = tuple(sorted(rng.choice(n, size=t_size, replace=False).tolist()))
             w = float(rng.uniform())
             model = pc.support_model(x, t, k, w)
-            e_proof = oracles.proof_error_multiplier(x, t, model.T0, w)
+            e_proof = oracles.proof_error_multiplier(x, t, np.flatnonzero(model.in_t0), w)
             assert abs(e_proof - pc.error_terms(x, model).e_local) <= 1e-12
         for mu in (0.02, 0.05, 0.1, 0.2, 0.3, 0.45):
             for k in (1, 2, 3, 4, 6, 10):

@@ -162,6 +162,10 @@ class TestCaiBound:
         res = cai_bound(GuaranteeParams(mu=0.1, k=6))
         assert not res.valid
         assert "(1 + 1/mu)/2" in res.reason
+        # at k = 2, mu = 1/3 the gap 1 + mu - 2 mu k is exactly 0
+        res = cai_bound(GuaranteeParams(mu=1.0 / 3.0, k=2))
+        assert not res.valid and math.isnan(res.c0) and math.isnan(res.c1)
+        assert res.reason == "sparsity bound violated: k = 2 >= (1 + 1/mu)/2 = 2"
 
     def test_vanishing_mu_limit(self):
         res = cai_bound(GuaranteeParams(mu=1e-6, k=2))
@@ -277,6 +281,8 @@ class TestChenBound:
             chen_bound(p, 0.1, 0.1)  # a > k
         with pytest.raises(InvalidInputError):
             chen_bound(GuaranteeParams(mu=0.1, k=2, a=2.0, b=2.0), -0.1, 0.1)
+        with pytest.raises(InvalidInputError, match="b must be an integer >= 1, got 1.5"):
+            chen_bound(GuaranteeParams(mu=0.1, k=2, a=2.0, b=1.5))
 
 
 class TestGeBound:
@@ -318,6 +324,8 @@ class TestGeBound:
     def test_t_le_d_rejected(self):
         with pytest.raises(InvalidInputError):
             ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, t=1.0), 0.1)
+        with pytest.raises(InvalidInputError, match="unknown c1_form 'other'"):
+            ge_bound(GuaranteeParams(mu=0.1, k=2), c1_form="other")
 
     def test_premise_failure_recorded(self):
         res = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, t=2.0), 0.9)

@@ -302,6 +302,43 @@ class TestExperimentCommands:
         assert code == 0
         assert "k-ratios > 1" in out
 
+    def test_fig3_ratio_at_or_below_one_exits_3(self, tmp_path, capsys):
+        # a prior support of size 4k puts the local cap below cai's
+        code, out, err = run_cli(capsys, "fig3", "--out-dir", str(tmp_path), "-o", "rho_list=4",
+                                 "-o", "alpha_list=0", "-o", "w_grid=1")
+        assert code == 3
+        assert err.splitlines()[1:] == [
+            f"assertion failed: {label} ratio 0.675186 <= 1 at rho=4.0 alpha=0.0 w=1.0"
+            for label in ("standard", "weighted")]
+        assert "k-ratios" not in out
+        assert (tmp_path / "fig3.csv").exists()
+
+    def test_verify_fails_a_bound_just_below_its_own_worst_ratio(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """The gate trips once c0 and c1 shrink below the run's largest
+        lhs/rhs, and passes just above it."""
+        argv = ("verify", "--out-dir", str(tmp_path), "-o", "trials=1", "-o", "rho_list=1",
+                "-o", "w_grid=0.5")
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        with open(tmp_path / "verify.csv", newline="") as fh:
+            ratios = [float(row["lhs"]) / float(row["rhs"]) for row in csv.DictReader(fh)
+                      if row["converged"] == row["premise_k"] == row["premise_d"] == "true"]
+        worst = max(ratios)
+        assert len(ratios) == 3 and worst > 0.0
+        local_bound = priorcs.bounds.local_bound
+        for factor, expected in ((0.99, 3), (1.01, 0)):
+            def scaled(p, s=factor * worst):
+                res = local_bound(p)
+                return res._replace(c0=res.c0 * s, c1=res.c1 * s)
+
+            monkeypatch.setattr(priorcs.bounds, "local_bound", scaled)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == expected
+            violated = "assertion failed: local bound violated on converged trials"
+            assert (violated in err.splitlines()) == (expected == 3)
+            assert ("violations=0" in out) == (expected == 0)
+
     def test_verify_small_run(self, tmp_path, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--out-dir", str(tmp_path),
@@ -371,7 +408,7 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("command, override", [
         ("fig1", "rho_list=nan"),
         ("fig1", "rho_list=inf"),
-        ("fig2", "rho=nan"),
+        ("fig2", "rho_list=nan"),
         ("fig2", "seed=-1"),
         ("verify", "seed=-1"),
         ("verify", "epsilon=nan"),
@@ -387,10 +424,17 @@ class TestExperimentCommands:
         ("fig2", "w_grid=0,-0"),
         ("fig1", "rho_list=0.5,0.5000001"),  # both panels would be named _rho0.5
         ("fig3", "rho_list=0.5,0.5000001"),
+        ("fig1", "foo"),
+        ("fig1", "--config={tmp}/missing.cfg"),
+        ("fig1", "alpha_list=1.5"),
+        ("fig4", "w_grid="),
+        ("fig2", "rho_list=0.5,1"),  # fig2 draws one prior support size
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, override):
         small = ("-o", "m=16", "-o", "n=32", "-o", "trials=1", "-o", "w_grid=0.5")
-        code, out, err = run_cli(capsys, command, "--out-dir", str(tmp_path), "-o", override,
+        # a flag in place of an override, as --flag=value
+        args = (override.format(tmp=tmp_path),) if override.startswith("--") else ("-o", override)
+        code, out, err = run_cli(capsys, command, "--out-dir", str(tmp_path), *args,
                                  *(small if command == "verify" else ()))
         assert code == 2
         (line,) = err.splitlines()
@@ -415,7 +459,7 @@ class TestExperimentCommands:
         assert err == "error: baseline k_max must be positive, got 0.0\n"
         assert out == "" and os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("key", ["noise_scale", "violation_tol"])
+    @pytest.mark.parametrize("key", ["noise_scale", "violation_tol", "rho"])
     def test_removed_config_keys_exit_2(self, tmp_path, capsys, key):
         code, _, err = run_cli(capsys, "verify", "--out-dir", str(tmp_path), "-o", f"{key}=0.5")
         assert code == 2
@@ -426,6 +470,24 @@ class TestExperimentCommands:
         cfg.write_text("mu=0\n")
         code, _, _ = run_cli(capsys, "fig1", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == 2
+
+    def test_out_dir_naming_a_file_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out, err = run_cli(capsys, "fig4", "--out-dir", str(target))
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+        assert out == "" and target.read_text() == ""
+
+    def test_auto_alpha_list_is_the_default(self, tmp_path, capsys):
+        for sub, extra in (("a", ()), ("b", ("-o", "alpha_list=auto"))):
+            code, _, _ = run_cli(capsys, "fig2", "--out-dir", str(tmp_path / sub), *extra)
+            assert code == 0
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b")) and len(names) == 3
+        assert all((tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
+                   for n in names)
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "from_env"

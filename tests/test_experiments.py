@@ -78,6 +78,7 @@ class TestConfig:
     def test_defaults_per_kind(self):
         assert default_config("fig4-comparison").k == 2
         assert default_config("fig3-kratio").rho_list == (0.5, 0.75)
+        assert default_config("fig2-error-terms").rho_list == (1.0,)
         assert default_config("verify-local").matrix_kind == "identity-plus-orthobasis"
         with pytest.raises(ConfigError):
             default_config("fig9")
@@ -125,7 +126,7 @@ class TestFig1:
 class TestFig2:
     def test_sparse_signal_with_containing_prior_support(self):
         cfg = ExperimentConfig(
-            kind="fig2-error-terms", k=4, n=32, rho=1.0, alpha_list=(1.0,),
+            kind="fig2-error-terms", k=4, n=32, rho_list=(1.0,), alpha_list=(1.0,),
             signal="sparse-gaussian", seed=3, w_grid=(0.0, 0.5, 1.0),
         )
         table = run_fig2(cfg)
@@ -152,7 +153,7 @@ class TestFig2:
 
     def test_unachievable_overlap_is_config_error(self):
         cfg = ExperimentConfig(
-            kind="fig2-error-terms", k=4, n=4, rho=1.0, alpha_list=(0.0,),
+            kind="fig2-error-terms", k=4, n=4, rho_list=(1.0,), alpha_list=(0.0,),
             signal="gaussian", seed=0, w_grid=(0.0,),
         )
         # n = k leaves no indices outside the top-k support

@@ -90,6 +90,9 @@ class TestRicExact:
             ric_exact(identity4, 0)
         with pytest.raises(InvalidInputError):
             ric_exact(identity4, 5)
+        for k in (0, 5):
+            with pytest.raises(InvalidInputError, match=rf"k must be in \[1, 4\], got {k}"):
+                isometry_report(identity4, k)
 
 
 class TestRocExact:
@@ -160,6 +163,10 @@ class TestGenerateMatrix:
             generate_matrix("identity-plus-orthobasis", 8, 17, 0)
         with pytest.raises(InvalidInputError):
             generate_matrix("identity-plus-orthobasis", 12, 24, 0)  # not a power of two
+        with pytest.raises(InvalidInputError, match="m must be >= 1, got 0"):
+            generate_matrix("gaussian-normalized", 0, 3, 0)
+        with pytest.raises(InvalidInputError, match="gaussian-normalized needs n >= m, got 4x3"):
+            generate_matrix("gaussian-normalized", 4, 3, 0)
 
     def test_explicit_round_trip_up_to_normalization(self):
         raw = np.array([[3.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
@@ -170,6 +177,9 @@ class TestGenerateMatrix:
     def test_explicit_requires_entries(self):
         with pytest.raises(InvalidInputError):
             generate_matrix("explicit", 2, 3, 0)
+        with pytest.raises(InvalidInputError,
+                           match=r"explicit entries have shape \(3, 2\), expected \(2, 3\)"):
+            generate_matrix("explicit", 2, 3, 0, entries=np.ones((3, 2)))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
@@ -216,6 +226,10 @@ class TestIsometryReport:
 def test_tall_matrix_rejected():
     with pytest.raises(InvalidInputError):
         SensingMatrix.from_array(np.ones((3, 2)))
+    with pytest.raises(InvalidInputError, match=r"matrix must be 2-d, got shape \(3,\)"):
+        SensingMatrix.from_array(np.ones(3))
+    with pytest.raises(InvalidInputError, match="matrix must be nonempty, got 0x0"):
+        SensingMatrix.from_array(np.empty((0, 0)))
 
 
 def test_overflowing_column_norm_rejected():

@@ -49,9 +49,11 @@ def report_bits(report):
 
 def scored_as_alone(problem, report) -> bool:
     """Whether the report's objective and feasibility residual, which the
-    batch computes on stacks, are the bits of the problem's own methods."""
+    batch computes on stacks, are the bits of a 1-D weighted l1 sum and of
+    the problem's own feasibility_residual."""
+    objective = float(np.sum(problem.weights * np.abs(report.x_star)))
     return struct.pack("<dd", report.objective, report.feasibility_residual) == struct.pack(
-        "<dd", problem.objective(report.x_star), problem.feasibility_residual(report.x_star))
+        "<dd", objective, problem.feasibility_residual(report.x_star))
 
 
 def small_noiseless_problems(rng, count=20, m=4, n=8):
@@ -520,6 +522,8 @@ class TestRecoveryProblemValidation:
             RecoveryProblem.create(identity4, np.ones(4), -0.1, np.ones(4))
         with pytest.raises(InvalidInputError):
             RecoveryProblem.create(identity4, np.ones(4), 0.0, -np.ones(4))
+        with pytest.raises(InvalidInputError, match="y and weights must be finite"):
+            RecoveryProblem.create(identity4, np.array([1.0, np.nan, 0.0, 0.0]), 0.0, np.ones(4))
 
     def test_prior_support_weights(self, identity4):
         problem = RecoveryProblem.with_prior_support(identity4, np.zeros(4), 0.0, (1, 3), 0.25)
@@ -662,6 +666,8 @@ class TestProblemFiles:
     def test_missing_section(self):
         with pytest.raises(InvalidInputError):
             read_problem_text("MATRIX\n1 1\n1.0\nVECTOR\n1.0\nEPSILON\n0.0\n")
+        with pytest.raises(InvalidInputError, match="malformed numeric section in problem text"):
+            read_problem_text("MATRIX\n1 1\n1.0\nVECTOR\none\nEPSILON\n0.0\nWEIGHTS\n1.0\n")
 
     def test_sections_in_any_order(self):
         text = write_problem_text(tri_problem(np.ones(3)))

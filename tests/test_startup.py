@@ -25,8 +25,8 @@ EXPORTS = {
                  "write_matrix_file"],
     "solver": ["RecoveryProblem", "SolveReport", "SolveTolerances", "kkt_check",
                "read_problem_file", "solve_weighted_l1", "solve_weighted_l1_batch"],
-    "supports": ["ErrorTerms", "SupportModel", "best_k_term", "error_terms",
-                 "format_index_set", "prior_support_for", "support_model"],
+    "supports": ["ErrorTerms", "SupportModel", "error_terms", "format_index_set",
+                 "prior_support_for", "support_model"],
 }
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from priorcs import (
     InvalidInputError,
-    best_k_term,
     error_terms,
     format_index_set,
     prior_support_for,
@@ -17,33 +16,56 @@ from priorcs import (
 from oracles import best_tail_by_enumeration, proof_error_multiplier
 
 
+def top_k(x, k):
+    """T0, the support of the best k-term approximation of x, as a tuple (or
+    one tuple per row of a stack), read from the support model's mask."""
+    x = np.asarray(x, dtype=float)
+    in_t0 = support_model(x, np.zeros((*x.shape[:-1], 0), dtype=int), k, 0.5).in_t0
+    if in_t0.ndim == 1:
+        return tuple(np.flatnonzero(in_t0).tolist())
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in in_t0)
+
+
+def tail(x, k) -> float:
+    """||x - x_k||_1, the l1 error of the best k-term approximation."""
+    return error_terms(x, support_model(x, (), k, 0.5)).tail_k
+
+
 class TestBestKTerm:
+    """T0 and tail_k are the support and the l1 error of the best k-term
+    approximation: the k largest magnitudes, ties to the lowest index."""
+
     def test_magnitude_selection(self):
-        x_k, t0 = best_k_term([3.0, -1.0, 0.0, 2.0], 2)
-        assert np.array_equal(x_k, [3.0, 0.0, 0.0, 2.0])
-        assert t0 == (0, 3)
-        assert format_index_set(t0) == "1,4"
+        x = np.array([3.0, -1.0, 0.0, 2.0])
+        assert top_k(x, 2) == (0, 3)
+        assert format_index_set(top_k(x, 2)) == "1,4"
+        assert tail(x, 2) == 1.0
+        assert prior_support_for(x, 2, rho=1.0, alpha=1.0) == (0, 3)
 
     def test_already_sparse_is_fixed_point(self):
         x = np.array([0.0, 5.0, 0.0, -1.0])
-        x_k, t0 = best_k_term(x, 2)
-        assert np.array_equal(x_k, x)
-        assert np.abs(x - x_k).sum() == 0.0
+        assert top_k(x, 2) == (1, 3)
+        assert tail(x, 2) == 0.0
 
     def test_tie_break_lowest_index(self):
-        _, t0 = best_k_term([1.0, 1.0, 1.0], 2)
-        assert t0 == (0, 1)
+        x = np.array([1.0, 1.0, 1.0])
+        assert top_k(x, 2) == (0, 1)
+        assert prior_support_for(x, 2, rho=0.5, alpha=1.0) == (0,)
 
     def test_zero_entries_not_in_support(self):
-        x_k, t0 = best_k_term([0.0, 2.0, 0.0], 2)
-        assert t0 == (1,)
-        assert np.array_equal(x_k, [0.0, 2.0, 0.0])
+        x = np.array([0.0, 2.0, 0.0])
+        assert top_k(x, 2) == (1,)
+        assert tail(x, 2) == 0.0
+        # the zero entry among the top 2 is not there to overlap
+        with pytest.raises(InvalidInputError):
+            prior_support_for(x, 2, rho=1.0, alpha=1.0)
 
     def test_k_validation(self):
-        with pytest.raises(InvalidInputError):
-            best_k_term([1.0, 2.0], 0)
-        with pytest.raises(InvalidInputError):
-            best_k_term([1.0, 2.0], 3)
+        for k in (0, 3):
+            with pytest.raises(InvalidInputError):
+                support_model([1.0, 2.0], (), k, 0.5)
+            with pytest.raises(InvalidInputError):
+                prior_support_for([1.0, 2.0], k, rho=0.0, alpha=0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -53,9 +75,7 @@ class TestBestKTerm:
     def test_tail_is_minimal_over_all_supports(self, values, data):
         x = np.asarray(values)
         k = data.draw(st.integers(1, x.size))
-        x_k, _ = best_k_term(x, k)
-        tail = np.abs(x - x_k).sum()
-        assert tail <= best_tail_by_enumeration(x, k) + 1e-12
+        assert tail(x, k) <= best_tail_by_enumeration(x, k) + 1e-12
 
     def test_tail_optimality_1000_random_instances(self):
         rng = np.random.default_rng(77)
@@ -63,9 +83,7 @@ class TestBestKTerm:
             n = int(rng.integers(1, 11))
             x = rng.standard_normal(n) * rng.uniform(0.1, 5.0)
             k = int(rng.integers(1, n + 1))
-            x_k, _ = best_k_term(x, k)
-            tail = np.abs(x - x_k).sum()
-            assert tail <= best_tail_by_enumeration(x, k) + 1e-12
+            assert tail(x, k) <= best_tail_by_enumeration(x, k) + 1e-12
 
 
 class TestSupportModel:
@@ -73,7 +91,7 @@ class TestSupportModel:
         # |T| = 2, k = 4, |T inter T0| = 1  ->  rho = 0.5, alpha = 0.5
         x = np.array([5.0, 4.0, 3.0, 2.0, 0.5, 0.1, 0.0, 0.0])
         model = support_model(x, T=(0, 6), k=4, w=0.5)
-        assert model.T0 == (0, 1, 2, 3)
+        assert top_k(x, 4) == (0, 1, 2, 3)
         assert model.rho == 0.5
         assert model.alpha == 0.5
 
@@ -98,7 +116,7 @@ class TestSupportModel:
         # rho and alpha are the correctly rounded quotients of the counts
         x = np.arange(1.0, 15.0)[::-1]
         model = support_model(x, T=(0, 1, 2, 9, 10, 11), k=7, w=0.2)
-        assert model.T0 == (0, 1, 2, 3, 4, 5, 6)
+        assert top_k(x, 7) == (0, 1, 2, 3, 4, 5, 6)
         assert model.rho == float(Fraction(6, 7))
         assert model.alpha == float(Fraction(3, 6))
         model = support_model(x, T=(0, 1, 2, 9, 10, 11, 12), k=7, w=0.2)
@@ -160,15 +178,14 @@ class TestErrorTerms:
         t = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
         w = data.draw(st.floats(0.0, 1.0))
         model = support_model(x, t, k, w)
-        e_proof = proof_error_multiplier(x, t, model.T0, w)
+        e_proof = proof_error_multiplier(x, t, top_k(x, k), w)
         assert e_proof == pytest.approx(error_terms(x, model).e_local, abs=1e-12)
 
     def test_e_local_nonincreasing_as_prior_absorbs_top_indices(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(20)
         k, w = 6, 0.4
-        _, t0 = best_k_term(x, k)
-        ranked = sorted(t0, key=lambda i: (-abs(x[i]), i))
+        ranked = sorted(top_k(x, k), key=lambda i: (-abs(x[i]), i))
         previous = np.inf
         for j in range(len(ranked) + 1):
             terms = error_terms(x, support_model(x, tuple(sorted(ranked[:j])), k, w))
@@ -184,7 +201,7 @@ class TestPriorSupportFor:
         t = prior_support_for(x, k, rho=0.8, alpha=0.75)
         model = support_model(x, t, k, 0.5)
         assert len(t) == 4
-        assert len(set(t) & set(model.T0)) == 3
+        assert len(set(t) & set(top_k(x, k))) == 3
 
     def test_overlap_takes_largest_magnitudes(self):
         x = np.array([0.5, -4.0, 3.0, 0.0, 1.0])
@@ -220,21 +237,35 @@ class TestIndexSetSerialization:
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("call", [
-        lambda: support_model(np.array([3.0, 1.0, 2.0]), [1.5], 2, 0.5),  # was index 1
-        lambda: format_index_set([2.0, 1]),  # was "2,3.0"
-        lambda: format_index_set(5),
-        lambda: best_k_term(np.array([3.0, 1.0, 2.0]), 2.5),  # was a TypeError
-        lambda: best_k_term(np.array([3.0, 1.0, 2.0]), "2"),
-        lambda: best_k_term(np.array([3.0, np.nan, 2.0]), 2),  # was a support skipping the NaN
-        lambda: prior_support_for(np.array([3.0, np.nan, 2.0, 0.5]), 2, 1.0, 0.5),
-        lambda: error_terms(np.array([3.0, np.nan]), support_model(np.array([3.0, 1.0]), (0,), 1, 0.5)),
-        lambda: support_model(np.ones((2, 4)), (0, 1), 2, 0.5),  # a stack needs one set per row
-        lambda: prior_support_for(np.ones((0, 4)), 2, 1.0, 0.5),  # no signal at all
+    @pytest.mark.parametrize("call, message", [
+        (lambda: support_model(np.array([3.0, 1.0, 2.0]), [1.5], 2, 0.5),  # was index 1
+         "indices must be integers"),
+        (lambda: format_index_set([2.0, 1]), "indices must be integers"),  # was "2,3.0"
+        (lambda: format_index_set(5), "an index set must be a sequence of integers"),
+        (lambda: support_model(np.array([3.0, 1.0, 2.0]), (0,), 2.5, 0.5),  # was a TypeError
+         "k must be an integer, got 2.5"),
+        (lambda: support_model(np.array([3.0, 1.0, 2.0]), (0,), "2", 0.5),
+         "k must be an integer, got '2'"),
+        (lambda: support_model(np.array([3.0, np.nan, 2.0]), (0,), 2, 0.5),  # was a T0 skipping the NaN
+         "x must be finite"),
+        (lambda: prior_support_for(np.array([3.0, np.nan, 2.0, 0.5]), 2, 1.0, 0.5), "x must be finite"),
+        (lambda: error_terms(np.array([3.0, np.nan]), support_model(np.array([3.0, 1.0]), (0,), 1, 0.5)),
+         "x must be finite"),
+        (lambda: support_model(np.ones((2, 4)), (0, 1), 2, 0.5),  # a stack needs one set per row
+         r"expected 2 index set\(s\) of equal size"),
+        (lambda: prior_support_for(np.ones((0, 4)), 2, 1.0, 0.5),  # no signal at all
+         "x must be a signal or a stack of signals"),
+        (lambda: prior_support_for(np.arange(1.0, 9.0), 2, 1.0, 1.5), r"overlap 3 exceeds \|T\| = 2"),
+        (lambda: prior_support_for(np.arange(1.0, 5.0), 2, 3.0, 0.0),
+         r"\|T\| = 6 exceeds the dimension 4"),
+        (lambda: format_index_set(np.zeros((1, 1, 1), dtype=int)),
+         r"expected an index set or a stack of them, got shape \(1, 1, 1\)"),
+        (lambda: support_model(["a", "b"], (0,), 1, 0.5), "x must be numeric"),
     ], ids=["support-model-float-index", "format-float-index", "format-scalar", "k-float", "k-str",
-            "best-k-nan", "prior-support-nan", "error-terms-nan", "stack-one-set", "empty-stack"])
-    def test_rejected(self, call):
-        with pytest.raises(InvalidInputError):
+            "best-k-nan", "prior-support-nan", "error-terms-nan", "stack-one-set", "empty-stack",
+            "alpha-above-one", "prior-support-above-n", "format-3d", "x-text"])
+    def test_rejected(self, call, message):
+        with pytest.raises(InvalidInputError, match=message):
             call()
 
 
@@ -257,16 +288,14 @@ class TestStacks:
         t = t.reshape(b, t_size)
         w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=b, max_size=b)))
 
-        x_k, t0 = best_k_term(x, k)
         model = support_model(x, t, k, w)
         terms = error_terms(x, model)
         sets = format_index_set(t)
         assert model.rho == t_size / k
         for i in range(b):
-            row_k, row_t0 = best_k_term(x[i], k)
-            assert x_k[i].tobytes() == row_k.tobytes() and t0[i] == row_t0
             row = support_model(x[i], t[i], k, float(w[i]))
-            assert (model.T[i], model.T0[i], model.rho) == (row.T, row.T0, row.rho)
+            assert np.array_equal(model.in_t[i], row.in_t)
+            assert np.array_equal(model.in_t0[i], row.in_t0) and model.rho == row.rho
             assert bits(model.alpha[i]) == bits(row.alpha)
             row_terms = error_terms(x[i], row)
             for name in ("tail_k", "off_prior_off_top", "missed_top", "e_local"):
@@ -293,10 +322,10 @@ class TestStacks:
         # different counts
         x = np.array([[3.0, 0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 2.0, 0.0], [1.0, -2.0, 3.0, 4.0, 0.5]])
         model = support_model(x, [(0, 4), (1, 2), (3, 4)], 3, 0.25)
-        assert model.T0 == ((0, 3), (3,), (1, 2, 3))
+        assert top_k(x, 3) == ((0, 3), (3,), (1, 2, 3))
         assert np.array_equal(model.alpha, [0.5, 0.0, 0.5])
         terms = error_terms(x, model)
         assert np.array_equal(terms.tail_k, [0.0, 0.0, 1.5])
         assert np.array_equal(terms.missed_top, [1.0, 2.0, 5.0])
         for i, row in enumerate(x):
-            assert terms.e_local[i] == error_terms(row, support_model(row, model.T[i], 3, 0.25)).e_local
+            assert terms.e_local[i] == error_terms(row, support_model(row, np.flatnonzero(model.in_t[i]), 3, 0.25)).e_local

@@ -8,9 +8,16 @@ A module that defers loading other package modules lists the names it takes
 from each in a ``_LAZY`` table, {module: names}; every listed name must be
 one that module defines or imports at its top level. A stale entry would
 otherwise surface only as an error when the name is first looked up.
+
+And every public function, method and property of the package is named
+somewhere beyond its own definition: in the package (the names listed in
+``experiments._LAZY`` count, the package's export table does not), in
+``bench/`` (whose patches name functions as strings), or in the README's
+library example. Library code that only tests call fails this check.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -87,3 +94,72 @@ def test_check_finds_a_stale_lazy_name():
     sources = {"m": "from .x import a\nB = 1\ndef c():\n    pass\nclass D:\n    pass\n"}
     source = '_LAZY = {"m": ("a", "B", "c", "D", "e")}\n'
     assert stale_lazy_names(source, sources) == ["m.e"]
+
+
+def public_definitions(source: str) -> dict:
+    """The public functions, methods and properties a module defines:
+    {qualified name: name}."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found[node.name] = node.name
+        elif isinstance(node, ast.ClassDef):
+            found.update({f"{node.name}.{item.name}": item.name for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")})
+    return found
+
+
+def named(source: str, strings: bool = False) -> set:
+    """The identifiers a source reads: names, attributes and imported names,
+    and with strings, string constants that are identifiers."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif strings and isinstance(node, ast.Constant) and str(node.value).isidentifier():
+            names.add(node.value)
+    return names
+
+
+def unreached(definitions: dict, sources: list, lazy_names=(), bench=(), example: str = "") -> list:
+    """The definitions whose name no source, lazy entry, bench file or
+    example names."""
+    names = set(lazy_names) | named(example)
+    for source in sources:
+        names |= named(source)
+    for source in bench:
+        names |= named(source, strings=True)
+    return sorted(qualified for qualified, name in definitions.items() if name not in names)
+
+
+def library_example() -> str:
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+
+
+def test_every_public_function_is_reached_beyond_the_tests():
+    sources = [path.read_text() for path in PACKAGE]
+    definitions = {}
+    for source in sources:
+        definitions.update(public_definitions(source))
+    lazy = lazy_table((ROOT / "src" / "priorcs" / "experiments.py").read_text())
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    assert len(definitions) > 50
+    assert unreached(definitions, sources, [n for names in lazy.values() for n in names], bench,
+                     library_example()) == []
+
+
+def test_check_finds_a_function_only_tests_call():
+    source = ("def used():\n    return helper()\n\ndef helper():\n    pass\n\n"
+              "def lone():\n    pass\n\ndef patched():\n    pass\n\ndef listed():\n    pass\n\n"
+              "class C:\n    @property\n    def p(self):\n        return self.q\n\n"
+              "    def q(self):\n        return 'lone'\n")
+    definitions = public_definitions(source)
+    assert definitions == {"used": "used", "helper": "helper", "lone": "lone", "patched": "patched",
+                           "listed": "listed", "C.p": "p", "C.q": "q"}
+    bench = ['setattr(m, "patched", wrap(getattr(m, "patched")))\n']
+    assert unreached(definitions, [source], ["listed"], bench, "x = C().p\n") == ["lone", "used"]
