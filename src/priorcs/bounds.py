@@ -149,21 +149,29 @@ def _result(theorem, shape, c0, c1, k_max, *checks) -> GuaranteeResult:
     """A result over a grid of the given shape. checks are (holds, reason) or
     (holds, reason, values) in report order: a point is valid where every check
     holds, and its reason joins with "; " the reasons of the checks it fails,
-    each a format string filled with the point's entry of values."""
-    valid = np.ones(shape, dtype=bool)
-    reasons = [""] * valid.size
+    a check's reason as it is, or with values a format string filled with the
+    point's entry of values (one format call per check; no line breaks)."""
+    size = math.prod(shape)
+    valid = np.ones(size, dtype=bool)
+    reasons = np.full(size, "", dtype=object)
     for holds, text, *values in checks:
-        holds = np.broadcast_to(holds, shape)
-        valid &= holds
-        failed = np.flatnonzero(~holds).tolist()
-        at = np.ravel(np.broadcast_to(values[0], shape))[failed].tolist() if values else failed
-        for i, value in zip(failed, at):
-            part = text.format(value)
-            reasons[i] = f"{reasons[i]}; {part}" if reasons[i] else part
+        failed = np.flatnonzero(~np.broadcast_to(holds, shape))
+        if not failed.size:
+            continue
+        first = valid[failed]  # no earlier check failed here
+        if values:
+            at = np.ravel(np.broadcast_to(values[0], shape))[failed].tolist()
+            parts = np.array("\n".join([text] * failed.size).format(*at).split("\n"), dtype=object)
+            reasons[failed[first]] = parts[first]
+            reasons[failed[~first]] += "; " + parts[~first]
+        else:
+            reasons[failed[first]] = text
+            reasons[failed[~first]] += "; " + text
+        valid[failed] = False
     c0, c1, k_max = (np.broadcast_to(v, shape) for v in (c0, c1, k_max))
     if not shape:
-        return GuaranteeResult(theorem, float(c0), float(c1), float(k_max), bool(valid), reasons[0])
-    return GuaranteeResult(theorem, c0, c1, k_max, valid, np.array(reasons, dtype=object).reshape(shape))
+        return GuaranteeResult(theorem, float(c0), float(c1), float(k_max), bool(valid[0]), reasons[0])
+    return GuaranteeResult(theorem, c0, c1, k_max, valid.reshape(shape), reasons.reshape(shape))
 
 
 def local_bound(p: GuaranteeParams) -> GuaranteeResult:

@@ -4,9 +4,10 @@ A table stores one numpy array per named column; row i is the i-th entry of
 every column. CSV cells are formatted by the column's type: booleans as
 true/false, integers as decimal, reals at 12 significant digits, anything
 else as text, sanitized so cells never contain line breaks and quoted when
-they hold a comma; one %-format call writes 4096 CSV rows. An SVG's "%.2f"
-pixel cells come from one exact fixed-point byte kernel per plot, _fixed2,
-which spells every value in [0, 9999.995).
+they hold a comma; one %-format call writes 4096 CSV rows. A real column
+whose cells mostly repeat has each distinct value formatted once. An SVG's
+"%.2f" pixel cells come from one exact fixed-point byte kernel per plot,
+_fixed2, which spells every value in [0, 9999.995).
 Both emitters write LF line endings and are byte-reproducible for identical
 inputs. The SVG is a deliberately plain fixed-size line plot of a wide table,
 every column after the first drawn against the first, meant for eyeball
@@ -75,12 +76,16 @@ class SweepTable:
         return SweepTable(columns=list(self.columns), data=[values[keep] for values in self.data])
 
 
+_BOOLS = np.array(["false", "true"], dtype=object)
+_CHUNK = 4096  # rows per %-format call: bounds the formatted cells alive at once
+
+
 def _cells(values) -> tuple:
     """A column's %-format and its cells as %-arguments, by the column's type;
     text is sanitized and quoted once per distinct value."""
     kind = values.dtype.kind
     if kind == "b":
-        return "%s", np.where(values, "true", "false").tolist()
+        return "%s", _BOOLS[values.view(np.uint8)].tolist()
     if kind in "iu":
         return "%d", values.tolist()
     if kind == "f":
@@ -91,6 +96,36 @@ def _cells(values) -> tuple:
         return "%s", texts
     encoded = {text: _encode_text(text) for text in set(texts)}
     return "%s", list(map(encoded.__getitem__, texts))
+
+
+def _chunks(values):
+    """A column's %-format and cells for each run of _CHUNK rows.
+
+    A real column is grouped once by the bits of its float64 values (what
+    tolist gives for every float width), so -0.0 and 0.0 stay apart; when at
+    most half its cells are distinct, each distinct value is formatted once
+    and the chunks gather their cells from those texts. A mostly distinct
+    column is formatted cell by cell, which costs it only the sort. Sorting
+    keeps numpy.ma unloaded, which np.unique would load.
+    """
+    if values.dtype.kind == "f":
+        with np.errstate(over="ignore"):  # a longdouble beyond float64 prints as inf
+            values = values.astype(float, copy=False)
+        bits = values.view(np.int64)
+        # timsort is linear on sorted runs, which grid and monotone columns
+        # are made of, and maps less numpy code into memory than quicksort
+        ordered = np.sort(bits, kind="stable")
+        new = ordered[1:] != ordered[:-1]
+        if 2 * (1 + np.count_nonzero(new)) <= len(bits):
+            distinct = np.append(ordered[:1], ordered[1:][new])
+            texts = "\n".join(["%.12g"] * distinct.size) % tuple(distinct.view(float).tolist())
+            texts = np.array(texts.split("\n"), dtype=object)
+            group = np.searchsorted(distinct, bits)
+            for start in range(0, len(group), _CHUNK):
+                yield "%s", texts[group[start:start + _CHUNK]].tolist()
+            return
+    for start in range(0, len(values), _CHUNK):
+        yield _cells(values[start:start + _CHUNK])
 
 
 def _encode_text(text: str) -> str:
@@ -104,8 +139,8 @@ def _encode_text(text: str) -> str:
 def to_csv_text(table: SweepTable) -> str:
     spec, names = _cells(np.asarray(table.columns))
     lines = [",".join([spec] * len(names)) % tuple(names)]
-    for start in range(0, len(table), 4096):  # bounds the formatted cells alive at once
-        specs, cells = zip(*(_cells(v[start:start + 4096]) for v in table.data))
+    for chunk in zip(*map(_chunks, table.data)):
+        specs, cells = zip(*chunk)
         rows = "\n".join([",".join(specs)] * len(cells[0]))
         lines.append(rows % tuple(chain.from_iterable(zip(*cells))))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from priorcs import (
     k_ratios,
     local_bound,
 )
-from priorcs.bounds import THEOREMS, evaluate, local_denominator
+from priorcs.bounds import THEOREMS, _result, evaluate, local_denominator
 from priorcs.experiments import admissible_alphas, float_grid
 
 import oracles
@@ -469,6 +469,38 @@ def bits(values):
 def blocks(pairs, ws):
     rho, alpha = np.array(pairs, dtype=float).T
     return np.repeat(rho, len(ws)), np.repeat(alpha, len(ws)), np.tile(ws, len(pairs))
+
+
+class TestReasons:
+    """A point's reason joins, in check order, the texts of the checks it fails."""
+
+    @staticmethod
+    def expected(checks, idx):
+        return "; ".join(text.format(values[0][idx]) if values else text
+                         for holds, text, *values in checks if not holds[idx])
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
+    def test_each_point_joins_its_failed_checks(self, order):
+        rng = np.random.default_rng(1)
+        shape = (4, 6)
+        value = rng.standard_normal(shape)
+        # a text without a value is taken as it is, braces included
+        checks = [(rng.random(shape) < 0.7, "a {}"), (rng.random(shape) < 0.7, "b = {:.3g}", value),
+                  (rng.random(shape) < 0.7, "c")]
+        checks = [checks[i] for i in order]
+        res = _result("t", shape, 1.0, 2.0, 3.0, *checks)
+        assert res.reason.shape == shape and res.valid.shape == shape
+        for idx in np.ndindex(shape):
+            assert res.reason[idx] == self.expected(checks, idx)
+            assert res.valid[idx] == all(holds[idx] for holds, *_ in checks)
+        assert (~res.valid).any() and res.valid.any()
+        assert any("; " in reason for reason in res.reason.ravel())
+
+    def test_grid_of_one(self):
+        res = _result("t", (), 1.0, 2.0, 3.0, (False, "a"), (True, "b"),
+                      (np.array(False), "k_max = {:.6g}", np.float64(2.5)))
+        assert res.reason == "a; k_max = 2.5" and res.valid is False and res.c0 == 1.0
+        assert _result("t", (), 1.0, 2.0, 3.0, (True, "a")).reason == ""
 
 
 class TestGridIndependence:

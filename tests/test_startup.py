@@ -30,17 +30,22 @@ EXPORTS = {
 }
 
 
-def loaded_after(code: str, *argv) -> set:
-    """The priorcs modules in sys.modules after a fresh process runs code,
-    read from the last line it prints."""
-    script = code + "\nprint(*sorted(m for m in sys.modules if m.startswith('priorcs')))"
+def last_line(script: str, *argv) -> str:
+    """The last line a fresh process prints when it runs script."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env=env, check=True, timeout=120)
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout.splitlines()[-1]
 
 
+def loaded_after(code: str, *argv) -> set:
+    """The priorcs modules in sys.modules after a fresh process runs code."""
+    return set(last_line(
+        code + "\nprint(*sorted(m for m in sys.modules if m.startswith('priorcs')))", *argv).split())
+
+
+RUN_MAIN = "import sys\nfrom priorcs.cli import main\nassert main(sys.argv[1:]) == 0"
 SWEEP_MODULES = {"priorcs", "priorcs.cli", "priorcs.errors", "priorcs.experiments",
                  "priorcs.bounds", "priorcs.tables"}
 
@@ -52,8 +57,17 @@ SWEEP_MODULES = {"priorcs", "priorcs.cli", "priorcs.errors", "priorcs.experiment
     ("fig4", SWEEP_MODULES),
 ])
 def test_a_sweep_loads_only_what_it_runs(command, modules, tmp_path):
-    code = "import sys\nfrom priorcs.cli import main\nassert main(sys.argv[1:]) == 0"
-    assert loaded_after(code, command, "-o", "w_grid=0,1", "--out-dir", str(tmp_path)) == modules
+    assert loaded_after(RUN_MAIN, command, "-o", "w_grid=0,1", "--out-dir", str(tmp_path)) == modules
+
+
+@pytest.mark.parametrize("args", [
+    ["fig1", "-o", "w_grid=0,1"], ["fig2", "-o", "w_grid=0,1"], ["fig3", "-o", "w_grid=0,1"],
+    ["fig4", "-o", "w_grid=0,1"], ["verify", "-o", "trials=1", "-o", "rho_list=1", "-o", "w_grid=0.5"],
+], ids=lambda args: args[0])
+def test_a_command_leaves_numpy_ma_unloaded(args, tmp_path):
+    # np.unique loads numpy.ma (about 720 KB resident); the CSV grouping sorts instead
+    script = RUN_MAIN + "\nprint(any(m == 'numpy.ma' or m.startswith('numpy.ma.') for m in sys.modules))"
+    assert last_line(script, *args, "--out-dir", str(tmp_path)) == "False"
 
 
 def test_importing_the_package_loads_no_module():

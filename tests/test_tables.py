@@ -58,6 +58,11 @@ class TestCsv:
         assert format_column(np.arange(2)) == ["0", "1"]
         assert format_column([0.1, 2.3306863292670034]) == ["0.1", "2.33068632927"]  # 12 digits
         assert format_column([float("nan"), float("inf"), 1.0]) == ["nan", "inf", "1"]
+        # repeats are formatted once per bit pattern, so -0.0 keeps its sign
+        assert format_column([0.0, -0.0] * 3 + [0.5]) == ["0", "-0"] * 3 + ["0.5"]
+        # a longdouble prints as its nearest double, inf beyond the double range
+        assert format_column(np.array(["1e400", "-1e400", "1e-400"] * 2, dtype=np.longdouble)) \
+            == ["inf", "-inf", "0"] * 2
         assert format_column(["a b\nc", "x,y"]) == ["a b c", '"x,y"']
         assert format_column(np.array(["a b\rc", None], dtype=object)) == ["a b c", "None"]
 
@@ -97,6 +102,8 @@ class TestCsv:
 TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n;x1'), max_size=6)
 SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                                   2.2250738585072014e-308, 1e300, -1e-300, 0.1])
+# a few reals, -0.0 beside 0.0, so that most cells of a column repeat one
+REPEATED_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1])
 
 
 def columns_of(n):
@@ -105,6 +112,12 @@ def columns_of(n):
     return st.one_of(
         st.lists(st.one_of(st.floats(), SPECIAL_FLOATS), min_size=n, max_size=n)
         .map(lambda v: np.array(v, dtype=float)),
+        st.lists(REPEATED_FLOATS, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float)),
+        # other float widths; a third of a double carries bits a double drops
+        st.lists(st.floats(width=32), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=np.float32)),
+        st.lists(st.one_of(st.floats(), REPEATED_FLOATS), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=np.longdouble) / 3),
         st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)
         .map(lambda v: np.array(v, dtype=np.int64)),
         st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n)
@@ -140,9 +153,11 @@ class TestCsvMatchesPerCellOracle:
         n = 2 * 4096 + 5
         data = [rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n),
                 rng.integers(-9, 9, n), rng.random(n) < 0.5,
-                np.array(["", "k >= k_max, boundary", 'say "x"'], dtype=object)[rng.integers(0, 3, n)]]
+                np.array(["", "k >= k_max, boundary", 'say "x"'], dtype=object)[rng.integers(0, 3, n)],
+                # a w grid tiled over the rows: its groups span every chunk edge
+                np.resize(np.linspace(0.0, 1.0, 1001), n)]
         data[0][::7] = np.nan
-        table = SweepTable(columns=["x", "i", "b", "reason"], data=data)
+        table = SweepTable(columns=["x", "i", "b", "reason", "w"], data=data)
         assert to_csv_text(table) == csv_text(table.columns, table.data)
 
     def test_empty_tables(self):
