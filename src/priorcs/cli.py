@@ -199,15 +199,15 @@ def _nearest_rank(ordered: list, q: float):
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
-def _name_nonconverged(table, shown=5) -> str:
-    """The first non-converged trials of a verify table, each with its
-    (rho, alpha, w) and iteration count; their exit is always max_iter."""
-    columns = ("trial", "rho", "alpha", "w", "iterations", "converged")
-    failed = [row for row in zip(*(table.column(c).tolist() for c in columns)) if not row[-1]]
-    names = [f"trial {trial} (rho={rho:g}, alpha={alpha:g}, w={w:g}, {iterations} iterations)"
-             for trial, rho, alpha, w, iterations, _ in failed[:shown]]
-    if len(failed) > shown:
-        names.append(f"and {len(failed) - shown} more")
+def _name_trials(table, mask, detail: str, shown=5) -> str:
+    """The first verify trials where mask holds, each with its (rho, alpha, w)
+    and detail, a format string over the table's columns; the rest counted."""
+    picked = mask.nonzero()[0]
+    values = (table.column(c)[picked[:shown]].tolist() for c in table.columns)
+    names = [("trial {trial} (rho={rho:g}, alpha={alpha:g}, w={w:g}, " + detail + ")").format(
+        **dict(zip(table.columns, row))) for row in zip(*values)]
+    if picked.size > shown:
+        names.append(f"and {picked.size - shown} more")
     return ", ".join(names)
 
 
@@ -251,10 +251,14 @@ def _cmd_experiment(args) -> int:
             "violations={violations}".format(**data)
         )
         if data["violations"] > 0:
-            print("assertion failed: local bound violated on converged trials", file=sys.stderr)
+            # 9 digits tell lhs from rhs at the VIOLATION_TOL of 1e-6 up to 100
+            named = _name_trials(table, table.column("violation"), "lhs={lhs:.9g}, rhs={rhs:.9g}")
+            print(f"assertion failed: local bound violated on converged trials: {named}",
+                  file=sys.stderr)
         if data["nonconverged"] > 0:
             print(f"assertion failed: {data['nonconverged']} trial(s) did not converge: "
-                  f"{_name_nonconverged(table)}", file=sys.stderr)
+                  f"{_name_trials(table, ~table.column('converged'), '{iterations} iterations')}",
+                  file=sys.stderr)
         if data["violations"] > 0 or data["nonconverged"] > 0:
             return 3
     return 0

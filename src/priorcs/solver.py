@@ -55,9 +55,10 @@ most opt_tol. A polished row retires at once. At eps > 0 the try depends on
 the pattern alone, so a rejected pattern is not tried again; rows with
 c = 0 (all of F at zero weight) never polish and are left to the stop test
 and the certificate. The rows that try at one check are grouped by |F|,
-and each group is one stacked gram, Cholesky, solve and gemv per product,
-whose items are the calls of a lone try, bit for bit, so the batch
-contract holds; a row whose gram does not factor fails alone.
+and each group is one stacked gram, LU solve and gemv per product, whose
+items are the calls of a lone try, bit for bit, so the batch contract
+holds. The solve alone tests singularity: a row whose gram it finds
+singular gets a NaN point and fails alone.
 
 kkt_check reads the first-order residual of a given pair (x, lam), such as
 a report's (x_star, dual), which is thus its own certificate.
@@ -65,6 +66,7 @@ a report's (x_star, dual), which is thus its own certificate.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from time import perf_counter
@@ -436,6 +438,8 @@ def _polish(a, y, eps, w, x, lam, tol):
     F-ordered like a[:, F], and the gram, A_F^T y, A_F z and the solve run
     the BLAS and LAPACK calls of a try on 1-D vectors, with the same bits
     (C-ordered A_F items would run gemv_n where the 1-D try runs gemv_t).
+    If the stacked solve raises, the items are solved one by one, and a
+    singular item's NaN solution fails the acceptance tests.
     """
     count, n = x.shape
     accepted = np.zeros(count, dtype=bool)
@@ -448,21 +452,20 @@ def _polish(a, y, eps, w, x, lam, tol):
         fr = free[rows]
         a_ft = a.T[np.nonzero(fr)[1].reshape(rows.size, size)]  # (G, |F|, m), C-ordered
         gram = a_ft @ a_ft.transpose(0, 2, 1)
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            # the stacked call fails as a whole: keep the rows that factor
-            keep = np.array([_factors(item) for item in gram])
-            rows, fr, a_ft, gram = rows[keep], fr[keep], a_ft[keep], gram[keep]
-            if not rows.size:
-                continue
         a_f = a_ft.transpose(0, 2, 1)
         w_g, y_g, lam_g = w[rows], y[rows][:, :, None], lam[rows][:, :, None]
         w_f = w_g[fr].reshape(rows.size, size)
         c = w_f * np.sign(x[rows][fr].reshape(rows.size, size))
         # at eps = 0 the second column solves for the projection of lam
         second = c[:, :, None] if eps > 0.0 else c[:, :, None] + a_ft @ lam_g
-        solution = np.linalg.solve(gram, np.concatenate((a_ft @ y_g, second), axis=2))
+        rhs = np.concatenate((a_ft @ y_g, second), axis=2)
+        try:
+            solution = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            solution = np.full_like(rhs, math.nan)
+            for j in range(rows.size):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    solution[j] = np.linalg.solve(gram[j], rhs[j])
         z_f, g = solution[:, :, 0], solution[:, :, 1:]
         ok = True
         if eps > 0.0:
@@ -487,15 +490,6 @@ def _polish(a, y, eps, w, x, lam, tol):
         ok &= (_norms(residual)[:, 0, 0] - eps <= tol.feas_tol) & (pair_g <= tol.opt_tol)
         accepted[rows], z[rows], lam_out[rows], pair[rows] = ok, z_g, lam_g[:, :, 0], pair_g
     return accepted, z, lam_out, pair
-
-
-def _factors(gram) -> bool:
-    """Whether the Cholesky factorization of one matrix succeeds."""
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def kkt_check(problem: RecoveryProblem, x, lam) -> float:

@@ -186,20 +186,19 @@ def polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol):
     sqrt(c^T G^-1 c) and the multiplier (A z - y) / t; at eps = 0 it is the
     least-squares fit z_ls, and the multiplier is lam projected onto
     A_F^T lam = -c. Accepted when the signs on F with w > 0 hold, the point
-    is feasible to feas_tol and the pair residual is at most opt_tol.
+    is feasible to feas_tol and the pair residual is at most opt_tol. The LU
+    solve is the only singularity test: a G it finds singular fails the try.
     """
     free = (x != 0.0) | (weights == 0.0)
     if free.sum() > a.shape[0]:
         return None
     a_f = a[:, free]
     c = weights[free] * np.sign(x[free])
-    gram = a_f.T @ a_f
+    second = c if eps > 0.0 else c + a_f.T @ lam
     try:
-        np.linalg.cholesky(gram)
+        z_f, g = np.linalg.solve(a_f.T @ a_f, np.stack([a_f.T @ y, second], axis=1)).T
     except np.linalg.LinAlgError:
         return None
-    second = c if eps > 0.0 else c + a_f.T @ lam
-    z_f, g = np.linalg.solve(gram, np.stack([a_f.T @ y, second], axis=1)).T
     if eps > 0.0:
         fit = a_f @ z_f - y
         r2, q = fit @ fit, c @ g

@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import priorcs
 from priorcs import generate_matrix
 from priorcs.cli import main
+from priorcs.experiments import SIGNAL_KINDS
 from priorcs.matrices import format_real, read_matrix_file, write_matrix_text
 
 
@@ -316,7 +319,8 @@ class TestExperimentCommands:
     def test_verify_fails_a_bound_just_below_its_own_worst_ratio(self, tmp_path, capsys,
                                                                    monkeypatch):
         """The gate trips once c0 and c1 shrink below the run's largest
-        lhs/rhs, and passes just above it."""
+        lhs/rhs, and passes just above it; the failure names the violating
+        trials."""
         argv = ("verify", "--out-dir", str(tmp_path), "-o", "trials=1", "-o", "rho_list=1",
                 "-o", "w_grid=0.5")
         code, _, _ = run_cli(capsys, *argv)
@@ -335,9 +339,21 @@ class TestExperimentCommands:
             monkeypatch.setattr(priorcs.bounds, "local_bound", scaled)
             code, out, err = run_cli(capsys, *argv)
             assert code == expected
-            violated = "assertion failed: local bound violated on converged trials"
-            assert (violated in err.splitlines()) == (expected == 3)
+            violated = "assertion failed: local bound violated on converged trials: "
+            lines = [line for line in err.splitlines() if line.startswith(violated)]
+            assert len(lines) == (expected == 3)
             assert ("violations=0" in out) == (expected == 0)
+            if expected == 3:
+                with open(tmp_path / "verify.csv", newline="") as fh:
+                    rows = [row for row in csv.DictReader(fh) if row["violation"] == "true"]
+                named = re.findall(r"trial (\d+) \(rho=(\S+), alpha=(\S+), w=(\S+), "
+                                   r"lhs=(\S+), rhs=(\S+)\)", lines[0])
+                assert rows and len(named) == len(rows) <= 5
+                for (trial, *values), row in zip(named, rows):
+                    assert trial == row["trial"]
+                    expect = [float(row[c]) for c in ("rho", "alpha", "w", "lhs", "rhs")]
+                    assert [float(v) for v in values] == pytest.approx(expect, rel=1e-8)
+                    assert float(values[3]) > float(values[4])
 
     def test_verify_small_run(self, tmp_path, capsys):
         code, out, err = run_cli(
@@ -388,6 +404,29 @@ class TestExperimentCommands:
         last = err.splitlines()[-1]
         assert last.startswith("assertion failed: 30 trial(s) did not converge: trial 0 (rho=0.5, ")
         assert last.count("iterations)") == 5 and last.endswith(", and 25 more")
+
+    def test_verify_survives_dependent_polish_free_sets(self, tmp_path, capsys):
+        # [I | H/4] has spark 8: some polish tries meet a singular gram,
+        # which the stacked LU solve once raised out of the command
+        code, out, _ = run_cli(capsys, "verify", "--out-dir", str(tmp_path), "-o", "trials=2",
+                               "-o", "m=16", "-o", "n=32", "-o", "k=6")
+        assert code == 0
+        assert "trials=66 converged=66 nonconverged=0 violations=0" in out
+
+    def test_valid_verify_configs_exit_0_or_3(self, tmp_path, capsys):
+        """Small verify runs over matrix size, sparsity, signal and noise: each
+        exits 0 or 3, or reports a package error; no other exception escapes."""
+        @settings(max_examples=20, deadline=None)
+        @given(st.sampled_from((8, 16, 32)), st.data(), st.sampled_from(SIGNAL_KINDS),
+               st.one_of(st.just(0.0), st.floats(0.001, 0.2)))
+        def check(m, data, signal, eps):
+            k = 2 * data.draw(st.integers(1, m // 4))  # an odd k makes rho = 0.5 a config error
+            code, _, err = run_cli(capsys, "verify", "--out-dir", str(tmp_path), "-o", f"m={m}",
+                                   "-o", f"n={2 * m}", "-o", f"k={k}", "-o", f"signal={signal}",
+                                   "-o", f"epsilon={eps!r}", "-o", "trials=1")
+            assert code in (0, 3) or (code in (1, 2) and err.splitlines()[-1].startswith("error: "))
+
+        check()
 
     def test_verify_converges_when_y_is_mostly_noise(self, tmp_path, capsys):
         # ||y|| is about 1e5 + 1 at eps = 1e5: a step ratio taken from ||y||

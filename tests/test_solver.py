@@ -439,14 +439,27 @@ class TestCertificate:
 
 
 class TestBatch:
-    @pytest.mark.parametrize("overrides", [
-        {"trials": "2"},
-        {"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0", "trials": "2"},
-    ], ids=["default-eps0.05", "gauss32x64-eps0"])
-    def test_rows_do_not_depend_on_the_batch(self, batch_solves, overrides):
+    @pytest.mark.parametrize("overrides, singular", [
+        ({"trials": "2"}, False),
+        ({"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0", "trials": "2"},
+         False),
+        # [I | H/4] has spark 8, so a polish try's free set can be dependent
+        ({"trials": "2", "m": "16", "n": "32", "k": "6"}, True),
+    ], ids=["default-eps0.05", "gauss32x64-eps0", "ipo16x32-k6"])
+    def test_rows_do_not_depend_on_the_batch(self, batch_solves, monkeypatch, overrides, singular):
         run_verify_local(load_config("verify-local", overrides=overrides))
-        problems = batch_solves[-1][0][::5]  # six rows spread over the (rho, alpha, w) grid
-        alone = [report_bits(solve_weighted_l1(p)) for p in problems]
+        problems = batch_solves[-1][0][::5]  # rows spread over the (rho, alpha, w) grid
+        solve, items = np.linalg.solve, []
+
+        def spy(gram, rhs):
+            # a 2-D call solves one item after the stacked polish solve raised
+            items.append(np.ndim(gram) == 2)
+            return solve(gram, rhs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", spy)
+            alone = [report_bits(solve_weighted_l1(p)) for p in problems]
+        assert any(items) == singular  # some checked row took the item-by-item solve
         assert len({bits[2] for bits in alone}) > 1  # rows retire at different iterations
         for problem, bits in zip(problems, alone):
             x, lam, iterations, converged, opt_residual, exit, tries = primal_dual_one_at_a_time(
