@@ -207,9 +207,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"w_step must be in (0, 1], got {cfg.w_step}")
     if cfg.w_step < 1e-6:
         raise ConfigError(f"w_step {cfg.w_step} would make a grid of over a million points")
-    for w in w_values(cfg):
-        if not 0.0 <= w <= 1.0:
-            raise ConfigError(f"w values must lie in [0, 1], got {w}")
+    ws = w_values(cfg)
+    w = np.asarray(ws, dtype=float)
+    outside = np.flatnonzero(~((w >= 0.0) & (w <= 1.0)))
+    if outside.size:
+        raise ConfigError(f"w values must lie in [0, 1], got {ws[outside[0]]}")
     if cfg.w_grid is not None and len(cfg.w_grid) == 0:
         raise ConfigError("w_grid must be non-empty (or 'auto')")
     # each value of these lists is one block of the sweep and one curve of its plots
@@ -227,10 +229,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 @functools.lru_cache(maxsize=16)  # one build per grid: the checks, the run and each panel share it
 def float_grid(step: float) -> tuple:
+    """round(i * step, 12) for i = 0..1/step, bit for bit: rint(v * 1e12) / 1e12
+    is round(v, 12) unless the float v * 1e12, within 2**-14 of the exact
+    product, rounds to another integer, so the cells within 2.5e-4 of a
+    half-integer are left to Python's round."""
     count = round(1.0 / step)
     if abs(count * step - 1.0) > 1e-9:
         raise ConfigError(f"step {step} does not divide [0, 1] evenly")
-    return tuple(round(i * step, 12) for i in range(count + 1))
+    points = np.arange(count + 1) * step
+    scaled = points * 1e12
+    grid = np.rint(scaled) / 1e12
+    for i in np.flatnonzero(np.abs(scaled % 1.0 - 0.5) < 2.5e-4).tolist():
+        grid[i] = round(points[i].item(), 12)
+    return tuple(grid.tolist())
 
 
 def w_values(cfg: ExperimentConfig) -> tuple:

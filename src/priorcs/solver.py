@@ -28,10 +28,15 @@ round the same either way, and a row leaves the batch when it stops.
 The loop allocates no full-size stack: each step writes into a preallocated
 (B, k, 1) buffer with out=, in the order of its formula, the state swaps
 between two buffers, and the step sizes are expanded once to full stacks.
-Buffers are re-sliced only when rows retire. A row can stop only at a check,
-every POLISH_EVERY iterations, or at the last iteration (PDLP too evaluates
-its termination criteria periodically, arXiv:2105.12715), so the other
-iterations build no residual.
+When rows retire, the batch compacts in place: the live rows of each state
+stack move to its front, and the loop goes on with the leading view, which
+stays C-contiguous and so makes the same BLAS calls; the scratch stacks just
+take the view. So each stack is held once, however often the batch
+shrinks, and no report shares memory with it (retire copies its rows out).
+The feasibility test's (n, B) least-squares fit is dropped before the loop.
+A row can stop only at a check, every POLISH_EVERY iterations, or at the
+last iteration (PDLP too evaluates its termination criteria periodically,
+arXiv:2105.12715), so the other iterations build no residual.
 
 At a check, the stop test runs first. Then a row whose iterate is 0
 wherever w > 0, feasible, and unchanged since the previous check retires
@@ -245,8 +250,8 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
     y = ys[:, :, None]
     norm_y = _norms(y)
     dual_scale = np.maximum(1.0, norm_y)
-    ls_solution, *_ = np.linalg.lstsq(a, ys.T, rcond=None)
-    min_residual = _norms(a @ ls_solution.T[:, :, None] - y)[:, 0, 0]
+    # the (n, B) least-squares fit is dropped as soon as its residuals are read
+    min_residual = _norms(a @ np.linalg.lstsq(a, ys.T, rcond=None)[0].T[:, :, None] - y)[:, 0, 0]
     bad = np.flatnonzero(min_residual > eps + np.maximum(tol.feas_tol, 1e-8 * dual_scale[:, 0, 0]))
     if bad.size:
         i = int(bad[0])
@@ -411,17 +416,19 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                             rejected[rows[i]].add(key)
             if not done.any():
                 continue
-            keep = ~done
-            if not keep.any():
+            keep = np.flatnonzero(~done)
+            count = keep.size
+            if not count:
                 return reports
-            # the work stacks shrink with the state; their contents are scratch
+            # compact in place; the work stacks hold scratch and take the view
+            state = (rows, x, ax, ax_prev, lam, opt_residual, weights, positive, pattern,
+                     y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale)
+            for arr in state:
+                arr[:count] = arr[keep]
             (rows, x, ax, ax_prev, lam, opt_residual, weights, positive, pattern,
              y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale,
              x_new, x_half, ax_new, ax_bar, lam_new, shift) = (
-                arr[keep] for arr in (rows, x, ax, ax_prev, lam, opt_residual, weights, positive,
-                                      pattern, y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps,
-                                      dual_scale, x_new, x_half, ax_new, ax_bar, lam_new, shift)
-            )
+                arr[:count] for arr in (*state, x_new, x_half, ax_new, ax_bar, lam_new, shift))
     retire_iterate(np.arange(len(rows)), "max_iter")
     return reports
 

@@ -82,7 +82,8 @@ _CHUNK = 4096  # rows per %-format call: bounds the formatted cells alive at onc
 
 def _cells(values) -> tuple:
     """A column's %-format and its cells as %-arguments, by the column's type;
-    text is sanitized and quoted once per distinct value."""
+    the text of a whole column is scanned once, and each distinct text is
+    sanitized and quoted once."""
     kind = values.dtype.kind
     if kind == "b":
         return "%s", _BOOLS[values.view(np.uint8)].tolist()
@@ -90,12 +91,18 @@ def _cells(values) -> tuple:
         return "%d", values.tolist()
     if kind == "f":
         return "%.12g", values.tolist()
-    texts = list(map(str, values.tolist()))
-    joined = "".join(texts)
+    # str cells are their own text: the join fails on any other cell, and
+    # its text is what is scanned
+    cells = values.tolist()
+    try:
+        joined = "".join(cells)
+    except TypeError:  # some cell is not a str
+        cells = list(map(str, cells))
+        joined = "".join(cells)
     if not any(char in joined for char in '\n\r,"'):
-        return "%s", texts
-    encoded = {text: _encode_text(text) for text in set(texts)}
-    return "%s", list(map(encoded.__getitem__, texts))
+        return "%s", cells
+    encoded = {text: _encode_text(text) for text in set(cells)}
+    return "%s", list(map(encoded.__getitem__, cells))
 
 
 def _chunks(values):
@@ -106,8 +113,14 @@ def _chunks(values):
     most half its cells are distinct, each distinct value is formatted once
     and the chunks gather their cells from those texts. A mostly distinct
     column is formatted cell by cell, which costs it only the sort. Sorting
-    keeps numpy.ma unloaded, which np.unique would load.
+    keeps numpy.ma unloaded, which np.unique would load. A text column is
+    formatted whole, and the chunks slice its cells.
     """
+    if values.dtype.kind not in "biuf":
+        spec, cells = _cells(values)
+        for start in range(0, len(cells), _CHUNK):
+            yield spec, cells[start:start + _CHUNK]
+        return
     if values.dtype.kind == "f":
         with np.errstate(over="ignore"):  # a longdouble beyond float64 prints as inf
             values = values.astype(float, copy=False)

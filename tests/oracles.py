@@ -1,102 +1,125 @@
 """Independent oracles the tests check the library against.
 
 These deliberately do not import the library's calculators: the closed forms
-are re-transliterated here on top of mpmath at 50 digits, and the tiny solver
-oracles work by exhaustive enumeration. Expected values frozen into tests were
-produced by these functions.
+are re-transliterated here on top of the standard library's decimal at 50
+digits, and the tiny solver oracles work by exhaustive enumeration. Expected
+values frozen into tests were produced by these closed forms (then evaluated
+with mpmath at the same precision).
 """
 
+import decimal
+import functools
 import itertools
 import math
+from decimal import Decimal
 
-import mpmath as mp
 import numpy as np
 
-mp.mp.dps = 50
+_DIGITS = decimal.Context(prec=50)
 
 
+def _at_50_digits(formula):
+    """Run formula with 50-digit decimal arithmetic; each float argument
+    converts exactly."""
+    @functools.wraps(formula)
+    def run(*args):
+        with decimal.localcontext(_DIGITS):
+            return formula(*args)
+    return run
+
+
+def sqrt(v):
+    return Decimal(v).sqrt()
+
+
+@_at_50_digits
 def local_coeffs(mu, k, rho, alpha, w):
     """(D, c0, c1, k_max) of the prior-support-restricted bound."""
-    mu, rho, alpha, w = map(mp.mpf, (mu, rho, alpha, w))
+    mu, rho, alpha, w = map(Decimal, (mu, rho, alpha, w))
     rk = rho * k
-    c = 2 * w * mp.sqrt(alpha) + 1
-    denom = 1 + mu + w * mu * mp.sqrt(rk) - mu * rk * c
-    c0 = 2 * mp.sqrt(1 + (rk - 1) * mu) / denom
-    c1 = 2 * mu * mp.sqrt(rk) / denom
+    c = 2 * w * sqrt(alpha) + 1
+    denom = 1 + mu + w * mu * sqrt(rk) - mu * rk * c
+    c0 = 2 * sqrt(1 + (rk - 1) * mu) / denom
+    c1 = 2 * mu * sqrt(rk) / denom
     if w == 0:
         k_max = (1 / rho) * (1 + 1 / mu)
     else:
-        k_max = ((w + mp.sqrt(w ** 2 + 4 * c * (1 + 1 / mu))) / (2 * mp.sqrt(rho) * c)) ** 2
+        k_max = ((w + sqrt(w ** 2 + 4 * c * (1 + 1 / mu))) / (2 * sqrt(rho) * c)) ** 2
     return denom, c0, c1, k_max
 
 
+@_at_50_digits
 def cai_coeffs(mu, k):
-    mu = mp.mpf(mu)
-    den = (1 + mu - 2 * mu * k) * mp.sqrt(1 + mu)
-    c0 = 2 * (1 + mu - 2 * mu * k + 2 * mp.sqrt(mu * k * (1 + (k - 1) * mu))) / den
-    c1 = 2 * (1 + mu) * mp.sqrt(mu) / den
+    mu = Decimal(mu)
+    den = (1 + mu - 2 * mu * k) * sqrt(1 + mu)
+    c0 = 2 * (1 + mu - 2 * mu * k + 2 * sqrt(mu * k * (1 + (k - 1) * mu))) / den
+    c1 = 2 * (1 + mu) * sqrt(mu) / den
     return c0, c1, (1 + 1 / mu) / 2
 
 
+@_at_50_digits
 def haixiao_coeffs(mu, k, rho, alpha, w):
-    mu, rho, alpha, w = map(mp.mpf, (mu, rho, alpha, w))
+    mu, rho, alpha, w = map(Decimal, (mu, rho, alpha, w))
     spread = 1 + rho - 2 * alpha * rho
     q = (1 - w) ** 2 * spread / (1 + w)
-    big_l = (q + 2 - mp.sqrt(q * (q + 4))) / (1 + w)
+    big_l = (q + 2 - sqrt(q * (q + 4))) / (1 + w)
     k_max = big_l / 2 * (1 + 1 / mu)
     lead = 1 - (k - 1) * mu - mu * k * w
-    den = lead * mp.sqrt(1 + mu) - mp.sqrt(mu) * (1 + mu) * (1 - w) * mp.sqrt(mu * k * spread)
-    c0 = 2 * (lead + (1 + w) * mp.sqrt(mu * k * (1 + (k - 1) * mu))) / den
-    c1 = 2 * (1 + mu) * mp.sqrt(mu) / den
+    den = lead * sqrt(1 + mu) - sqrt(mu) * (1 + mu) * (1 - w) * sqrt(mu * k * spread)
+    c0 = 2 * (lead + (1 + w) * sqrt(mu * k * (1 + (k - 1) * mu))) / den
+    c1 = 2 * (1 + mu) * sqrt(mu) / den
     return c0, c1, k_max
 
 
+@_at_50_digits
 def friedlander_coeffs(mu, k, rho, alpha, w, a):
     """Coherence-substituted version; returns (denominator, c0, c1, premise)."""
-    mu, rho, alpha, w, a = map(mp.mpf, (mu, rho, alpha, w, a))
-    beta = w + (1 - w) * mp.sqrt(1 + rho - 2 * alpha * rho)
+    mu, rho, alpha, w, a = map(Decimal, (mu, rho, alpha, w, a))
+    beta = w + (1 - w) * sqrt(1 + rho - 2 * alpha * rho)
     d_ak = (a * k - 1) * mu
     d_a1k = ((a + 1) * k - 1) * mu
-    den = mp.sqrt(1 - d_a1k) - beta / mp.sqrt(a) * mp.sqrt(1 + d_ak)
-    c0 = 2 * (1 + beta / mp.sqrt(a)) / den
-    c1 = 2 / mp.sqrt(a * k) * (mp.sqrt(1 - d_a1k) + mp.sqrt(1 + d_ak)) / den
+    den = sqrt(1 - d_a1k) - beta / sqrt(a) * sqrt(1 + d_ak)
+    c0 = 2 * (1 + beta / sqrt(a)) / den
+    c1 = 2 / sqrt(a * k) * (sqrt(1 - d_a1k) + sqrt(1 + d_ak)) / den
     premise = beta ** 2 * (1 + d_ak) < a * (1 - d_a1k)
     return den, c0, c1, premise
 
 
+@_at_50_digits
 def chen_coeffs(mu, k, rho, alpha, w, a, b):
     """Coherence-substituted version; returns (s, c0, c1) with Nones at s = 0."""
-    mu, rho, alpha, w = map(mp.mpf, (mu, rho, alpha, w))
+    mu, rho, alpha, w = map(Decimal, (mu, rho, alpha, w))
     r = (1 + rho - 2 * alpha * rho) * k
-    s = k - a + w * k + (1 - w) * mp.sqrt(r) * max(mp.sqrt(r), mp.sqrt(mp.mpf(a)))
+    s = k - a + w * k + (1 - w) * sqrt(r) * max(sqrt(r), sqrt(a))
     if s == 0:
         return s, None, None
-    big_c = max(s / mp.sqrt(a * b), mp.sqrt(s / a))
-    d = mp.mpf(k) if w == 1 else max(mp.mpf(k), r)
+    big_c = max(s / sqrt(a * b), sqrt(s / a))
+    d = Decimal(k) if w == 1 else max(Decimal(k), r)
     delta_a = (a - 1) * mu
     theta = (a + b - 1) * mu
     den = 1 - delta_a - big_c * theta
-    c0 = 2 * mp.sqrt(2 * (1 + delta_a) * d / a) / den
-    c1 = 2 * mp.sqrt(2 * d) * big_c * theta / (den * s) + 2 / mp.sqrt(d)
+    c0 = 2 * sqrt(2 * (1 + delta_a) * d / a) / den
+    c1 = 2 * sqrt(2 * d) * big_c * theta / (den * s) + 2 / sqrt(d)
     return s, c0, c1
 
 
+@_at_50_digits
 def ge_coeffs(mu, k, rho, alpha, w, t):
     """Coherence-substituted version; returns (premise, c0, c1_shared, c1_printed)."""
-    mu, rho, alpha, w, t = map(mp.mpf, (mu, rho, alpha, w, t))
-    ups = w + (1 - w) * mp.sqrt(1 + rho - 2 * alpha * rho)
-    if w == 1 or alpha >= mp.mpf(1) / 2:
-        d = mp.mpf(1)
+    mu, rho, alpha, w, t = map(Decimal, (mu, rho, alpha, w, t))
+    ups = w + (1 - w) * sqrt(1 + rho - 2 * alpha * rho)
+    if w == 1 or alpha >= Decimal(1) / 2:
+        d = Decimal(1)
     else:
         d = 1 + rho - 2 * alpha * rho
     delta = (t * k - 1) * mu
     g = t - d + ups ** 2
-    root = mp.sqrt((t - d) / g)
+    root = sqrt((t - d) / g)
     premise = delta < root
-    c0 = 2 * mp.sqrt(2 * (t - d) * g * (1 + delta)) / (g * (root - delta))
-    numer = mp.sqrt(2) * delta * ups + mp.sqrt(g * ((t - d) / g - delta) * delta)
-    c1_shared = 2 / mp.sqrt(k) * (numer / (g * (root - delta)) + 1 / mp.sqrt(d))
-    c1_printed = 2 / mp.sqrt(k) * (numer / (g * (mp.sqrt(t - d) - delta)) + 1 / mp.sqrt(d))
+    c0 = 2 * sqrt(2 * (t - d) * g * (1 + delta)) / (g * (root - delta))
+    numer = sqrt(2) * delta * ups + sqrt(g * ((t - d) / g - delta) * delta)
+    c1_shared = 2 / sqrt(k) * (numer / (g * (root - delta)) + 1 / sqrt(d))
+    c1_printed = 2 / sqrt(k) * (numer / (g * (sqrt(t - d) - delta)) + 1 / sqrt(d))
     return premise, c0, c1_shared, c1_printed
 
 

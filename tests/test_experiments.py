@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import priorcs.solver as solver
 from priorcs import GuaranteeParams, kkt_check, local_bound
@@ -68,8 +70,11 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             load_config("fig1-coeffs", overrides={"mu": "0"})
-        with pytest.raises(ConfigError):
-            load_config("fig1-coeffs", overrides={"w_grid": "0,0.5,1.5"})
+        # the w range check names the first offender
+        with pytest.raises(ConfigError, match=r"got 1\.5$"):
+            load_config("fig1-coeffs", overrides={"w_grid": "0,1.5,-1,0.5"})
+        with pytest.raises(ConfigError, match=r"got -1\.0$"):
+            load_config("fig1-coeffs", overrides={"w_grid": "0,-1,1.5"})
         with pytest.raises(ConfigError):
             load_config("verify-local", overrides={"trials": "0"})
         with pytest.raises(ConfigError):
@@ -90,6 +95,26 @@ class TestConfig:
         assert grid[3] == 0.15
         with pytest.raises(ConfigError):
             float_grid(0.3)
+
+    @staticmethod
+    def rounded_grid(step):
+        return tuple(round(i * step, 12) for i in range(round(1.0 / step) + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3000), st.booleans())
+    def test_float_grid_is_python_round(self, count, rounded):
+        # the steps 1/c and round(1/c, 12) that divide [0, 1] evenly
+        step = round(1.0 / count, 12) if rounded else 1.0 / count
+        assume(abs(round(1.0 / step) * step - 1.0) <= 1e-9)
+        assert float_grid(step) == self.rounded_grid(step)
+
+    # the smallest admissible steps, and 2**-13, whose odd multiples scale to
+    # exact half-integers (ties to even)
+    @pytest.mark.parametrize("step", [1e-5, 2e-6, 1e-6, 2.0 ** -13, 2.0 ** -17])
+    def test_float_grid_is_python_round_on_fine_grids(self, step):
+        grid = float_grid(step)
+        assert grid == self.rounded_grid(step)
+        assert all(type(v) is float for v in grid)
 
     def test_admissible_alphas(self):
         assert admissible_alphas(0.5, 4) == (0.0, 0.5, 1.0)

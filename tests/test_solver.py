@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,6 +473,34 @@ class TestBatch:
         assert all(scored_as_alone(p, r) for p, r in zip(problems, batch))
         reversed_sub = problems[4:0:-1]
         assert [report_bits(r) for r in solve_weighted_l1_batch(reversed_sub)] == alone[4:0:-1]
+
+    def test_default_verify_batch_holds_each_stack_once(self, monkeypatch):
+        # The traced peak above the memory at entry, in units of one double
+        # per row and coordinate of x and y: the stacks, each held once, and
+        # the first polish tries read 14.7 of them. Building new stacks at a
+        # shrink while the old ones are still bound read 18.2.
+        peaks = []
+        solve = solve_weighted_l1_batch
+
+        def traced(problems, tolerances=None, timings=None):
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            try:
+                return solve(problems, tolerances, timings)
+            finally:
+                peaks.append((len(problems), tracemalloc.get_traced_memory()[1] - entry))
+                if not tracing:
+                    tracemalloc.stop()
+
+        monkeypatch.setattr("priorcs.experiments.solve_weighted_l1_batch", traced)
+        cfg = load_config("verify-local")
+        run_verify_local(cfg)
+        [(batch, peak)] = peaks
+        assert batch == 510
+        assert peak <= 16 * batch * (cfg.n + cfg.m) * 8
 
     def test_iteration_cap_stops_exactly_the_unfinished_rows(self):
         matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)

@@ -14,10 +14,14 @@ somewhere beyond its own definition: in the package (the names listed in
 ``experiments._LAZY`` count, the package's export table does not), in
 ``bench/`` (whose patches name functions as strings), or in the README's
 library example. Library code that only tests call fails this check.
+
+And a test module imports no third-party package but numpy, pytest and
+hypothesis, so no package is installed for a test oracle alone.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,3 +167,33 @@ def test_check_finds_a_function_only_tests_call():
                            "listed": "listed", "C.p": "p", "C.q": "q"}
     bench = ['setattr(m, "patched", wrap(getattr(m, "patched")))\n']
     assert unreached(definitions, [source], ["listed"], bench, "x = C().p\n") == ["lone", "used"]
+
+
+# what a test module may import beyond the standard library, the package and
+# the other test modules
+TEST_DEPENDENCIES = {"numpy", "pytest", "hypothesis"}
+
+
+def third_party_imports(source: str, local: set) -> list:
+    """The top-level packages source imports that are not in the standard
+    library, the package, TEST_DEPENDENCIES or the module names local."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - TEST_DEPENDENCIES - {"priorcs"} - local)
+
+
+def test_tests_import_no_other_third_party_package():
+    tests = {name: path for name, path in MODULES.items() if name.startswith("tests/")}
+    local = {path.stem for path in tests.values()}
+    found = {name: third_party_imports(path.read_text(), local) for name, path in tests.items()}
+    assert {name: packages for name, packages in found.items() if packages} == {}
+
+
+def test_check_finds_a_third_party_import():
+    source = ("import os, numpy.linalg\nimport mpmath as mp\nfrom scipy import linalg\n"
+              "from . import x\nfrom oracles import y\nimport priorcs.solver\n")
+    assert third_party_imports(source, {"oracles"}) == ["mpmath", "scipy"]
