@@ -398,8 +398,9 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     If timings is a dict, the wall seconds of the three phases go to it:
     drawing the matrix and the trials (draw_s), the batch solve (solve_s),
     of which the polish tries (polish_s), and building the table
-    (tabulate_s); so do the solves' count of each exit reason (exits, in
-    EXITS order) and their polish tries (polish_tries).
+    (tabulate_s); so do the iterations of the batch loop (loop_iterations),
+    the solves' count of each exit reason (exits, in EXITS order) and their
+    polish tries (polish_tries).
     """
     _bind("matrices", "solver", "supports")
     start = time.perf_counter()

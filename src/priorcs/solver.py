@@ -34,9 +34,20 @@ stays C-contiguous and so makes the same BLAS calls; the scratch stacks just
 take the view. So each stack is held once, however often the batch
 shrinks, and no report shares memory with it (retire copies its rows out).
 The feasibility test's (n, B) least-squares fit is dropped before the loop.
-A row can stop only at a check, every POLISH_EVERY iterations, or at the
+
+The stacks hold at most LIVE_ROWS rows (continuous batching, as in Orca,
+OSDI 2022). The step sizes, dual_scale and the feasibility test are
+computed once for every problem; the first LIVE_ROWS problems start, and at
+each check, after the compaction, the next ones in problem order take the
+freed tail slots, each starting as a lone solve does. A row admitted at
+iteration s reports its iterations from s and stops at s + max_iter.
+Admissions fall on checks, so every row's checks stay aligned. A batch of at
+most LIVE_ROWS problems starts whole and admits none.
+
+A row can stop only at a check, every POLISH_EVERY iterations, or at its
 last iteration (PDLP too evaluates its termination criteria periodically,
-arXiv:2105.12715), so the other iterations build no residual.
+arXiv:2105.12715), so the other iterations build no residual; at a last
+iteration that is no check, the stop test judges only the rows it ends.
 
 At a check, the stop test runs first. Then a row whose iterate is 0
 wherever w > 0, feasible, and unchanged since the previous check retires
@@ -57,12 +68,13 @@ projected onto A_F^T lam = -c. The point is accepted only if it keeps the
 signs, is feasible, and certifies itself: the pair residual
 max(||A_F^T lam + c||_inf, max_{j not in F} (|A_j^T lam| - w_j)_+) is at
 most opt_tol. A polished row retires at once. At eps > 0 the try depends on
-the pattern alone, so a rejected pattern is not tried again; rows with
+the pattern alone, so a rejected pattern is not tried again; a free set
+larger than m, whose gram is singular, is not tried at all; rows with
 c = 0 (all of F at zero weight) never polish and are left to the stop test
-and the certificate. The rows that try at one check are grouped by |F|,
-and each group is one stacked gram, LU solve and gemv per product, whose
-items are the calls of a lone try, bit for bit, so the batch contract
-holds. The solve alone tests singularity: a row whose gram it finds
+and the certificate. The rows that try at one check (polish.try_polish)
+are grouped by |F|, and each group is one stacked gram, LU solve and gemv
+per product, whose items are the calls of a lone try, bit for bit, so the
+batch contract holds. The solve alone tests singularity: a row whose gram it finds
 singular gets a NaN point and fails alone.
 
 kkt_check reads the first-order residual of a given pair (x, lam), such as
@@ -71,7 +83,7 @@ a report's (x_star, dual), which is thus its own certificate.
 
 from __future__ import annotations
 
-import contextlib
+import itertools
 import math
 import numbers
 from time import perf_counter
@@ -82,10 +94,14 @@ import numpy as np
 from . import MAX_ITER
 from .errors import InfeasibleProblemError, InvalidInputError
 from .matrices import SensingMatrix, read_matrix_text
+from .polish import try_polish
 from .supports import index_sets
 
 # iterations between two sign-pattern checks of the polish step
 POLISH_EVERY = 10
+
+# rows the batch loop holds at once; the other problems wait for a check
+LIVE_ROWS = 128
 
 # how a solve can stop, as SolveReport.exit names it
 EXITS = ("polished", "certified", "converged", "max_iter")
@@ -227,11 +243,13 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
 
     Each report is bit for bit the one the problem gets when solved alone:
     rows are stacked gemv and ddot calls, each polish try is one item of
-    stacked calls, and a row leaves the batch at the first check where it
-    stops. An empty list, or problems with different matrices or eps,
-    raise InvalidInputError; a row that no x can satisfy raises
-    InfeasibleProblemError naming its index. If timings is a dict, the wall
-    seconds of the polish tries go to its polish_s.
+    stacked calls, a row leaves the batch at the first check where it
+    stops, and at most LIVE_ROWS rows are live, the others waiting for a
+    freed slot at a check. An empty list, or problems with different
+    matrices or eps, raise InvalidInputError; a row that no x can satisfy
+    raises InfeasibleProblemError naming its index. If timings is a dict, the wall
+    seconds of the polish tries go to its polish_s, and the iterations the
+    loop ran to its loop_iterations.
     """
     problems = list(problems)
     if not problems:
@@ -268,20 +286,23 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
     step = 0.99 / norm_a if norm_a > 0.0 else 1.0
     weights = np.array([p.weights for p in problems])[:, :, None]
     batch = len(problems)
-    x = np.zeros((batch, n, 1))
-    ax, ax_prev, lam = (np.zeros((batch, m, 1)) for _ in range(3))
+    # max_iter = 0 runs no iteration, so every row is live at once
+    slots = batch if batch <= LIVE_ROWS or not tol.max_iter else LIVE_ROWS
+    x = np.zeros((slots, n, 1))
+    ax, ax_prev, lam = (np.zeros((slots, m, 1)) for _ in range(3))
     # work stacks, overwritten every iteration
     x_new, x_half = np.empty_like(x), np.empty_like(x)
     ax_new, ax_bar, lam_new, shift = (np.empty_like(ax) for _ in range(4))
-    rows = np.arange(batch)  # index in `problems` of each live row
+    rows = np.arange(slots)  # index in `problems` of each live row
+    admitted = slots  # problems admitted so far, in order
+    start = np.zeros(batch, dtype=np.intp)  # per problem, the iteration it was admitted at
     reports = [None] * batch
     iterations = 0
-    opt_residual = np.full((batch, 1, 1), math.inf)
+    opt_residual = np.full((slots, 1, 1), math.inf)
     # polish state: each live row's sign pattern on w > 0 at the last check
     # (2 before the first), and per problem the tries made and the patterns
     # rejected; at eps = 0 a try also reads lam, so a pattern may be retried
-    positive = (weights > 0.0).astype(np.int8)
-    pattern = np.full((batch, n, 1), 2, dtype=np.int8)
+    pattern = np.full((slots, n, 1), 2, dtype=np.int8)
     tries = [0] * batch
     rejected = [set() for _ in range(batch)]
     still = {}  # per problem, its zero-cost iterate at the last check
@@ -296,12 +317,14 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
         objective = (weights[live, :, 0] * np.abs(x_rows)).sum(axis=1).tolist()
         feasibility = np.maximum(_norms(a @ x_rows[:, :, None] - y[live])[:, 0, 0] - eps, 0.0).tolist()
         residuals = residuals.tolist()
-        for j, i in enumerate(rows[live].tolist()):
+        finished = rows[live]
+        steps = (iterations - start[finished]).tolist()
+        for j, i in enumerate(finished.tolist()):
             reports[i] = SolveReport(
                 x_star=x_rows[j],
                 objective=objective[j],
                 feasibility_residual=feasibility[j],
-                iterations=iterations,
+                iterations=steps[j],
                 converged=exit != "max_iter",
                 opt_residual=residuals[j],
                 dual=lam_rows[j],
@@ -319,15 +342,29 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
         scale_y = np.where(norm_y > eps, norm_y - eps, norm_y)
         omega = np.where((norm_w > 0.0) & (scale_y > 0.0), norm_w / scale_y, 1.0)
         tau, sigma = step / omega, step * omega
-        tau_w = tau * weights
-        neg_tau_w = -tau_w
-        sigma_y = sigma * y
-        sigma_eps = sigma * eps
-        # the step sizes as full stacks: a same-shape multiply costs about
-        # half of one that broadcasts a (B, 1, 1) stack
-        tau, sigma = np.repeat(tau, n, axis=1), np.repeat(sigma, m, axis=1)
+        each = (weights, y, tau, sigma, sigma * eps, dual_scale)  # per problem
 
-        for iterations in range(1, tol.max_iter + 1):
+        def stacks(admit):
+            """The full-size stacks of the problems `admit` selects."""
+            weights, y, tau, sigma, sigma_eps, dual_scale = (v[admit] for v in each)
+            tau_w = tau * weights
+            # the step sizes as full stacks: a same-shape multiply costs
+            # about half of one that broadcasts a (B, 1, 1) stack
+            return (weights, (weights > 0.0).astype(np.int8), y, np.repeat(tau, n, axis=1),
+                    np.repeat(sigma, m, axis=1), tau_w, -tau_w, sigma * y, sigma_eps, dual_scale)
+
+        # a batch that fits takes the per-problem stacks whole; the index
+        # array copies the first rows of a larger one, so that every stack
+        # it holds owns its memory (see the refill below)
+        (weights, positive, y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps,
+         dual_scale) = stacks(slice(None) if slots == batch else np.arange(slots))
+        if not tol.max_iter:  # the unconverged start
+            retire_iterate(rows, "max_iter")
+            clock["loop_iterations"] = 0
+            return reports
+        last = tol.max_iter  # the earliest iteration that is some live row's last
+
+        for iterations in itertools.count(1):
             # Each step writes into a preallocated stack, in the order of
             #   ax_bar = 2 ax - ax_prev
             #   shift = lam + sigma ax_bar - sigma y
@@ -351,15 +388,15 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
             np.subtract(x_half, x_new, out=x_new)
             np.matmul(a, x_new, out=ax_new)
 
-            # The stop test runs at each check and at the final iteration.
-            # Both residuals belong to the pair (x_new, lam_new) that is
-            # returned: primal = (x - x_new) / tau lies in the
+            # The stop test runs at each check and at a live row's last
+            # iteration. Both residuals belong to the pair (x_new, lam_new)
+            # that is returned: primal = (x - x_new) / tau lies in the
             # subdifferential of ||.||_{1,w} at x_new plus A^T lam_new, dual
             # = (lam - lam_new) / sigma + (ax_bar - ax_new) in the
             # subdifferential of the noise-ball support function at lam_new
             # minus A x_new. They reuse the buffers of x_half and shift.
             check = iterations % POLISH_EVERY == 0
-            stop = check or iterations == tol.max_iter
+            stop = check or iterations == last
             if stop:
                 primal, dual = x_half, shift
                 np.subtract(x, x_new, out=primal)
@@ -377,6 +414,10 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                 continue
             feasible = (_norms(ax - y) - eps <= tol.feas_tol)[:, 0, 0]
             done = (opt_residual[:, 0, 0] <= tol.opt_tol) & feasible
+            if iterations == last:
+                ending = start[rows] == iterations - tol.max_iter
+                if not check:
+                    done &= ending
             retire_iterate(np.flatnonzero(done), "converged")
             if check:
                 latest = np.sign(x).astype(np.int8)
@@ -392,10 +433,14 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                 done |= resting
                 still = {rows[i]: x[i, :, 0].copy()
                          for i in np.flatnonzero(zero_cost & ~resting).tolist()}
-                settled = (latest == pattern).all(axis=(1, 2)) & ~done
-                pattern = latest
+                settled = np.flatnonzero((latest == pattern).all(axis=(1, 2)) & ~done)
+                pattern[...] = latest
+                # a free set larger than m has a singular gram, so it is not
+                # tried; |F| is the nonzero signs in latest plus the w = 0
+                free = n + np.count_nonzero(latest[settled], axis=(1, 2))
+                free -= np.count_nonzero(positive[settled], axis=(1, 2))
                 trying, keys = [], []
-                for i in np.flatnonzero(settled).tolist():
+                for i in settled[free <= m].tolist():
                     key = latest[i].tobytes()
                     if eps > 0.0 and key in rejected[rows[i]]:
                         continue
@@ -404,8 +449,8 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                     keys.append(key)
                 if trying:
                     started = perf_counter()
-                    polished = _polish(a, y[trying, :, 0], eps, weights[trying, :, 0],
-                                       x[trying, :, 0], lam[trying, :, 0], tol)
+                    polished = try_polish(a, y[trying, :, 0], eps, weights[trying, :, 0],
+                                          x[trying, :, 0], lam[trying, :, 0], tol)
                     clock["polish_s"] += perf_counter() - started
                     accepted, *point = polished
                     live = np.array(trying)[accepted]
@@ -414,89 +459,45 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                     for i, key, ok in zip(trying, keys, accepted.tolist()):
                         if not ok:
                             rejected[rows[i]].add(key)
-            if not done.any():
+            if iterations == last:
+                ending &= ~done
+                retire_iterate(np.flatnonzero(ending), "max_iter")
+                done |= ending
+            state = (rows, x, ax, ax_prev, lam, pattern, weights, positive, y, tau, sigma,
+                     tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale)
+            work = (x_new, x_half, ax_new, ax_bar, lam_new, shift)  # scratch: they take the view
+            count = len(rows)
+            retiring = done.any()
+            if retiring:
+                keep = np.flatnonzero(~done)
+                count = keep.size
+                if not count and admitted == batch:
+                    clock["loop_iterations"] = iterations
+                    return reports
+                # compact in place
+                for arr in state:
+                    arr[:count] = arr[keep]
+            # at a check, waiting problems fill the freed tail slots
+            new = min(batch - admitted, slots - count) if check else 0
+            if not retiring and not new:
                 continue
-            keep = np.flatnonzero(~done)
-            count = keep.size
-            if not count:
-                return reports
-            # compact in place; the work stacks hold scratch and take the view
-            state = (rows, x, ax, ax_prev, lam, opt_residual, weights, positive, pattern,
-                     y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale)
-            for arr in state:
-                arr[:count] = arr[keep]
-            (rows, x, ax, ax_prev, lam, opt_residual, weights, positive, pattern,
-             y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale,
-             x_new, x_half, ax_new, ax_bar, lam_new, shift) = (
-                arr[:count] for arr in (*state, x_new, x_half, ax_new, ax_bar, lam_new, shift))
-    retire_iterate(np.arange(len(rows)), "max_iter")
-    return reports
-
-
-def _polish(a, y, eps, w, x, lam, tol):
-    """Polish tries of some rows at one check, as (accepted, z, lam, residual)
-    with one entry per row: the minimizer of the program restricted to the
-    row's sign pattern, its multiplier and its pair residual (see the module
-    docstring); where a row is not accepted its other entries are scratch.
-    y, w, x and lam are (G, k) stacks of the trying rows.
-
-    Rows are grouped by |F|, and a group makes one stacked call per step.
-    Its A_F^T items are gathered rows of A^T, so their transposes are
-    F-ordered like a[:, F], and the gram, A_F^T y, A_F z and the solve run
-    the BLAS and LAPACK calls of a try on 1-D vectors, with the same bits
-    (C-ordered A_F items would run gemv_n where the 1-D try runs gemv_t).
-    If the stacked solve raises, the items are solved one by one, and a
-    singular item's NaN solution fails the acceptance tests.
-    """
-    count, n = x.shape
-    accepted = np.zeros(count, dtype=bool)
-    z, lam_out, pair = np.zeros((count, n)), np.empty_like(lam), np.empty(count)
-    free = (x != 0.0) | (w == 0.0)
-    sizes = np.count_nonzero(free, axis=1)
-    # a row with |F| > m is not tried
-    for size in np.flatnonzero(np.bincount(sizes)[: a.shape[0] + 1]).tolist():
-        rows = np.flatnonzero(sizes == size)
-        fr = free[rows]
-        a_ft = a.T[np.nonzero(fr)[1].reshape(rows.size, size)]  # (G, |F|, m), C-ordered
-        gram = a_ft @ a_ft.transpose(0, 2, 1)
-        a_f = a_ft.transpose(0, 2, 1)
-        w_g, y_g, lam_g = w[rows], y[rows][:, :, None], lam[rows][:, :, None]
-        w_f = w_g[fr].reshape(rows.size, size)
-        c = w_f * np.sign(x[rows][fr].reshape(rows.size, size))
-        # at eps = 0 the second column solves for the projection of lam
-        second = c[:, :, None] if eps > 0.0 else c[:, :, None] + a_ft @ lam_g
-        rhs = np.concatenate((a_ft @ y_g, second), axis=2)
-        try:
-            solution = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            solution = np.full_like(rhs, math.nan)
-            for j in range(rows.size):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    solution[j] = np.linalg.solve(gram[j], rhs[j])
-        z_f, g = solution[:, :, 0], solution[:, :, 1:]
-        ok = True
-        if eps > 0.0:
-            fit = a_f @ solution[:, :, :1] - y_g
-            q = np.vecdot(c, g[:, :, 0])
-            r2 = np.vecdot(fit, fit, axis=1)[:, 0]
-            ok = (q > 0.0) & (r2 < eps * eps)
-            t = np.sqrt(eps * eps - r2) / np.sqrt(q)
-            z_f = z_f - t[:, None] * g[:, :, 0]
-        ok = ok & (w_f * np.sign(z_f) == c).all(axis=1)
-        z_g = np.zeros((rows.size, n))
-        z_g[fr] = z_f.reshape(-1)
-        residual = a @ z_g[:, :, None] - y_g
-        lam_g = residual / t[:, None, None] if eps > 0.0 else lam_g - a_f @ g
-        v = (a.T @ lam_g)[:, :, 0]
-        # the pair residual: |v + c| on F, |v| - w off it
-        excess = np.abs(v)
-        excess -= w_g
-        excess[fr] = np.abs(v[fr] + c.reshape(-1))
-        pair_g = excess.max(axis=1, initial=0.0)
-        # written so that a NaN fails
-        ok &= (_norms(residual)[:, 0, 0] - eps <= tol.feas_tol) & (pair_g <= tol.opt_tol)
-        accepted[rows], z[rows], lam_out[rows], pair[rows] = ok, z_g, lam_g[:, :, 0], pair_g
-    return accepted, z, lam_out, pair
+            size = count + new
+            # a stack grows back from the whole stack it views, which it owns
+            state, work = ([arr[:size] if size <= len(arr) else arr.base[:size] for arr in group]
+                           for group in (state, work))
+            if new:
+                # each admitted row starts as a lone solve does
+                admit = slice(admitted, admitted + new)
+                start[admit] = iterations
+                for arr, value in zip(state, (np.arange(admitted, admitted + new), 0.0, 0.0, 0.0,
+                                              0.0, 2, *stacks(admit))):
+                    arr[count:] = value
+                admitted += new
+            (rows, x, ax, ax_prev, lam, pattern, weights, positive, y, tau, sigma,
+             tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale) = state
+            x_new, x_half, ax_new, ax_bar, lam_new, shift = work
+            if size:
+                last = int(start[rows[0]]) + tol.max_iter
 
 
 def kkt_check(problem: RecoveryProblem, x, lam) -> float:

@@ -213,8 +213,6 @@ def polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol):
     solve is the only singularity test: a G it finds singular fails the try.
     """
     free = (x != 0.0) | (weights == 0.0)
-    if free.sum() > a.shape[0]:
-        return None
     a_f = a[:, free]
     c = weights[free] * np.sign(x[free])
     second = c if eps > 0.0 else c + a_f.T @ lam
@@ -258,8 +256,9 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
     test does not end, an iterate that is 0 wherever w > 0, feasible and
     equal to the iterate of the previous check is certified with the zero
     multiplier (unless certify is false); otherwise, when the signs of x on
-    w > 0 are those of the previous check, the iterate tries polish_one, and
-    at eps > 0 a pattern that failed is not tried again. Returns (x, lam,
+    w > 0 are those of the previous check and its free set has at most m
+    coordinates, the iterate tries polish_one, and at eps > 0 a pattern that
+    failed is not tried again. Returns (x, lam,
     iterations, converged, opt_residual, exit, polish tries).
     """
     a = np.asarray(entries, dtype=float)
@@ -304,7 +303,9 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
         still = x.copy() if zero_cost else None
         pattern = tuple(np.sign(x[weights > 0.0]))
         settled, previous = pattern == previous, pattern
-        if not settled or (eps > 0.0 and pattern in rejected):
+        # a free set larger than m has a singular gram and is not tried
+        oversized = np.count_nonzero((x != 0.0) | (weights == 0.0)) > a.shape[0]
+        if not settled or oversized or (eps > 0.0 and pattern in rejected):
             continue
         tries += 1
         polished = polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol)

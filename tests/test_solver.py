@@ -325,6 +325,25 @@ class TestPolish:
         assert report.polish_tries == 1
 
 
+    def test_free_sets_larger_than_m_are_not_tried(self, monkeypatch):
+        # eps = 0 and dense signals: most settled rows free more than m
+        # coordinates, whose gram is singular. They are screened before a
+        # try is counted, so every try reaches the solve; counting them made
+        # 10,920 tries here, of which 10,893 were over-size.
+        sizes = []
+        polish = solver.try_polish
+
+        def spy(a, y, eps, w, x, lam, tol):
+            sizes.extend(np.count_nonzero((x != 0.0) | (w == 0.0), axis=1).tolist())
+            return polish(a, y, eps, w, x, lam, tol)
+
+        monkeypatch.setattr(solver, "try_polish", spy)
+        timings = {}
+        overrides = {"m": "32", "n": "64", "k": "4", "signal": "gaussian", "epsilon": "0", "trials": "1"}
+        run_verify_local(load_config("verify-local", overrides=overrides), timings)
+        assert max(sizes) <= 32
+        assert timings["polish_tries"] == len(sizes) == 27
+
     def test_one_check_polishes_each_free_set_size_and_a_singular_row_fails_alone(self, monkeypatch):
         # column 21 of A duplicates column 7; the last two rows put zero
         # weight on both, so their free set always holds the pair and its
@@ -345,7 +364,7 @@ class TestPolish:
                 weights[[7, 21]] = 0.0
             problems.append(RecoveryProblem.create(matrix, a @ x, 0.0, weights))
         checks = []  # per polish call: each trying row's |F|, whether its gram is singular, accepted
-        polish = solver._polish
+        polish = solver.try_polish
 
         def spy(a, y, eps, w, x, lam, tol):
             result = polish(a, y, eps, w, x, lam, tol)
@@ -353,7 +372,7 @@ class TestPolish:
             checks.append((free.sum(axis=1), free[:, 7] & free[:, 21], result[0]))
             return result
 
-        monkeypatch.setattr(solver, "_polish", spy)
+        monkeypatch.setattr(solver, "try_polish", spy)
         tol = SolveTolerances(max_iter=300)
         reports = solve_weighted_l1_batch(problems, tol)
         assert any(
@@ -446,10 +465,18 @@ class TestBatch:
          False),
         # [I | H/4] has spark 8, so a polish try's free set can be dependent
         ({"trials": "2", "m": "16", "n": "32", "k": "6"}, True),
-    ], ids=["default-eps0.05", "gauss32x64-eps0", "ipo16x32-k6"])
+        # 300 rows: the ones past LIVE_ROWS are admitted at later checks
+        ({"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0", "trials": "20"},
+         False),
+    ], ids=["default-eps0.05", "gauss32x64-eps0", "ipo16x32-k6", "gauss32x64-eps0-300"])
     def test_rows_do_not_depend_on_the_batch(self, batch_solves, monkeypatch, overrides, singular):
         run_verify_local(load_config("verify-local", overrides=overrides))
-        problems = batch_solves[-1][0][::5]  # rows spread over the (rho, alpha, w) grid
+        ((problems, reports),) = batch_solves
+        if len(problems) > solver.LIVE_ROWS:
+            # the checked rows were admitted after the first wave
+            problems, reports = problems[solver.LIVE_ROWS::5], reports[solver.LIVE_ROWS::5]
+        else:
+            problems, reports = problems[::5], reports[::5]  # spread over the (rho, alpha, w) grid
         solve, items = np.linalg.solve, []
 
         def spy(gram, rhs):
@@ -468,17 +495,18 @@ class TestBatch:
             )
             assert bits == (x.tobytes(), lam.tobytes(), iterations, converged,
                             struct.pack("<d", opt_residual), exit, tries)
+        assert [report_bits(r) for r in reports] == alone
+        assert all(scored_as_alone(p, r) for p, r in zip(problems, reports))
         batch = solve_weighted_l1_batch(problems)
         assert [report_bits(r) for r in batch] == alone
         assert all(scored_as_alone(p, r) for p, r in zip(problems, batch))
         reversed_sub = problems[4:0:-1]
         assert [report_bits(r) for r in solve_weighted_l1_batch(reversed_sub)] == alone[4:0:-1]
 
-    def test_default_verify_batch_holds_each_stack_once(self, monkeypatch):
-        # The traced peak above the memory at entry, in units of one double
-        # per row and coordinate of x and y: the stacks, each held once, and
-        # the first polish tries read 14.7 of them. Building new stacks at a
-        # shrink while the old ones are still bound read 18.2.
+    @staticmethod
+    def traced_peak(monkeypatch, overrides):
+        """(rows, n + m, traced peak above the memory at entry) of the batch
+        solve a verify run makes."""
         peaks = []
         solve = solve_weighted_l1_batch
 
@@ -495,12 +523,33 @@ class TestBatch:
                 if not tracing:
                     tracemalloc.stop()
 
-        monkeypatch.setattr("priorcs.experiments.solve_weighted_l1_batch", traced)
-        cfg = load_config("verify-local")
-        run_verify_local(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr("priorcs.experiments.solve_weighted_l1_batch", traced)
+            cfg = load_config("verify-local", overrides=overrides)
+            run_verify_local(cfg)
         [(batch, peak)] = peaks
+        return batch, cfg.n + cfg.m, peak
+
+    def test_default_verify_batch_holds_each_stack_once(self, monkeypatch):
+        # The traced peak, in units of one double per row and coordinate of
+        # x and y: at most 16 for each of the LIVE_ROWS rows the loop holds
+        # (its stacks, each held once, and the polish tries read 14.7), and 4
+        # for each problem (its input rows, its report's x and dual, and the
+        # feasibility fit). The default batch reads 19.5 LIVE_ROWS units, or
+        # 4.9 per problem; with every row in the loop at once it read 14.7
+        # per problem.
+        batch, width, peak = self.traced_peak(monkeypatch, {})
         assert batch == 510
-        assert peak <= 16 * batch * (cfg.n + cfg.m) * 8
+        assert peak <= (16 * solver.LIVE_ROWS + 4 * batch) * width * 8
+
+    def test_doubling_the_trials_adds_no_loop_stacks(self, monkeypatch):
+        # 34 -> 68 trials adds 510 problems. The peak grows by their input
+        # rows, reports and feasibility fit (2.8 units per added problem),
+        # not by loop stacks, which would add 14.7 per problem.
+        batch, width, peak = self.traced_peak(monkeypatch, {"trials": "34"})
+        doubled, _, doubled_peak = self.traced_peak(monkeypatch, {"trials": "68"})
+        assert doubled == 2 * batch > solver.LIVE_ROWS
+        assert doubled_peak - peak <= 4 * batch * width * 8
 
     def test_iteration_cap_stops_exactly_the_unfinished_rows(self):
         matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
@@ -522,6 +571,28 @@ class TestBatch:
                 assert report.iterations == cap
             assert scored_as_alone(problem, report)
             assert report_bits(report) == report_bits(solve_weighted_l1(problem, tol))
+
+    def test_rows_admitted_late_stop_at_their_own_iteration_cap(self):
+        # twenty copies of a zero row and six sparse ones: the zero rows stop
+        # at the first check, and the rows past LIVE_ROWS take their slots
+        # there, so they run to the cap 10 iterations after the first wave
+        matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
+        rng = np.random.default_rng(21)
+        base = [RecoveryProblem.create(matrix, np.zeros(16), 0.0, np.ones(32))]
+        for _ in range(6):
+            x = np.zeros(32)
+            x[rng.choice(32, 2, replace=False)] = rng.standard_normal(2)
+            base.append(RecoveryProblem.create(matrix, matrix.entries @ x, 0.0, np.ones(32)))
+        cap = max(solve_weighted_l1(p).iterations for p in base) - 1
+        cap -= cap % POLISH_EVERY == 0  # the cap is not a check
+        tol = SolveTolerances(max_iter=cap)
+        alone = [report_bits(solve_weighted_l1(p, tol)) for p in base]
+        problems = base * 20
+        reports = solve_weighted_l1_batch(problems, tol)
+        late = reports[solver.LIVE_ROWS:]
+        assert {r.exit for r in late} >= {"max_iter", "converged"}
+        assert [report_bits(r) for r in reports] == alone * 20
+        assert all(scored_as_alone(p, r) for p, r in zip(problems, reports))
 
     def test_equal_matrices_may_be_distinct_objects(self):
         problems = [tri_problem(np.ones(3)), tri_problem([1.0, 1.0, 10.0])]
