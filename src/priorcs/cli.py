@@ -5,9 +5,10 @@ verify. Exit codes: 0 success, 2 configuration/usage error, 3 assertion
 failure (fig3 ratio hook, verify violations or non-converged trials), for CI
 use. The output directory resolves as --out-dir flag, then the
 PRIORCS_OUT_DIR environment variable, then the config value. verify prints
-one line of solve statistics (iteration spread, exit reasons, polish tries,
-the largest lhs/rhs and its trial, phase times) on stderr, and fig1-fig4 one line of row count and evaluation,
-CSV and SVG times; stdout and the CSVs never carry timings.
+one line of solve statistics (iteration spread, exit reasons, polish tries
+and their correction steps, the largest lhs/rhs and its trial, phase times)
+on stderr, and fig1-fig4 one line of row count and evaluation, CSV and SVG
+times; stdout and the CSVs never carry timings.
 
 main registers gc.freeze as an exit callback, once per process, so the
 interpreter's finalization skips collecting the heap that numpy and priorcs
@@ -248,7 +249,8 @@ def _cmd_experiment(args) -> int:
         print(
             f"verify: {len(iterations)} solves in one batch, iterations "
             f"p50={_nearest_rank(iterations, 0.5)} p90={_nearest_rank(iterations, 0.9)} "
-            f"max={iterations[-1]}, exits {exits}, polish tries {timings['polish_tries']}, "
+            f"max={iterations[-1]}, exits {exits}, polish tries {timings['polish_tries']} "
+            f"({timings['polish_steps']} steps), "
             f"max lhs/rhs {_worst_ratio(table)}, draw {timings['draw_s']:.3f} s, solve {timings['solve_s']:.3f} s "
             f"(polish {timings['polish_s']:.3f} s, "
             f"{(timings['solve_s'] - timings['polish_s']) / timings['loop_iterations'] * 1e6:.1f} us "

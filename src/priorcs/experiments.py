@@ -399,8 +399,9 @@ def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> Swee
     drawing the matrix and the trials (draw_s), the batch solve (solve_s),
     of which the polish tries (polish_s), and building the table
     (tabulate_s); so do the iterations of the batch loop (loop_iterations),
-    the solves' count of each exit reason (exits, in EXITS order) and their
-    polish tries (polish_tries).
+    the solves' count of each exit reason (exits, in EXITS order), their
+    polish tries (polish_tries) and the tries' correction steps
+    (polish_steps).
     """
     _bind("matrices", "solver", "supports")
     start = time.perf_counter()

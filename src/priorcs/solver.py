@@ -55,27 +55,33 @@ wherever w > 0, feasible, and unchanged since the previous check retires
 and a pair residual of 0. That is the case of a zero-cost minimizer that is
 not unique (w = 0 on the support), where the iterate comes to rest long
 before its multiplier decays to 0; waiting for the rest returns the very
-point the loop would stop at. Then a live row whose sign pattern (on the
-coordinates with w > 0) matches the one at the previous check tries to
-polish (OSQP's solution polishing, arXiv:1711.08013; proximal methods fix
-the active set after finitely many steps, arXiv:1712.03577). With the free
-set F = {x_i != 0} | {w_i = 0} and the costs c = w_F sign(x_F) held, the
-program is min c^T z s.t. ||A_F z - y|| <= eps, whose minimizer is closed
-form: z_ls - t G^-1 c with G = A_F^T A_F, z_ls the least-squares fit,
-residual r and t = sqrt(eps^2 - r^2) / sqrt(c^T G^-1 c), multiplier
-(A_F z - y) / t; at eps = 0 it is z_ls, and the multiplier is the row's lam
-projected onto A_F^T lam = -c. The point is accepted only if it keeps the
-signs, is feasible, and certifies itself: the pair residual
+point the loop would stop at. Then every other live row tries to polish
+(OSQP's solution polishing, arXiv:1711.08013), starting from its iterate's
+sign pattern. With the free set F = {x_i != 0} | {w_i = 0} and the costs
+c = w_F sign(x_F) held, the program is min c^T z s.t. ||A_F z - y|| <= eps,
+whose minimizer is closed form: z_ls - t G^-1 c with G = A_F^T A_F, z_ls the
+least-squares fit, residual r and t = sqrt(eps^2 - r^2) / sqrt(c^T G^-1 c),
+multiplier (A_F z - y) / t; at eps = 0 it is z_ls, and the multiplier is
+the row's lam projected onto A_F^T lam = -c. The point is accepted only if
+it keeps the signs, is feasible, and certifies itself: the pair residual
 max(||A_F^T lam + c||_inf, max_{j not in F} (|A_j^T lam| - w_j)_+) is at
-most opt_tol. A polished row retires at once. At eps > 0 the try depends on
-the pattern alone, so a rejected pattern is not tried again; a free set
-larger than m, whose gram is singular, is not tried at all; rows with
-c = 0 (all of F at zero weight) never polish and are left to the stop test
-and the certificate. The rows that try at one check (polish.try_polish)
-are grouped by |F|, and each group is one stacked gram, LU solve and gemv
-per product, whose items are the calls of a lone try, bit for bit, so the
-batch contract holds. The solve alone tests singularity: a row whose gram it finds
-singular gets a NaN point and fails alone.
+most opt_tol. Otherwise the try corrects its pattern and solves again, up to
+polish.STEPS times, the active-set method of Osborne, Presnell & Turlach
+(IMA J. Numer. Anal. 2000) warm-started from the iterate: a point that
+flips signs drops those coordinates from F, and a point that keeps them but
+fails the off-F test adds the most violated j, with the sign -sign(A_j^T
+lam), while |F| < m. A correction back to the pattern solved one step
+before the last ends the try, which would cycle. A polished row retires at
+once, so most rows stop at their first check. At eps > 0 a try depends on
+its starting pattern alone, so a rejected pattern is not tried again; a
+free set larger than m, whose gram is singular, is not tried at all; rows
+with c = 0 (all of F at zero weight) never polish and are left to the stop
+test and the certificate. The rows that try at one check (polish.try_polish) run
+in rounds, and a round groups its rows by |F|: each group is one stacked
+gram, LU solve and gemv per product, whose items are the calls of a lone
+try, bit for bit, so the batch contract holds. The solve alone tests
+singularity: a row whose gram it finds singular gets a NaN point and fails
+alone.
 
 kkt_check reads the first-order residual of a given pair (x, lam), such as
 a report's (x_star, dual), which is thus its own certificate.
@@ -95,9 +101,8 @@ from . import MAX_ITER
 from .errors import InfeasibleProblemError, InvalidInputError
 from .matrices import SensingMatrix, read_matrix_text
 from .polish import try_polish
-from .supports import index_sets
 
-# iterations between two sign-pattern checks of the polish step
+# iterations between two checks (the stop test, certificate and polish tries)
 POLISH_EVERY = 10
 
 # rows the batch loop holds at once; the other problems wait for a check
@@ -133,15 +138,6 @@ class RecoveryProblem:
         if not epsilon >= 0.0:
             raise InvalidInputError(f"epsilon must be >= 0, got {epsilon}")
         return cls(matrix=matrix, y=y, epsilon=float(epsilon), weights=weights)
-
-    @classmethod
-    def with_prior_support(cls, matrix: SensingMatrix, y, epsilon: float, T, w: float) -> "RecoveryProblem":
-        """Weights w on the prior support T and 1 elsewhere."""
-        if not 0.0 <= w <= 1.0:
-            raise InvalidInputError(f"w must be in [0, 1], got {w}")
-        weights = np.ones(matrix.n)
-        weights[index_sets(T, 1, matrix.n)[0]] = w
-        return cls.create(matrix, y, epsilon, weights)
 
     def feasibility_residual(self, x) -> float:
         return max(float(np.linalg.norm(self.matrix.entries @ x - self.y)) - self.epsilon, 0.0)
@@ -189,9 +185,10 @@ class SolveTolerances(_SolveTolerances):
 class SolveReport:
     """The pair (x_star, dual) a solve returns and how it stopped.
 
-    exit is one of EXITS: "polished" (the closed-form minimizer of a settled
-    sign pattern), "certified" (a zero-cost iterate at rest, with dual = 0),
-    "converged" (the loop's stop test) or "max_iter" (converged is False).
+    exit is one of EXITS: "polished" (the closed-form minimizer of a sign
+    pattern, the iterate's as corrected), "certified" (a zero-cost iterate at
+    rest, with dual = 0), "converged" (the loop's stop test) or "max_iter"
+    (converged is False).
     opt_residual is the pair's first-order residual, 0 when certified.
     """
 
@@ -248,8 +245,8 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
     freed slot at a check. An empty list, or problems with different
     matrices or eps, raise InvalidInputError; a row that no x can satisfy
     raises InfeasibleProblemError naming its index. If timings is a dict, the wall
-    seconds of the polish tries go to its polish_s, and the iterations the
-    loop ran to its loop_iterations.
+    seconds of the polish tries go to its polish_s, their correction steps to
+    its polish_steps, and the iterations the loop ran to its loop_iterations.
     """
     problems = list(problems)
     if not problems:
@@ -282,6 +279,7 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
     a_t = a.T
     clock = {} if timings is None else timings
     clock["polish_s"] = 0.0
+    clock["polish_steps"] = 0
     norm_a = operator_norm(a)
     step = 0.99 / norm_a if norm_a > 0.0 else 1.0
     weights = np.array([p.weights for p in problems])[:, :, None]
@@ -299,11 +297,9 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
     reports = [None] * batch
     iterations = 0
     opt_residual = np.full((slots, 1, 1), math.inf)
-    # polish state: each live row's sign pattern on w > 0 at the last check
-    # (2 before the first), and per problem the tries made and the patterns
+    # polish state, per problem: the tries made and the starting patterns
     # rejected; at eps = 0 a try also reads lam, so a pattern may be retried
-    pattern = np.full((slots, n, 1), 2, dtype=np.int8)
-    tries = [0] * batch
+    tries = np.zeros(batch, dtype=np.intp)
     rejected = [set() for _ in range(batch)]
     still = {}  # per problem, its zero-cost iterate at the last check
 
@@ -319,6 +315,7 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
         residuals = residuals.tolist()
         finished = rows[live]
         steps = (iterations - start[finished]).tolist()
+        made = tries[finished].tolist()
         for j, i in enumerate(finished.tolist()):
             reports[i] = SolveReport(
                 x_star=x_rows[j],
@@ -329,7 +326,7 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                 opt_residual=residuals[j],
                 dual=lam_rows[j],
                 exit=exit,
-                polish_tries=tries[i],
+                polish_tries=made[j],
             )
 
     def retire_iterate(live, exit):
@@ -433,38 +430,40 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                 done |= resting
                 still = {rows[i]: x[i, :, 0].copy()
                          for i in np.flatnonzero(zero_cost & ~resting).tolist()}
-                settled = np.flatnonzero((latest == pattern).all(axis=(1, 2)) & ~done)
-                pattern[...] = latest
                 # a free set larger than m has a singular gram, so it is not
                 # tried; |F| is the nonzero signs in latest plus the w = 0
-                free = n + np.count_nonzero(latest[settled], axis=(1, 2))
-                free -= np.count_nonzero(positive[settled], axis=(1, 2))
-                trying, keys = [], []
-                for i in settled[free <= m].tolist():
-                    key = latest[i].tobytes()
-                    if eps > 0.0 and key in rejected[rows[i]]:
-                        continue
-                    tries[rows[i]] += 1
-                    trying.append(i)
-                    keys.append(key)
-                if trying:
+                free = n + np.count_nonzero(latest, axis=(1, 2))
+                free -= np.count_nonzero(positive, axis=(1, 2))
+                trying = np.flatnonzero((free <= m) & ~done)
+                if eps > 0.0:
+                    keys = [latest[i].tobytes() for i in trying.tolist()]
+                    fresh = [key not in rejected[i] for key, i in zip(keys, rows[trying].tolist())]
+                    trying, keys = trying[fresh], list(itertools.compress(keys, fresh))
+                tries[rows[trying]] += 1
+                if trying.size:
                     started = perf_counter()
-                    polished = try_polish(a, y[trying, :, 0], eps, weights[trying, :, 0],
-                                          x[trying, :, 0], lam[trying, :, 0], tol)
+                    # when every live row tries, as at a first check, the
+                    # stacks go in as views rather than as gathered copies
+                    pick = slice(None) if trying.size == len(rows) else trying
+                    polished = try_polish(a, y[pick, :, 0], eps, weights[pick, :, 0],
+                                          x[pick, :, 0], lam[pick, :, 0], tol)
                     clock["polish_s"] += perf_counter() - started
+                    *polished, steps = polished
+                    clock["polish_steps"] += steps
                     accepted, *point = polished
-                    live = np.array(trying)[accepted]
+                    live = trying[accepted]
                     done[live] = True
                     retire(live, *(part[accepted] for part in point), "polished")
-                    for i, key, ok in zip(trying, keys, accepted.tolist()):
-                        if not ok:
-                            rejected[rows[i]].add(key)
+                    if eps > 0.0:
+                        for i, key in zip(rows[trying[~accepted]].tolist(),
+                                          itertools.compress(keys, ~accepted)):
+                            rejected[i].add(key)
             if iterations == last:
                 ending &= ~done
                 retire_iterate(np.flatnonzero(ending), "max_iter")
                 done |= ending
-            state = (rows, x, ax, ax_prev, lam, pattern, weights, positive, y, tau, sigma,
-                     tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale)
+            state = (rows, x, ax, ax_prev, lam, weights, positive, y, tau, sigma, tau_w,
+                     neg_tau_w, sigma_y, sigma_eps, dual_scale)
             work = (x_new, x_half, ax_new, ax_bar, lam_new, shift)  # scratch: they take the view
             count = len(rows)
             retiring = done.any()
@@ -490,11 +489,11 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                 admit = slice(admitted, admitted + new)
                 start[admit] = iterations
                 for arr, value in zip(state, (np.arange(admitted, admitted + new), 0.0, 0.0, 0.0,
-                                              0.0, 2, *stacks(admit))):
+                                              0.0, *stacks(admit))):
                     arr[count:] = value
                 admitted += new
-            (rows, x, ax, ax_prev, lam, pattern, weights, positive, y, tau, sigma,
-             tau_w, neg_tau_w, sigma_y, sigma_eps, dual_scale) = state
+            (rows, x, ax, ax_prev, lam, weights, positive, y, tau, sigma, tau_w,
+             neg_tau_w, sigma_y, sigma_eps, dual_scale) = state
             x_new, x_half, ax_new, ax_bar, lam_new, shift = work
             if size:
                 last = int(start[rows[0]]) + tol.max_iter

@@ -199,50 +199,72 @@ def solve_l0_oracle(entries, y, eps, k_max, feas_tol=1e-8):
     return None
 
 
-def polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol):
-    """The polish try of one iterate: the minimizer of the weighted l1
-    program with x's sign pattern held, its multiplier and its pair residual,
-    or None when the try fails.
+def polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol, steps=8):
+    """The polish try of one iterate with its correction steps, as (point,
+    corrections): point is (z, lam, pair residual), the minimizer of the
+    weighted l1 program with a sign pattern held, or None when the try fails,
+    and corrections counts the solves after the first.
 
-    F = {x_i != 0} | {w_i = 0} is free, c = w_F sign(x_F) and G = A_F^T A_F.
-    At eps > 0 the point is z_ls - t G^-1 c with t = sqrt(eps^2 - r^2) /
-    sqrt(c^T G^-1 c) and the multiplier (A z - y) / t; at eps = 0 it is the
-    least-squares fit z_ls, and the multiplier is lam projected onto
+    The pattern starts at x's: F = {x_i != 0} | {w_i = 0} with signs sign(x)
+    on F. With c = w_F sign_F and G = A_F^T A_F, the point at eps > 0 is
+    z_ls - t G^-1 c with t = sqrt(eps^2 - r^2) / sqrt(c^T G^-1 c) and the
+    multiplier (A z - y) / t; at eps = 0 it is the least-squares fit z_ls,
+    and the multiplier is lam (the iterate's, at every solve) projected onto
     A_F^T lam = -c. Accepted when the signs on F with w > 0 hold, the point
-    is feasible to feas_tol and the pair residual is at most opt_tol. The LU
-    solve is the only singularity test: a G it finds singular fails the try.
+    is feasible to feas_tol and the pair residual is at most opt_tol.
+    Otherwise, up to `steps` times: if some signs flipped, those coordinates
+    leave F; if the signs held and the largest |A_j^T lam| - w_j off F
+    exceeds opt_tol, that j joins F with sign -sign(A_j^T lam) while |F| < m;
+    then the try solves again. It ends when neither applies, or when the new
+    pattern is the one it solved one solve before the last (it would cycle).
+    The LU solve is the only singularity test: a G it finds singular fails
+    the try.
     """
+    m = a.shape[0]
     free = (x != 0.0) | (weights == 0.0)
-    a_f = a[:, free]
-    c = weights[free] * np.sign(x[free])
-    second = c if eps > 0.0 else c + a_f.T @ lam
-    try:
-        z_f, g = np.linalg.solve(a_f.T @ a_f, np.stack([a_f.T @ y, second], axis=1)).T
-    except np.linalg.LinAlgError:
-        return None
-    if eps > 0.0:
-        fit = a_f @ z_f - y
-        r2, q = fit @ fit, c @ g
-        if q <= 0.0 or r2 >= eps * eps:
-            return None
-        t = math.sqrt(eps * eps - r2) / math.sqrt(q)
-        z_f = z_f - t * g
-    positive = weights[free] > 0.0
-    if not np.array_equal(np.sign(z_f)[positive], np.sign(x[free])[positive]):
-        return None
-    z = np.zeros_like(x)
-    z[free] = z_f
-    residual = a @ z - y
-    lam = residual / t if eps > 0.0 else lam - a_f @ g
-    v = a.T @ lam
-    on = np.abs(v[free] + c).max(initial=0.0)
-    off = max(0.0, (np.abs(v[~free]) - weights[~free]).max(initial=0.0))
-    pair = max(on, off)
-    if math.isnan(on) or math.isnan(off) or pair > opt_tol:
-        return None
-    if math.sqrt(residual @ residual) - eps > feas_tol:
-        return None
-    return z, lam, pair
+    signs = np.sign(x)
+    before = None  # the pattern solved one solve before this one
+    for step in range(steps + 1):
+        now = np.where(free, signs, 0.0)
+        a_f = a[:, free]
+        c = weights[free] * signs[free]
+        second = c if eps > 0.0 else c + a_f.T @ lam
+        try:
+            z_f, g = np.linalg.solve(a_f.T @ a_f, np.stack([a_f.T @ y, second], axis=1)).T
+        except np.linalg.LinAlgError:
+            return None, step
+        if eps > 0.0:
+            fit = a_f @ z_f - y
+            r2, q = fit @ fit, c @ g
+            if q <= 0.0 or r2 >= eps * eps:
+                return None, step
+            t = math.sqrt(eps * eps - r2) / math.sqrt(q)
+            z_f = z_f - t * g
+        flipped = (weights[free] > 0.0) & (np.sign(z_f) != signs[free])
+        if flipped.any():
+            if step == steps:
+                return None, step
+            free[np.flatnonzero(free)[flipped]] = False
+        else:
+            z = np.zeros_like(x)
+            z[free] = z_f
+            residual = a @ z - y
+            lam_z = residual / t if eps > 0.0 else lam - a_f @ g
+            v = a.T @ lam_z
+            on = np.abs(v[free] + c).max(initial=0.0)
+            excess = np.where(free, -math.inf, np.abs(v) - weights)
+            j = int(np.argmax(excess))
+            off = excess[j]
+            feasible = math.sqrt(residual @ residual) - eps <= feas_tol
+            if not (math.isnan(on) or math.isnan(off)) and max(on, off, 0.0) <= opt_tol and feasible:
+                return (z, lam_z, max(on, off, 0.0)), step
+            if step == steps or not off > opt_tol or np.count_nonzero(free) >= m:
+                return None, step
+            free[j], signs[j] = True, -np.sign(v[j])
+        if before is not None and np.array_equal(np.where(free, signs, 0.0), before):
+            return None, step
+        before = now
+    raise AssertionError("unreachable")
 
 
 def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1e-9, max_iter=200_000,
@@ -255,11 +277,11 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
     iterations (a check) and at iteration max_iter. At a check that the stop
     test does not end, an iterate that is 0 wherever w > 0, feasible and
     equal to the iterate of the previous check is certified with the zero
-    multiplier (unless certify is false); otherwise, when the signs of x on
-    w > 0 are those of the previous check and its free set has at most m
-    coordinates, the iterate tries polish_one, and at eps > 0 a pattern that
-    failed is not tried again. Returns (x, lam,
-    iterations, converged, opt_residual, exit, polish tries).
+    multiplier (unless certify is false); otherwise, when its free set has
+    at most m coordinates, the iterate tries polish_one, and at eps > 0 a
+    starting pattern (the signs of x on w > 0) that failed is not tried
+    again. Returns (x, lam, iterations, converged, opt_residual, exit, polish
+    tries).
     """
     a = np.asarray(entries, dtype=float)
     norm_y = math.sqrt(y @ y)
@@ -275,7 +297,7 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
     x = np.zeros(a.shape[1])
     ax, ax_prev, lam = np.zeros(a.shape[0]), np.zeros(a.shape[0]), np.zeros(a.shape[0])
     iterations, opt_residual = 0, math.inf
-    previous, still, rejected, tries = None, None, set(), 0
+    still, rejected, tries = None, set(), 0
     for iterations in range(1, max_iter + 1):
         ax_bar = 2.0 * ax - ax_prev
         shift = lam + sigma * ax_bar - sigma_y
@@ -302,13 +324,12 @@ def primal_dual_one_at_a_time(entries, y, eps, weights, opt_tol=1e-8, feas_tol=1
             return x, np.zeros_like(lam), iterations, True, 0.0, "certified", tries
         still = x.copy() if zero_cost else None
         pattern = tuple(np.sign(x[weights > 0.0]))
-        settled, previous = pattern == previous, pattern
         # a free set larger than m has a singular gram and is not tried
         oversized = np.count_nonzero((x != 0.0) | (weights == 0.0)) > a.shape[0]
-        if not settled or oversized or (eps > 0.0 and pattern in rejected):
+        if oversized or (eps > 0.0 and pattern in rejected):
             continue
         tries += 1
-        polished = polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol)
+        polished, _ = polish_one(a, y, eps, weights, x, lam, opt_tol, feas_tol)
         if polished is None:
             rejected.add(pattern)
             continue

@@ -370,7 +370,8 @@ class TestExperimentCommands:
         (line,) = err.splitlines()
         match = re.fullmatch(
             r"verify: 12 solves in one batch, iterations p50=\d+ p90=\d+ max=(\d+), "
-            r"exits polished=(\d+) certified=(\d+) converged=(\d+) max_iter=0, polish tries (\d+), "
+            r"exits polished=(\d+) certified=(\d+) converged=(\d+) max_iter=0, "
+            r"polish tries (\d+) \(\d+ steps\), "
             r"max lhs/rhs (\S+) at trial (\d+), "
             r"draw \d+\.\d{3} s, solve (\d+\.\d{3}) s \(polish (\d+\.\d{3}) s, "
             r"\d+\.\d us per loop iteration\), "
@@ -628,13 +629,13 @@ def test_default_sweep_outputs_are_pinned(command, tmp_path, capsys):
 PINNED_VERIFY = {
     "default-trials2": (
         {"trials": "2"},
-        "445e68c919ca530076d663589107db5ff77943559f0a51900d192c000b3eb1e7",
+        "43b83d040a3b14c8fa6bd0eab4ea6e99642a06ef78e839f0f6ba6a21a824a530",
         "04727563a5dfc0e78d82a4c29d14c5bb96509b620d561803b2b312dc9f167906",
     ),
     "gauss32x64-eps0": (
         {"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0",
          "trials": "20"},
-        "79e65a3d5370e87ab72559d5cc7529379a2b4a5bd28f17284e5f080bbc12f20c",
+        "3919c89234e5bee90ac034d231ec4fb6bb9accd600f496a504a23939b4b85152",
         "7d1d5ec0b31ed46d1d65f141d839e35d052b70de2efdfdff72205599018eec18",
     ),
 }

@@ -20,6 +20,7 @@ from priorcs import (
     solve_weighted_l1,
     solve_weighted_l1_batch,
 )
+import priorcs.polish as polish
 import priorcs.solver as solver
 from priorcs.experiments import load_config, run_verify_local
 from priorcs.matrices import format_real, write_matrix_text
@@ -27,6 +28,7 @@ from priorcs.solver import POLISH_EVERY, operator_norm, read_problem_text
 
 from oracles import (
     min_weighted_l1_by_vertex_enumeration,
+    polish_one,
     primal_dual_one_at_a_time,
     solve_l0_oracle,
 )
@@ -190,10 +192,11 @@ class TestSolveWeightedL1:
         x = np.zeros(32)
         x[[1, 9]] = rng.standard_normal(2)
         y = matrix.entries @ x
-        t = (1, 9, 15)
         values = []
         for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-            problem = RecoveryProblem.with_prior_support(matrix, y, 0.0, t, w)
+            weights = np.ones(32)
+            weights[[1, 9, 15]] = w
+            problem = RecoveryProblem.create(matrix, y, 0.0, weights)
             values.append(solve_weighted_l1(problem).objective)
         assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
 
@@ -223,7 +226,9 @@ class TestSolveWeightedL1:
         noise = rng.standard_normal(16)
         noise *= eps / np.linalg.norm(noise)
         y = c * (matrix.entries @ x + noise)
-        problem = RecoveryProblem.with_prior_support(matrix, y, c * eps, (2, 5), 0.5)
+        weights = np.ones(32)
+        weights[[2, 5]] = 0.5
+        problem = RecoveryProblem.create(matrix, y, c * eps, weights)
         report = solve_weighted_l1(problem)
         assert report.converged
         assert kkt_check(problem, report.x_star, report.dual) <= 1e-6
@@ -242,19 +247,10 @@ class TestSolveWeightedL1:
             assert report.converged
             assert kkt_check(problem, report.x_star, report.dual) <= 1e-8 + 1e-12  # opt_tol plus rounding
 
-    def test_w1_identical_for_any_prior_support(self):
-        matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
-        x = np.zeros(32)
-        x[[3, 30]] = [0.7, -0.2]
-        y = matrix.entries @ x
-        a = solve_weighted_l1(RecoveryProblem.with_prior_support(matrix, y, 0.0, (0, 1), 1.0))
-        b = solve_weighted_l1(RecoveryProblem.with_prior_support(matrix, y, 0.0, (5, 9, 12), 1.0))
-        assert np.array_equal(a.x_star, b.x_star)  # identical program, identical run
-
     def test_zero_weights_on_prior_support_solves_modified_problem(self, identity4):
         # min |x_{T^c}|_1 s.t. x = y: optimum keeps y inside T at zero cost
         y = np.array([1.0, -2.0, 0.0, 0.5])
-        problem = RecoveryProblem.with_prior_support(identity4, y, 0.0, (0, 1, 3), 0.0)
+        problem = RecoveryProblem.create(identity4, y, 0.0, np.array([0.0, 0.0, 1.0, 0.0]))
         report = solve_weighted_l1(problem)
         assert report.converged
         assert report.objective == pytest.approx(0.0, abs=1e-10)
@@ -285,11 +281,11 @@ class TestSolveWeightedL1:
 class TestPolish:
     def test_single_spike_polishes_to_the_shrunk_spike_exactly(self, identity4):
         # min |x|_1 s.t. ||x - 2 e_2|| <= 0.5 is 1.5 e_2 with multiplier -e_2;
-        # the loop's stop test cannot pass at opt_tol 1e-16 by the second
+        # the loop's stop test cannot pass at opt_tol 1e-16 by the first
         # check, where the closed form lands with a zero pair residual
         problem = RecoveryProblem.create(identity4, np.array([0.0, 2.0, 0.0, 0.0]), 0.5, np.ones(4))
         report = solve_weighted_l1(problem, SolveTolerances(opt_tol=1e-16))
-        assert (report.exit, report.iterations, report.polish_tries) == ("polished", 2 * POLISH_EVERY, 1)
+        assert (report.exit, report.iterations, report.polish_tries) == ("polished", POLISH_EVERY, 1)
         assert report.converged
         assert np.array_equal(report.x_star, [0.0, 1.5, 0.0, 0.0])
         assert np.array_equal(report.dual, [0.0, -1.0, 0.0, 0.0])
@@ -300,7 +296,9 @@ class TestPolish:
         matrix = generate_matrix("gaussian-normalized", 32, 64, 7)
         x = np.zeros(64)
         x[[3, 40]] = [1.2, -0.7]
-        problem = RecoveryProblem.with_prior_support(matrix, matrix.entries @ x, 0.0, (3, 40), 0.0)
+        weights = np.ones(64)
+        weights[[3, 40]] = 0.0
+        problem = RecoveryProblem.create(matrix, matrix.entries @ x, 0.0, weights)
         report = solve_weighted_l1(problem)
         assert report.exit == "polished"
         assert np.abs(report.x_star - x).max() <= 1e-12
@@ -319,17 +317,97 @@ class TestPolish:
         noise = rng.standard_normal(16)
         noise *= 0.05 / np.linalg.norm(noise)
         y = matrix.entries @ x + noise
-        report = solve_weighted_l1(RecoveryProblem.with_prior_support(matrix, y, 0.05, (4, 20), 0.0))
+        weights = np.ones(32)
+        weights[[4, 20]] = 0.0
+        report = solve_weighted_l1(RecoveryProblem.create(matrix, y, 0.05, weights))
         assert report.exit == "converged"
         assert report.iterations > 3 * POLISH_EVERY
         assert report.polish_tries == 1
 
+    @staticmethod
+    def noisy_polished_row():
+        """A 32x64 Gaussian eps = 0.05 problem whose solve polishes onto the
+        6 coordinates of its sign pattern, and the polish try's arguments for
+        a given iterate."""
+        matrix = generate_matrix("gaussian-normalized", 32, 64, 4)
+        rng = np.random.default_rng(4)
+        x, support = np.zeros(64), rng.choice(64, 3, replace=False)
+        x[support] = rng.standard_normal(3) + np.sign(rng.standard_normal(3))
+        noise = rng.standard_normal(32)
+        noise *= 0.05 / np.linalg.norm(noise)
+        y, weights = matrix.entries @ x + noise, np.ones(64)
+        report = solve_weighted_l1(RecoveryProblem.create(matrix, y, 0.05, weights))
+        assert report.exit == "polished"
+
+        def args(iterate):
+            return (matrix.entries, y[None], 0.05, weights[None], iterate[None], np.zeros((1, 32)),
+                    SolveTolerances())
+
+        return np.sign(report.x_star), args
+
+    @pytest.mark.parametrize("case", ["flipped", "missing"])
+    def test_one_correction_reaches_the_right_pattern(self, case):
+        # an iterate with one coordinate too many, which the closed form
+        # flips, or one too few, which the off-F test adds back: one
+        # correction step reaches the pattern of the solution, and the try
+        # is accepted with the bits of a try from that pattern
+        right, args = self.noisy_polished_row()
+        iterate = right.copy()
+        support = np.flatnonzero(right)
+        if case == "flipped":
+            iterate[np.flatnonzero(right == 0.0)[0]] = 1.0
+        else:
+            iterate[support[0]] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            *expected, steps = polish.try_polish(*args(right))
+            *polished, corrections = polish.try_polish(*args(iterate))
+        assert expected[0].all() and steps == 0
+        assert corrections == 1
+        assert [part.tobytes() for part in polished] == [part.tobytes() for part in expected]
+        a, y, eps, w, x, lam, tol = args(iterate)
+        point, made = polish_one(a, y[0], eps, w[0], x[0], lam[0], tol.opt_tol, tol.feas_tol)
+        assert made == 1 and point[0].tobytes() == expected[1][0].tobytes()
+
+    @pytest.mark.parametrize("overrides", [
+        {"trials": "2"},
+        {"matrix_kind": "gaussian-normalized", "m": "32", "n": "64", "epsilon": "0", "trials": "20"},
+        {"trials": "2", "m": "16", "n": "32", "k": "6"},
+    ], ids=["default-eps0.05", "gauss32x64-eps0", "ipo16x32-k6"])
+    def test_stacked_tries_match_the_one_row_oracle(self, monkeypatch, overrides):
+        # every polish call of a verify run, row by row against polish_one:
+        # the same verdict, the same bits where accepted, and the same count
+        # of correction steps in all
+        calls = []
+        polish_call = solver.try_polish
+
+        def spy(*args):
+            # the stacks may be views of the loop's state, which moves on
+            args = [np.array(arg) if isinstance(arg, np.ndarray) else arg for arg in args]
+            result = polish_call(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(solver, "try_polish", spy)
+        run_verify_local(load_config("verify-local", overrides=overrides))
+        assert any(result[4] for _, result in calls)  # some try corrected its pattern
+        for (a, y, eps, w, x, lam, tol), (accepted, z, dual, pair, steps) in calls:
+            made = 0
+            for i in range(len(x)):
+                point, corrections = polish_one(a, y[i], eps, w[i], x[i], lam[i], tol.opt_tol,
+                                                tol.feas_tol)
+                made += corrections
+                assert accepted[i] == (point is not None)
+                if point is not None:
+                    assert [part.tobytes() for part in (z[i], dual[i], pair[i])] == [
+                        np.asarray(part).tobytes() for part in point]
+            assert steps == made
 
     def test_free_sets_larger_than_m_are_not_tried(self, monkeypatch):
-        # eps = 0 and dense signals: most settled rows free more than m
-        # coordinates, whose gram is singular. They are screened before a
-        # try is counted, so every try reaches the solve; counting them made
-        # 10,920 tries here, of which 10,893 were over-size.
+        # eps = 0 and dense signals: most rows free more than m coordinates,
+        # whose gram is singular. They are screened before a try is counted,
+        # so every try reaches the solve; counting them made 10,920 tries
+        # here (when only settled patterns tried), of which 10,893 were
+        # over-size.
         sizes = []
         polish = solver.try_polish
 
@@ -342,7 +420,7 @@ class TestPolish:
         overrides = {"m": "32", "n": "64", "k": "4", "signal": "gaussian", "epsilon": "0", "trials": "1"}
         run_verify_local(load_config("verify-local", overrides=overrides), timings)
         assert max(sizes) <= 32
-        assert timings["polish_tries"] == len(sizes) == 27
+        assert timings["polish_tries"] == len(sizes) == 46
 
     def test_one_check_polishes_each_free_set_size_and_a_singular_row_fails_alone(self, monkeypatch):
         # column 21 of A duplicates column 7; the last two rows put zero
@@ -410,7 +488,9 @@ class TestCertificate:
                 e = rng.standard_normal(m)
                 e *= (1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * eps / np.linalg.norm(e)
                 y = matrix.entries[:, t] @ rng.standard_normal(t.size) + e
-                problems.append(RecoveryProblem.with_prior_support(matrix, y, eps, t.tolist(), 0.0))
+                weights = np.ones(n)
+                weights[t] = 0.0
+                problems.append(RecoveryProblem.create(matrix, y, eps, weights))
             for problem, report in zip(problems, solve_weighted_l1_batch(problems)):
                 assert report.converged
                 if report.exit != "certified":
@@ -431,7 +511,8 @@ class TestCertificate:
         matrix = generate_matrix("gaussian-normalized", 3, 6, 1)
         noise = np.random.default_rng(1).standard_normal(3)
         noise *= 0.15 / np.linalg.norm(noise)
-        problem = RecoveryProblem.with_prior_support(matrix, matrix.entries[:, 1] + noise, 0.1, (1,), 0.0)
+        problem = RecoveryProblem.create(matrix, matrix.entries[:, 1] + noise, 0.1,
+                                         np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
         report = solve_weighted_l1(problem)
         assert report.exit == "polished"
         assert report.objective > 1e-3
@@ -552,12 +633,13 @@ class TestBatch:
         assert doubled_peak - peak <= 4 * batch * width * 8
 
     def test_iteration_cap_stops_exactly_the_unfinished_rows(self):
+        # 4-sparse rows: most polish at the first check, one runs to 170
         matrix = generate_matrix("identity-plus-orthobasis", 16, 32, 3)
         rng = np.random.default_rng(21)
         problems = [RecoveryProblem.create(matrix, np.zeros(16), 0.0, np.ones(32))]
         for _ in range(6):
             x = np.zeros(32)
-            x[rng.choice(32, 2, replace=False)] = rng.standard_normal(2)
+            x[rng.choice(32, 4, replace=False)] = rng.standard_normal(4)
             problems.append(RecoveryProblem.create(matrix, matrix.entries @ x, 0.0, np.ones(32)))
         uncapped = [solve_weighted_l1(p).iterations for p in problems]
         cap = max(uncapped) - 1  # the zero row stops at once, the others later
@@ -637,16 +719,6 @@ class TestRecoveryProblemValidation:
             RecoveryProblem.create(identity4, np.ones(4), 0.0, -np.ones(4))
         with pytest.raises(InvalidInputError, match="y and weights must be finite"):
             RecoveryProblem.create(identity4, np.array([1.0, np.nan, 0.0, 0.0]), 0.0, np.ones(4))
-
-    def test_prior_support_weights(self, identity4):
-        problem = RecoveryProblem.with_prior_support(identity4, np.zeros(4), 0.0, (1, 3), 0.25)
-        assert np.array_equal(problem.weights, [1.0, 0.25, 1.0, 0.25])
-        with pytest.raises(InvalidInputError):
-            RecoveryProblem.with_prior_support(identity4, np.zeros(4), 0.0, (1,), 1.5)
-        with pytest.raises(InvalidInputError):
-            RecoveryProblem.with_prior_support(identity4, np.zeros(4), 0.0, (9,), 0.5)
-        with pytest.raises(InvalidInputError, match="integers"):  # not truncated to index 1
-            RecoveryProblem.with_prior_support(identity4, np.zeros(4), 0.1, [1.5], 0.5)
 
 
 class TestL0Oracle:
