@@ -2,21 +2,29 @@
 
 Library layout:
 
-- ``matrices``: sensing-matrix generation, coherence, exact tiny-scale
-  restricted isometry/orthogonality constants, matrix file format.
+- ``matrices``: sensing-matrix generation and coherence.
 - ``supports``: prior-support geometry (rho, alpha) against the top-k
   support, error-multiplier terms.
 - ``solver``: the weighted l1 primal-dual solver (one problem, or a batch
   that shares one matrix), the first-order optimality check of a solution
-  pair (x, lam), problem file reader.
-- ``bounds``: the local recovery guarantee and five global guarantees, plus
-  coherence-scale substitutions and the admissible-sparsity ratios.
-- ``experiments``: deterministic sweeps and the Monte-Carlo verification.
+  pair (x, lam); ``polish``: its polish tries.
+- ``bounds``: the local recovery guarantee and the records all guarantees
+  share.
+- ``baselines``: the five global guarantees on the coherence scale or with
+  given isometry constants, the theorem table and the admissible-sparsity
+  ratios.
+- ``tools``: the gen-matrix, analyze, solve and bounds commands, the matrix
+  and problem file formats, exact tiny-scale restricted isometry and
+  orthogonality constants.
+- ``experiments``: experiment configs and the Monte-Carlo verification;
+  ``sweeps``: the deterministic sweeps fig1-fig4; ``tables``: sweep tables
+  and CSV; ``plots``: SVG plots.
 - ``cli``: the ``priorcs`` command.
 
 Importing the package loads none of them: each public name below, and each
-of the five library modules as an attribute, loads its module on first
-access (PEP 562), so a command pays only for the modules it runs.
+of the seven library modules as an attribute, loads its module on first
+access (PEP 562), so a command pays only for the modules it runs. verify
+loads neither ``baselines``, ``tools``, ``sweeps`` nor ``plots``.
 """
 
 import importlib
@@ -32,25 +40,26 @@ MAX_ITER = 200_000
 
 # library module -> the public names it defines
 _LAZY = {
-    "bounds": (
-        "GuaranteeParams", "GuaranteeResult", "cai_bound", "chen_bound", "friedlander_bound",
-        "ge_bound", "haixiao_bound", "k_ratios", "local_bound",
+    "baselines": (
+        "cai_bound", "chen_bound", "friedlander_bound", "ge_bound", "haixiao_bound", "k_ratios",
     ),
+    "bounds": ("GuaranteeParams", "GuaranteeResult", "local_bound"),
     "errors": (
         "BudgetExceededError", "ConfigError", "InfeasibleProblemError", "InvalidInputError",
         "PriorCSError",
     ),
-    "matrices": (
-        "IsometryReport", "SensingMatrix", "coherence", "generate_matrix", "isometry_report",
-        "read_matrix_file", "ric_exact", "roc_exact", "write_matrix_file",
-    ),
+    "matrices": ("SensingMatrix", "coherence", "generate_matrix"),
     "solver": (
-        "RecoveryProblem", "SolveReport", "SolveTolerances", "kkt_check", "read_problem_file",
-        "solve_weighted_l1", "solve_weighted_l1_batch",
+        "RecoveryProblem", "SolveReport", "SolveTolerances", "kkt_check", "solve_weighted_l1",
+        "solve_weighted_l1_batch",
     ),
     "supports": (
         "ErrorTerms", "SupportModel", "error_terms", "format_index_set", "prior_support_for",
         "support_model",
+    ),
+    "tools": (
+        "IsometryReport", "isometry_report", "read_matrix_file", "read_problem_file", "ric_exact",
+        "roc_exact", "write_matrix_file",
     ),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}

@@ -10,6 +10,11 @@ and their correction steps, the largest lhs/rhs and its trial, phase times)
 on stderr, and fig1-fig4 one line of row count and evaluation, CSV and SVG
 times; stdout and the CSVs never carry timings.
 
+The fig and verify commands run from this module and ``experiments``. The
+arguments and handlers of the four tool commands (gen-matrix, analyze,
+solve, bounds) are in ``tools``, which only those commands and the usage and
+help texts load, so that verify and the sweeps do not compile them.
+
 main registers gc.freeze as an exit callback, once per process, so the
 interpreter's finalization skips collecting the heap that numpy and priorcs
 built (about 20k tracked objects, 15-20 ms a command). It is safe: every file
@@ -28,7 +33,6 @@ import math
 import os
 import sys
 
-from . import MATRIX_KINDS, bounds as bounds_mod
 from .errors import ConfigError, InvalidInputError, PriorCSError
 from .experiments import (
     EXPERIMENT_KINDS,
@@ -38,57 +42,11 @@ from .experiments import (
     run_experiment,
     summarize_verify,
 )
-from .tables import SweepTable, to_csv_text
 
 OUT_DIR_ENV = "PRIORCS_OUT_DIR"
 
 # subcommand -> experiment kind: fig1 -> fig1-coeffs, ..., verify -> verify-local
 _FIG_KINDS = {kind.split("-")[0]: kind for kind in EXPERIMENT_KINDS}
-
-THEOREMS = tuple(bounds_mod.THEOREMS)
-
-# isometry constants any theorem takes, each a --flag of the bounds command
-_CONSTANTS = [c for _, own in bounds_mod.THEOREMS.values() for c in own]
-
-
-def _gen_matrix_arguments(gen) -> None:
-    gen.add_argument("--kind", choices=MATRIX_KINDS, required=True)
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--in", dest="source", help="matrix file to pass through (explicit kind)")
-    gen.add_argument("--out", required=True)
-
-
-def _analyze_arguments(ana) -> None:
-    ana.add_argument("--matrix", required=True)
-    ana.add_argument("--k", type=int, default=None)
-    ana.add_argument("--no-exact", action="store_true",
-                     help="skip the exhaustive RIC/ROC even when within budget")
-
-
-def _solve_arguments(sol) -> None:
-    from .solver import SolveTolerances
-
-    sol.add_argument("--problem", required=True)
-    defaults = SolveTolerances._field_defaults
-    sol.add_argument("--opt-tol", type=float, default=defaults["opt_tol"])
-    sol.add_argument("--feas-tol", type=float, default=defaults["feas_tol"])
-    sol.add_argument("--max-iter", type=int, default=defaults["max_iter"])
-
-
-def _bounds_arguments(bnd) -> None:
-    bnd.add_argument("--theorem", choices=THEOREMS + ("all",), default="all")
-    bnd.add_argument("--mu", type=float, required=True)
-    bnd.add_argument("--k", type=int, required=True)
-    bnd.add_argument("--rho", type=float, default=0.0)
-    bnd.add_argument("--alpha", type=float, default=0.0)
-    bnd.add_argument("--w", type=float, default=1.0)
-    bnd.add_argument("--a", type=float, default=None)
-    bnd.add_argument("--b", type=float, default=None)
-    bnd.add_argument("--t", type=float, default=None)
-    for name in _CONSTANTS:
-        bnd.add_argument("--" + name.replace("_", "-"), type=float, default=None)
 
 
 def _experiment_arguments(fig) -> None:
@@ -114,73 +72,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments, _ = _SUBCOMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+        _command(name)[0](sub.add_parser(name, help=_SUBCOMMANDS[name]))
     return parser
-
-
-def _cmd_gen_matrix(args) -> int:
-    from .matrices import format_real, generate_matrix, read_matrix_file, write_matrix_file
-
-    entries = None if args.source is None else read_matrix_file(args.source).entries
-    matrix = generate_matrix(args.kind, args.m, args.n, args.seed, entries=entries)
-    coherence = format_real(matrix.mu)  # before writing, so a failed command leaves no file
-    write_matrix_file(matrix, args.out)
-    print(f"wrote {args.out}")
-    print(f"coherence={coherence}")
-    return 0
-
-
-def _cmd_analyze(args) -> int:
-    from .matrices import format_real, isometry_report, read_matrix_file
-
-    matrix = read_matrix_file(args.matrix)
-    print(f"m={matrix.m}")
-    print(f"n={matrix.n}")
-    print(f"coherence={format_real(matrix.mu)}")
-    if args.k is not None:
-        report = isometry_report(matrix, args.k, exact=not args.no_exact)
-        print(f"k={report.k}")
-        print(f"delta_coherence_bound={format_real(report.delta_coherence_bound)}")
-        if report.delta_exact is not None:
-            print(f"delta_exact={format_real(report.delta_exact)}")
-        if report.theta_exact is not None:
-            print(f"theta_exact={format_real(report.theta_exact)}")
-    return 0
-
-
-def _cmd_solve(args) -> int:
-    from .matrices import format_real
-    from .solver import SolveTolerances, kkt_check, read_problem_file, solve_weighted_l1
-
-    problem = read_problem_file(args.problem)
-    report = solve_weighted_l1(
-        problem,
-        SolveTolerances(opt_tol=args.opt_tol, feas_tol=args.feas_tol, max_iter=args.max_iter),
-    )
-    print("x_star=" + ",".join(format_real(v) for v in report.x_star))
-    print(f"objective={format_real(report.objective)}")
-    print(f"feasibility_residual={format_real(report.feasibility_residual)}")
-    print(f"iterations={report.iterations}")
-    print(f"converged={'true' if report.converged else 'false'}")
-    print(f"exit={report.exit}")
-    print(f"opt_residual={format_real(report.opt_residual)}")
-    print(f"kkt_residual={format_real(kkt_check(problem, report.x_star, report.dual))}")
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    columns = list(bounds_mod.GuaranteeResult._fields)  # one row per theorem
-    p = bounds_mod.GuaranteeParams(
-        mu=args.mu, k=args.k, rho=args.rho, alpha=args.alpha, w=args.w,
-        a=args.a, b=args.b, t=args.t,
-    )
-    constants = {name: getattr(args, name) for name in _CONSTANTS}
-    wanted = THEOREMS if args.theorem == "all" else (args.theorem,)
-    # every row is evaluated before the table is printed, so an error leaves no partial table
-    rows = [bounds_mod.evaluate(name, p, **constants) for name in wanted]
-    print(to_csv_text(SweepTable(columns=columns, data=list(zip(*rows)))), end="")
-    return 0
 
 
 def _parse_overrides(pairs) -> dict:
@@ -277,17 +170,24 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-# subcommand -> (help line, function adding its arguments, function running it)
+# subcommand -> its help line
 _SUBCOMMANDS = {
-    "gen-matrix": ("generate a sensing matrix file", _gen_matrix_arguments, _cmd_gen_matrix),
-    "analyze": ("coherence and isometry data for a matrix file", _analyze_arguments,
-                _cmd_analyze),
-    "solve": ("solve a weighted l1 problem file", _solve_arguments, _cmd_solve),
-    "bounds": ("evaluate recovery guarantees at one parameter point", _bounds_arguments,
-               _cmd_bounds),
-    **{name: (f"run the {name} experiment", _experiment_arguments, _cmd_experiment)
-       for name in _FIG_KINDS},
+    "gen-matrix": "generate a sensing matrix file",
+    "analyze": "coherence and isometry data for a matrix file",
+    "solve": "solve a weighted l1 problem file",
+    "bounds": "evaluate recovery guarantees at one parameter point",
+    **{name: f"run the {name} experiment" for name in _FIG_KINDS},
 }
+
+
+def _command(name: str) -> tuple:
+    """The functions adding a subcommand's arguments and running it; only a
+    tool command loads the tools module, which holds its pair."""
+    if name in _FIG_KINDS:
+        return _experiment_arguments, _cmd_experiment
+    from .tools import COMMANDS
+
+    return COMMANDS[name]
 
 
 def main(argv=None) -> int:
@@ -297,7 +197,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
     try:
-        return _SUBCOMMANDS[args.command][2](args)
+        return _command(args.command)[1](args)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

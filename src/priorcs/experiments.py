@@ -1,9 +1,11 @@
-"""Parameter sweeps and the Monte-Carlo check of the local recovery bound.
+"""Experiment configs, the Monte-Carlo check of the local recovery bound,
+and the entry points that run and write every experiment.
 
 Experiments are pure functions of (config, seed): sweeps over closed-form
 coefficients carry no randomness at all, and every randomized trial derives
 its own generator from (master seed, trial index), so outputs are
-byte-reproducible and independent of scheduling order.
+byte-reproducible and independent of scheduling order. The sweeps fig1-fig4
+are in ``sweeps`` and their plots in ``plots``, which verify never loads.
 """
 
 from __future__ import annotations
@@ -18,22 +20,26 @@ from typing import NamedTuple
 import numpy as np
 
 from . import MATRIX_KINDS, MAX_ITER, bounds
-from .errors import ConfigError, InvalidInputError
-from .tables import SweepTable, emit_csv, emit_svg
+from .errors import ConfigError
+from .tables import SweepTable, emit_csv
 
-# Names of the modules that only fig2 and verify run: run_fig2 and
-# run_verify_local bind them into this module's namespace with _bind, and a
-# lookup from outside, such as experiments.solve_weighted_l1_batch, binds
-# them through __getattr__ (PEP 562). They stay module attributes that the
-# function bodies read as globals, and _bind never replaces one already set,
-# so a wrapper that a test or bench/traced_cli.py sets here is what the
-# runs call. No function here calls solve_weighted_l1; it is listed because
-# the tracer looks it up on this module.
+# Names of the modules that only some commands run: run_verify_local,
+# run_experiment and emit_experiment_outputs bind them into this module's
+# namespace with _bind, and a lookup from outside, such as
+# experiments.solve_weighted_l1_batch or the supports names that
+# sweeps.run_fig2 reads here, binds them through __getattr__ (PEP 562).
+# They stay module attributes that the function bodies read as globals, and
+# _bind never replaces one already set, so a wrapper that a test or
+# bench/traced_cli.py sets here is what the runs call. No function here
+# calls solve_weighted_l1; it is listed because the tracer looks it up on
+# this module.
 _LAZY = {
     "matrices": ("generate_matrix",),
+    "plots": ("emit_svg",),
     "solver": ("EXITS", "RecoveryProblem", "SolveTolerances", "solve_weighted_l1",
                "solve_weighted_l1_batch"),
     "supports": ("error_terms", "format_index_set", "prior_support_for", "support_model"),
+    "sweeps": ("panels", "run_fig1", "run_fig2", "run_fig3", "run_fig4"),
 }
 
 
@@ -219,8 +225,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         values = getattr(cfg, name) or ()
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} must not repeat a value, got {values}")
-    # and each rho of a kind with per-rho panels (fig1, fig3) names its SVGs by {:g}
-    if cfg.kind in _PANELS and _PANELS[cfg.kind][1]:
+    # and each rho of a sweep's panels names its SVGs by {:g} (fig2 and fig4
+    # passed the one-rho check above, so only fig1 and fig3 can fail here)
+    if cfg.kind != "verify-local":
         labels = [f"{rho:g}" for rho in cfg.rho_list]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"rho_list values must differ in their panel labels {labels}, "
@@ -279,22 +286,6 @@ def _alphas_for(cfg: ExperimentConfig, rho: float) -> tuple:
     return cfg.alpha_list
 
 
-def _blocks(per_block, ws):
-    """Columns that hold each block's values once per point of the w grid ws,
-    then the w column: one block per tuple of per_block, in order."""
-    return (*np.repeat(np.array(per_block, dtype=float), len(ws), axis=0).T,
-            np.tile(np.asarray(ws, dtype=float), len(per_block)))
-
-
-def run_fig1(cfg: ExperimentConfig) -> SweepTable:
-    """Local-bound coefficients over the w grid for each (rho, alpha)."""
-    pairs = [(rho, alpha) for rho in cfg.rho_list for alpha in _alphas_for(cfg, rho)]
-    rho, alpha, w = _blocks(pairs, w_values(cfg))
-    res = bounds.local_bound(bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w))
-    return SweepTable.from_columns({"rho": rho, "alpha": alpha, "w": w, "c0": res.c0, "c1": res.c1,
-                                    "valid": res.valid, "reason": res.reason})
-
-
 def _draw_signal(cfg: ExperimentConfig, rng) -> np.ndarray:
     if cfg.signal == "gaussian":
         x = rng.standard_normal(cfg.n)
@@ -308,45 +299,6 @@ def _draw_signal(cfg: ExperimentConfig, rng) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def run_fig2(cfg: ExperimentConfig) -> SweepTable:
-    """Error multiplier e and c1*e for one drawn signal over (alpha, w); only
-    e_local and the bound vary along the w grid, the rest is per alpha."""
-    _bind("supports")
-    rng = np.random.default_rng(cfg.seed)
-    x = _draw_signal(cfg, rng)
-    ws = np.array(w_values(cfg), dtype=float)
-    rho = cfg.rho_list[0]
-    per_alpha, sets, e_local = [], [], []
-    for alpha in _alphas_for(cfg, rho):
-        try:
-            t = prior_support_for(x, cfg.k, rho, alpha)
-        except InvalidInputError as exc:
-            raise ConfigError(f"requested overlap unachievable for the drawn signal: {exc}") from exc
-        model = support_model(x, t, cfg.k, ws)
-        terms = error_terms(x, model)
-        per_alpha.append((model.rho, model.alpha, terms.tail_k, terms.off_prior_off_top,
-                          terms.missed_top))
-        sets.append(format_index_set(t))
-        e_local.append(terms.e_local)
-    rho, alpha, tail_k, off_prior_off_top, missed_top, w = _blocks(per_alpha, ws)
-    e_local = np.concatenate(e_local)
-    res = bounds.local_bound(bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w))
-    return SweepTable.from_columns({
-        "alpha": alpha, "w": w, "T": np.repeat(np.array(sets, dtype=object), len(ws)),
-        "tail_k": tail_k, "off_prior_off_top": off_prior_off_top, "missed_top": missed_top,
-        "e_local": e_local, "c1": res.c1, "c1_e": res.c1 * e_local, "valid": res.valid,
-    })
-
-
-def run_fig3(cfg: ExperimentConfig) -> SweepTable:
-    """Admissible-sparsity ratios against the standard and weighted baselines."""
-    alphas = cfg.alpha_list if cfg.alpha_list is not None else float_grid(cfg.w_step)
-    rho, alpha, w = _blocks([(rho, alpha) for rho in cfg.rho_list for alpha in alphas], w_values(cfg))
-    p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
-    return SweepTable(columns=["rho", "alpha", "w", "ratio_standard", "ratio_weighted"],
-                      data=[rho, alpha, w, *bounds.k_ratios(p)])
-
-
 def check_fig3(table: SweepTable) -> list:
     """Messages for any grid point whose ratio is not strictly above 1."""
     standard, weighted = table.column("ratio_standard"), table.column("ratio_weighted")
@@ -357,32 +309,6 @@ def check_fig3(table: SweepTable) -> list:
             if not ratio > 1.0:
                 problems.append(f"{label} ratio {ratio:.6g} <= 1 at rho={rho} alpha={alpha} w={w}")
     return problems
-
-
-# every theorem but cai, the one global bound that ignores the prior support
-_FIG4_THEOREMS = tuple(name for name in bounds.THEOREMS if name != "cai")
-
-def run_fig4(cfg: ExperimentConfig) -> SweepTable:
-    """Local vs global coefficients when the error terms coincide (T = T0).
-
-    Globals are put on the coherence scale with the standard substitutions and
-    the conventional free constants a = 2, a = b = k, t = 2. Both readings of
-    the ge c1 coefficient are reported.
-    """
-    rho = cfg.rho_list[0]
-    alpha = cfg.alpha_list[0] if cfg.alpha_list else 1.0
-    w = np.array(w_values(cfg), dtype=float)
-    p = bounds.GuaranteeParams(mu=cfg.mu, k=cfg.k, rho=rho, alpha=alpha, w=w)
-    columns = {"w": w}
-    for name in _FIG4_THEOREMS:
-        res = bounds.evaluate(name, p)
-        columns.update({f"{name}_c0": res.c0, f"{name}_c1": res.c1})
-        if name == "ge":
-            columns["ge_c1_printed"] = bounds.ge_bound(p, c1_form="printed").c1
-        columns[f"{name}_valid"] = res.valid
-        if name != "local":
-            columns[f"{name}_reason"] = res.reason
-    return SweepTable.from_columns(columns)
 
 
 def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> SweepTable:
@@ -486,29 +412,13 @@ def run_experiment(cfg: ExperimentConfig, timings: dict | None = None) -> SweepT
     if cfg.kind == "verify-local":
         table = run_verify_local(cfg, timings)
     else:
+        _bind("sweeps")
         runners = {"fig1-coeffs": run_fig1, "fig2-error-terms": run_fig2,
                    "fig3-kratio": run_fig3, "fig4-comparison": run_fig4}
         table = runners[cfg.kind](cfg)
     if timings is not None:
         timings["evaluate_s"] = time.perf_counter() - start
     return table
-
-
-def _series_pivot(table: SweepTable, quantity: str, n_w: int) -> SweepTable:
-    """Wide table for plotting: w, then quantity against w for each alpha.
-    table is blocks of n_w rows, one per alpha, each holding the same w grid."""
-    return SweepTable(
-        columns=["w"] + [f"alpha={alpha:g}" for alpha in table.column("alpha")[::n_w].tolist()],
-        data=[table.column("w")[:n_w], *table.column(quantity).reshape(-1, n_w)],
-    )
-
-
-# kind -> (quantities drawn against w, one curve per alpha; one panel per rho?)
-_PANELS = {
-    "fig1-coeffs": (("c0", "c1"), True),
-    "fig2-error-terms": (("e_local", "c1_e"), False),
-    "fig3-kratio": (("ratio_standard", "ratio_weighted"), True),
-}
 
 
 def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir,
@@ -532,22 +442,10 @@ def emit_experiment_outputs(cfg: ExperimentConfig, table: SweepTable, out_dir,
         written.append(path)
 
     save(f"{short}.csv", table)
-    if cfg.kind in _PANELS:
-        quantities, per_rho = _PANELS[cfg.kind]
-        for rho in cfg.rho_list if per_rho else (None,):
-            sub = table if rho is None else table.select(rho=rho)
-            suffix, note = ("", "") if rho is None else (f"_rho{rho:g}", f" (rho={rho:g})")
-            for quantity in quantities:
-                save(f"{short}_{quantity}{suffix}.svg",
-                     _series_pivot(sub, quantity, len(w_values(cfg))),
-                     f"{quantity} vs w{note}", quantity)
-    elif cfg.kind == "fig4-comparison":
-        for coeff in ("c0", "c1"):
-            series = [f"{name}_{coeff}" for name in _FIG4_THEOREMS]
-            if coeff == "c1":
-                series.append("ge_c1_printed")
-            wide = SweepTable.from_columns({name: table.column(name) for name in ["w", *series]})
-            save(f"{short}_{coeff}.svg", wide, f"{coeff}: local vs global", coeff)
-    elif cfg.kind == "verify-local":
+    if cfg.kind == "verify-local":
         save("verify_summary.csv", summarize_verify(table))
+    else:
+        _bind("sweeps", "plots")
+        for name, wide, title, y_label in panels(cfg, table):
+            save(f"{short}_{name}.svg", wide, title, y_label)
     return written

@@ -1,25 +1,16 @@
-"""Sensing matrices: generation, coherence, and exact isometry constants.
+"""Sensing matrices: generation and coherence.
 
-Coherence is computed exactly at any size. The restricted isometry and
-restricted orthogonality constants are NP-hard in general, so they are only
-computed by exhaustive support enumeration at tiny scale; their role here is
-to serve as oracles for the coherence-based upper bounds used everywhere else.
+Coherence is computed exactly at any size. The matrix file format and the
+exact tiny-scale isometry constants, which only the tool commands use, are
+in ``tools``.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import NamedTuple
-
 import numpy as np
 
 from . import MATRIX_KINDS
-from .errors import BudgetExceededError, InvalidInputError
-
-# Exhaustive-enumeration budgets. C(16,6) supports with 6x6 eigenproblems
-# stay well under a second; anything larger is refused rather than ground out.
-RIC_MAX_N = 16
-RIC_MAX_K = 6
+from .errors import InvalidInputError
 
 # Columns whose norm is already within this many ulps of 1 are not re-divided,
 # so write -> read -> construct round-trips bit-identically.
@@ -94,82 +85,6 @@ def coherence(matrix: SensingMatrix) -> float:
     return float(gram.max())
 
 
-def ric_exact(matrix: SensingMatrix, k: int) -> float:
-    """Exact k-th restricted isometry constant by support enumeration.
-
-    Returns max over all supports S of size k of
-    max(lambda_max(G_S) - 1, 1 - lambda_min(G_S)) with G_S the Gram matrix of
-    the columns in S. Tiny scale only.
-    """
-    n = matrix.n
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k must be in [1, {n}], got {k}")
-    if n > RIC_MAX_N or k > RIC_MAX_K:
-        raise BudgetExceededError(
-            f"exact RIC budget is n <= {RIC_MAX_N}, k <= {RIC_MAX_K}; got n={n}, k={k}"
-        )
-    gram = matrix.entries.T @ matrix.entries
-    worst = 0.0
-    for support in itertools.combinations(range(n), k):
-        idx = np.asarray(support)
-        eigs = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
-        worst = max(worst, eigs[-1] - 1.0, 1.0 - eigs[0])
-    return worst
-
-
-def roc_exact(matrix: SensingMatrix, s: int, s_tilde: int) -> float:
-    """Exact restricted orthogonality constant theta_{s, s~}.
-
-    Max over disjoint index sets T, T~ of sizes s, s~ of the largest singular
-    value of A_T^T A_T~. Sizes at most s suffice because the largest singular
-    value is monotone under adding columns, so only exact sizes are visited.
-    """
-    n = matrix.n
-    if s < 1 or s_tilde < 1:
-        raise InvalidInputError("set sizes must be >= 1")
-    if s + s_tilde > n:
-        raise InvalidInputError(f"s + s_tilde must be <= n, got {s}+{s_tilde} > {n}")
-    if n > RIC_MAX_N:
-        raise BudgetExceededError(f"exact ROC budget is n <= {RIC_MAX_N}, got n={n}")
-    gram = matrix.entries.T @ matrix.entries
-    worst = 0.0
-    symmetric = s == s_tilde
-    for left in itertools.combinations(range(n), s):
-        rest = [j for j in range(n) if j not in left]
-        lidx = np.asarray(left)
-        for right in itertools.combinations(rest, s_tilde):
-            if symmetric and right < left:
-                continue  # sigma_max(M) == sigma_max(M^T): visit each pair once
-            block = gram[np.ix_(lidx, np.asarray(right))]
-            worst = max(worst, float(np.linalg.svd(block, compute_uv=False)[0]))
-    return worst
-
-
-class IsometryReport(NamedTuple):
-    """Exact and coherence-bound isometry data for one sparsity level."""
-
-    k: int
-    delta_coherence_bound: float
-    delta_exact: float | None = None
-    theta_exact: float | None = None
-
-
-def isometry_report(matrix: SensingMatrix, k: int, exact: bool = True) -> IsometryReport:
-    """Assemble delta_k data: the (k-1)*mu bound plus exact values in budget."""
-    if not 1 <= k <= matrix.n:
-        raise InvalidInputError(f"k must be in [1, {matrix.n}], got {k}")
-    bound = (k - 1) * matrix.mu
-    delta = None
-    theta = None
-    if exact and matrix.n <= RIC_MAX_N and k <= RIC_MAX_K:
-        delta = ric_exact(matrix, k)
-        if 2 * k <= matrix.n:
-            theta = roc_exact(matrix, k, k)
-    return IsometryReport(
-        k=k, delta_coherence_bound=bound, delta_exact=delta, theta_exact=theta
-    )
-
-
 def _sylvester_hadamard(m: int) -> np.ndarray:
     h = np.ones((1, 1))
     while h.shape[0] < m:
@@ -214,45 +129,3 @@ def generate_matrix(kind: str, m: int, n: int, seed: int, entries=None) -> Sensi
             raise InvalidInputError(f"explicit entries have shape {arr.shape}, expected {(m, n)}")
         return SensingMatrix.from_array(arr)
     raise InvalidInputError(f"unknown matrix kind {kind!r}; choose one of {MATRIX_KINDS}")
-
-
-def format_real(v: float) -> str:
-    """Shortest decimal string that round-trips the double exactly."""
-    return repr(float(v))
-
-
-def write_matrix_text(matrix: SensingMatrix) -> str:
-    lines = [f"{matrix.m} {matrix.n}"]
-    for row in matrix.entries:
-        lines.append(" ".join(format_real(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_matrix_file(matrix: SensingMatrix, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(write_matrix_text(matrix))
-
-
-def read_matrix_text(text: str) -> SensingMatrix:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise InvalidInputError("matrix text must start with 'm n'")
-    try:
-        m, n = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise InvalidInputError(f"bad matrix header: {tokens[:2]}") from exc
-    if m < 1 or n < 1:
-        raise InvalidInputError(f"bad matrix header: {tokens[:2]} (sizes must be >= 1)")
-    values = tokens[2:]
-    if len(values) != m * n:
-        raise InvalidInputError(f"expected {m * n} entries, found {len(values)}")
-    try:
-        arr = np.array([float(v) for v in values]).reshape(m, n)
-    except ValueError as exc:
-        raise InvalidInputError("non-numeric matrix entry") from exc
-    return SensingMatrix.from_array(arr)
-
-
-def read_matrix_file(path) -> SensingMatrix:
-    with open(path) as fh:
-        return read_matrix_text(fh.read())

@@ -99,7 +99,7 @@ import numpy as np
 
 from . import MAX_ITER
 from .errors import InfeasibleProblemError, InvalidInputError
-from .matrices import SensingMatrix, read_matrix_text
+from .matrices import SensingMatrix
 from .polish import try_polish
 
 # iterations between two checks (the stop test, certificate and polish tries)
@@ -530,32 +530,3 @@ def kkt_check(problem: RecoveryProblem, x, lam) -> float:
         normal = float(np.linalg.norm(residual - eps / norm_lam * lam))
         terms.append(normal / max(1.0, float(np.linalg.norm(problem.y))))
     return max(0.0, *terms)
-
-
-def read_problem_text(text: str) -> RecoveryProblem:
-    sections = {}
-    current = None
-    for token in text.split():
-        if token in ("MATRIX", "VECTOR", "EPSILON", "WEIGHTS"):
-            current = token
-            sections[current] = []
-        elif current is None:
-            raise InvalidInputError(f"unexpected token {token!r} before any section header")
-        else:
-            sections[current].append(token)
-    for name in ("MATRIX", "VECTOR", "EPSILON", "WEIGHTS"):
-        if name not in sections:
-            raise InvalidInputError(f"problem text is missing the {name} section")
-    matrix = read_matrix_text(" ".join(sections["MATRIX"]))
-    try:
-        y = np.array([float(v) for v in sections["VECTOR"]])
-        weights = np.array([float(v) for v in sections["WEIGHTS"]])
-        (epsilon,) = [float(v) for v in sections["EPSILON"]]
-    except ValueError as exc:
-        raise InvalidInputError("malformed numeric section in problem text") from exc
-    return RecoveryProblem.create(matrix, y, epsilon, weights)
-
-
-def read_problem_file(path) -> RecoveryProblem:
-    with open(path) as fh:
-        return read_problem_text(fh.read())

@@ -16,7 +16,8 @@ from priorcs import (
     k_ratios,
     local_bound,
 )
-from priorcs.bounds import THEOREMS, _result, evaluate, local_denominator
+from priorcs.baselines import THEOREMS, evaluate
+from priorcs.bounds import _result, local_denominator
 from priorcs.experiments import admissible_alphas, float_grid
 
 import oracles

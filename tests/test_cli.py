@@ -19,7 +19,7 @@ import priorcs
 from priorcs import generate_matrix
 from priorcs.cli import main
 from priorcs.experiments import SIGNAL_KINDS
-from priorcs.matrices import format_real, read_matrix_file, write_matrix_text
+from priorcs.tools import format_real, read_matrix_file, write_matrix_text
 
 
 def run_cli(capsys, *argv):

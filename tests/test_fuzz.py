@@ -13,8 +13,8 @@ from priorcs.experiments import (
     load_config,
     parse_config_text,
 )
-from priorcs.matrices import MATRIX_KINDS, read_matrix_text
-from priorcs.solver import read_problem_text
+from priorcs.matrices import MATRIX_KINDS
+from priorcs.tools import read_matrix_text, read_problem_text
 
 SECTIONS = ("MATRIX", "VECTOR", "EPSILON", "WEIGHTS")
 

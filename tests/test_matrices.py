@@ -15,7 +15,7 @@ from priorcs import (
     ric_exact,
     roc_exact,
 )
-from priorcs.matrices import read_matrix_text, write_matrix_text
+from priorcs.tools import read_matrix_text, write_matrix_text
 
 SQRT2 = math.sqrt(2.0)
 

@@ -23,8 +23,8 @@ from priorcs import (
 import priorcs.polish as polish
 import priorcs.solver as solver
 from priorcs.experiments import load_config, run_verify_local
-from priorcs.matrices import format_real, write_matrix_text
-from priorcs.solver import POLISH_EVERY, operator_norm, read_problem_text
+from priorcs.solver import POLISH_EVERY, operator_norm
+from priorcs.tools import format_real, read_problem_text, write_matrix_text
 
 from oracles import (
     min_weighted_l1_by_vertex_enumeration,

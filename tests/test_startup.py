@@ -1,6 +1,7 @@
 """Each command loads only the modules it runs, and the package surface
 resolves lazily to the same objects its modules define."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -16,17 +17,18 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # every public name the package exports, by the module that defines it
 EXPORTS = {
-    "bounds": ["GuaranteeParams", "GuaranteeResult", "cai_bound", "chen_bound",
-               "friedlander_bound", "ge_bound", "haixiao_bound", "k_ratios", "local_bound"],
+    "baselines": ["cai_bound", "chen_bound", "friedlander_bound", "ge_bound", "haixiao_bound",
+                  "k_ratios"],
+    "bounds": ["GuaranteeParams", "GuaranteeResult", "local_bound"],
     "errors": ["BudgetExceededError", "ConfigError", "InfeasibleProblemError",
                "InvalidInputError", "PriorCSError"],
-    "matrices": ["IsometryReport", "SensingMatrix", "coherence", "generate_matrix",
-                 "isometry_report", "read_matrix_file", "ric_exact", "roc_exact",
-                 "write_matrix_file"],
+    "matrices": ["SensingMatrix", "coherence", "generate_matrix"],
     "solver": ["RecoveryProblem", "SolveReport", "SolveTolerances", "kkt_check",
-               "read_problem_file", "solve_weighted_l1", "solve_weighted_l1_batch"],
+               "solve_weighted_l1", "solve_weighted_l1_batch"],
     "supports": ["ErrorTerms", "SupportModel", "error_terms", "format_index_set",
                  "prior_support_for", "support_model"],
+    "tools": ["IsometryReport", "isometry_report", "read_matrix_file", "read_problem_file",
+              "ric_exact", "roc_exact", "write_matrix_file"],
 }
 
 
@@ -46,18 +48,50 @@ def loaded_after(code: str, *argv) -> set:
 
 
 RUN_MAIN = "import sys\nfrom priorcs.cli import main\nassert main(sys.argv[1:]) == 0"
-SWEEP_MODULES = {"priorcs", "priorcs.cli", "priorcs.errors", "priorcs.experiments",
-                 "priorcs.bounds", "priorcs.tables"}
+COMMON_MODULES = {"priorcs", "priorcs.cli", "priorcs.errors", "priorcs.experiments",
+                  "priorcs.bounds", "priorcs.tables"}
+SWEEP_MODULES = COMMON_MODULES | {"priorcs.sweeps", "priorcs.plots"}
+VERIFY_ARGS = ("verify", "-o", "trials=1", "-o", "rho_list=1", "-o", "w_grid=0.5")
 
 
 @pytest.mark.parametrize("command, modules", [
     ("fig1", SWEEP_MODULES),
     ("fig2", SWEEP_MODULES | {"priorcs.supports"}),
-    ("fig3", SWEEP_MODULES),
-    ("fig4", SWEEP_MODULES),
+    ("fig3", SWEEP_MODULES | {"priorcs.baselines"}),
+    ("fig4", SWEEP_MODULES | {"priorcs.baselines"}),
 ])
 def test_a_sweep_loads_only_what_it_runs(command, modules, tmp_path):
     assert loaded_after(RUN_MAIN, command, "-o", "w_grid=0,1", "--out-dir", str(tmp_path)) == modules
+
+
+def test_verify_loads_only_what_it_runs(tmp_path):
+    assert loaded_after(RUN_MAIN, *VERIFY_ARGS, "--out-dir", str(tmp_path)) == COMMON_MODULES | {
+        "priorcs.matrices", "priorcs.solver", "priorcs.polish", "priorcs.supports"}
+
+
+def test_a_tool_command_loads_only_what_it_runs():
+    assert loaded_after(RUN_MAIN, "bounds", "--mu", "0.1", "--k", "2") == COMMON_MODULES | {
+        "priorcs.tools", "priorcs.baselines", "priorcs.matrices"}
+
+
+# AST nodes that a fresh verify process may compile from src/priorcs. Under
+# PYTHONDONTWRITEBYTECODE=1 every process compiles what it loads, and compile
+# time follows the node count (about 1 us a node on a 2-vCPU VM), which
+# docstrings and comments barely move, so the budget counts nodes, not lines.
+VERIFY_NODE_BUDGET = 17_000
+
+
+def ast_nodes(module: str) -> int:
+    """The AST nodes of a priorcs module's source, such as priorcs.solver."""
+    name = module.partition(".")[2] or "__init__"
+    return sum(1 for _ in ast.walk(ast.parse((Path(SRC) / "priorcs" / f"{name}.py").read_text())))
+
+
+def test_verify_compiles_within_its_node_budget(tmp_path):
+    counts = {m: ast_nodes(m) for m in loaded_after(RUN_MAIN, *VERIFY_ARGS, "--out-dir", str(tmp_path))}
+    table = "\n".join(f"{m}: {n}" for m, n in sorted(counts.items(), key=lambda item: -item[1]))
+    assert sum(counts.values()) <= VERIFY_NODE_BUDGET, (
+        f"verify loads {sum(counts.values())} AST nodes, over {VERIFY_NODE_BUDGET}:\n{table}")
 
 
 @pytest.mark.parametrize("args", [

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import csv_text, svg_polyline_points
 from priorcs.errors import InvalidInputError
-from priorcs.tables import SweepTable, _fixed2, to_csv_text, to_svg_text
+from priorcs.plots import _fixed2, to_svg_text
+from priorcs.tables import SweepTable, to_csv_text
 
 
 def read_rows(text):
