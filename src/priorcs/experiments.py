@@ -236,19 +236,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 @functools.lru_cache(maxsize=16)  # one build per grid: the checks, the run and each panel share it
 def float_grid(step: float) -> tuple:
-    """round(i * step, 12) for i = 0..1/step, bit for bit: rint(v * 1e12) / 1e12
-    is round(v, 12) unless the float v * 1e12, within 2**-14 of the exact
-    product, rounds to another integer, so the cells within 2.5e-4 of a
-    half-integer are left to Python's round."""
+    """round(i * step, 12) for i = 0..1/step."""
     count = round(1.0 / step)
     if abs(count * step - 1.0) > 1e-9:
         raise ConfigError(f"step {step} does not divide [0, 1] evenly")
-    points = np.arange(count + 1) * step
-    scaled = points * 1e12
-    grid = np.rint(scaled) / 1e12
-    for i in np.flatnonzero(np.abs(scaled % 1.0 - 0.5) < 2.5e-4).tolist():
-        grid[i] = round(points[i].item(), 12)
-    return tuple(grid.tolist())
+    return tuple(round(i * step, 12) for i in range(count + 1))
 
 
 def w_values(cfg: ExperimentConfig) -> tuple:

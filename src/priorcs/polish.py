@@ -11,14 +11,15 @@ import numpy as np
 STEPS = 8
 
 
-def try_polish(a, y, eps, w, x, lam, tol):
+def try_polish(a, y, eps, w, rows, x, lam, tol):
     """Polish tries of some rows at one check, as (accepted, z, lam, residual,
     steps): per row, whether it is accepted, the minimizer of the program
     restricted to its sign pattern as corrected, its multiplier and its pair
     residual (see the solver docstring), scratch where it is not accepted;
     and the correction steps the tries took in all. y, w, x and lam are
-    (G, k) stacks of the trying rows, whose free sets have at most m
-    coordinates.
+    (B, k) stacks of the live rows, and the indices rows name those that
+    try, whose free sets have at most m coordinates; a row that does not
+    try comes back not accepted.
 
     A try runs in rounds. Each round solves every row still trying on its
     current pattern; a row whose point fails the sign test drops the
@@ -43,7 +44,7 @@ def try_polish(a, y, eps, w, x, lam, tol):
     steps = 0
     # the rows still trying: each one's index, free set and pattern (the
     # signs it holds on F, 0 off F; with w it fixes F and c)
-    state = [np.arange(count), (x != 0.0) | (w == 0.0), np.sign(x).astype(np.int8)]
+    state = [rows, (x[rows] != 0.0) | (w[rows] == 0.0), np.sign(x[rows]).astype(np.int8)]
     state[2] *= state[1]
     before = None  # the pattern each row solved in the round before
     for step in range(STEPS + 1):

@@ -25,24 +25,24 @@ per row, the very calls a lone solve makes; a 2-D gemm over an n x B block
 would round a column differently at each batch width. Elementwise steps
 round the same either way, and a row leaves the batch when it stops.
 
-The loop allocates no full-size stack: each step writes into a preallocated
-(B, k, 1) buffer with out=, in the order of its formula, the state swaps
-between two buffers, and the step sizes are expanded once to full stacks.
-When rows retire, the batch compacts in place: the live rows of each state
-stack move to its front, and the loop goes on with the leading view, which
-stays C-contiguous and so makes the same BLAS calls; the scratch stacks just
-take the view. So each stack is held once, however often the batch
-shrinks, and no report shares memory with it (retire copies its rows out).
-The feasibility test's (n, B) least-squares fit is dropped before the loop.
+An iteration is the stacked formulas
 
-The stacks hold at most LIVE_ROWS rows (continuous batching, as in Orca,
-OSDI 2022). The step sizes, dual_scale and the feasibility test are
-computed once for every problem; the first LIVE_ROWS problems start, and at
-each check, after the compaction, the next ones in problem order take the
-freed tail slots, each starting as a lone solve does. A row admitted at
-iteration s reports its iterations from s and stops at s + max_iter.
-Admissions fall on checks, so every row's checks stay aligned. A batch of at
-most LIVE_ROWS problems starts whole and admits none.
+    ax_bar = 2 ax - ax_prev,  shift = lam + sigma ax_bar - sigma y   (ax = A x)
+    lam+ = shift max(0, 1 - sigma eps / ||shift||),  x_half = x - tau A^T lam+
+    x+ = x_half - max(min(x_half, tau w), -tau w)   (soft threshold)
+
+with each row's tau and sigma a (B, 1, 1) stack. Retiring rows leave every
+stack by arr[keep], which stays C-contiguous and so runs the same BLAS
+calls; reports copy their rows out. The feasibility test's (n, B)
+least-squares fit is dropped before the loop.
+
+At most LIVE_ROWS rows are live (continuous batching, as in Orca, OSDI
+2022). The step sizes, dual_scale and the feasibility test are computed once
+for every problem; the first LIVE_ROWS problems start, and at each check the
+next ones in problem order join the end of the stacks (np.concatenate),
+each starting as a lone solve does. A row admitted at iteration s reports
+its iterations from s and stops at s + max_iter; admissions fall on checks,
+so every row's checks stay aligned.
 
 A row can stop only at a check, every POLISH_EVERY iterations, or at its
 last iteration (PDLP too evaluates its termination criteria periodically,
@@ -261,13 +261,15 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
         if p.epsilon != eps:
             raise InvalidInputError(f"a batch must share one eps, got {eps} and {p.epsilon}")
 
+    # every problem's data, under names the loop never rebinds: the loop's
+    # stacks of its live rows take the singular names (y, w, tau, ...)
     ys = np.array([p.y for p in problems])
-    y = ys[:, :, None]
-    norm_y = _norms(y)
-    dual_scale = np.maximum(1.0, norm_y)
+    all_y = ys[:, :, None]
+    norm_y = _norms(all_y)
+    all_dual_scale = np.maximum(1.0, norm_y)
     # the (n, B) least-squares fit is dropped as soon as its residuals are read
-    min_residual = _norms(a @ np.linalg.lstsq(a, ys.T, rcond=None)[0].T[:, :, None] - y)[:, 0, 0]
-    bad = np.flatnonzero(min_residual > eps + np.maximum(tol.feas_tol, 1e-8 * dual_scale[:, 0, 0]))
+    min_residual = _norms(a @ np.linalg.lstsq(a, ys.T, rcond=None)[0].T[:, :, None] - all_y)[:, 0, 0]
+    bad = np.flatnonzero(min_residual > eps + np.maximum(tol.feas_tol, 1e-8 * all_dual_scale[:, 0, 0]))
     if bad.size:
         i = int(bad[0])
         where = f"problem {i}: " if len(problems) > 1 else ""
@@ -276,32 +278,31 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
         )
 
     m, n = a.shape
-    a_t = a.T
     clock = {} if timings is None else timings
-    clock["polish_s"] = 0.0
-    clock["polish_steps"] = 0
+    clock.update(polish_s=0.0, polish_steps=0)
     norm_a = operator_norm(a)
     step = 0.99 / norm_a if norm_a > 0.0 else 1.0
-    weights = np.array([p.weights for p in problems])[:, :, None]
+    all_w = np.array([p.weights for p in problems])[:, :, None]
     batch = len(problems)
     # max_iter = 0 runs no iteration, so every row is live at once
     slots = batch if batch <= LIVE_ROWS or not tol.max_iter else LIVE_ROWS
-    x = np.zeros((slots, n, 1))
-    ax, ax_prev, lam = (np.zeros((slots, m, 1)) for _ in range(3))
-    # work stacks, overwritten every iteration
-    x_new, x_half = np.empty_like(x), np.empty_like(x)
-    ax_new, ax_bar, lam_new, shift = (np.empty_like(ax) for _ in range(4))
-    rows = np.arange(slots)  # index in `problems` of each live row
-    admitted = slots  # problems admitted so far, in order
     start = np.zeros(batch, dtype=np.intp)  # per problem, the iteration it was admitted at
     reports = [None] * batch
     iterations = 0
-    opt_residual = np.full((slots, 1, 1), math.inf)
     # polish state, per problem: the tries made and the starting patterns
     # rejected; at eps = 0 a try also reads lam, so a pattern may be retried
     tries = np.zeros(batch, dtype=np.intp)
     rejected = [set() for _ in range(batch)]
     still = {}  # per problem, its zero-cost iterate at the last check
+
+    def admit(first, count):
+        """The state stacks of problems first.. first + count - 1, as a lone solve starts."""
+        span = slice(first, first + count)
+        start[span] = iterations
+        w, y, tau, sigma = all_w[span], all_y[span], all_tau[span], all_sigma[span]
+        return [np.arange(first, first + count), np.zeros((count, n, 1)),
+                *(np.zeros((count, m, 1)) for _ in range(3)),
+                w, y, tau, sigma, tau * w, sigma * y, sigma * eps, all_dual_scale[span]]
 
     def retire(live, x_rows, lam_rows, residuals, exit):
         if not live.size:
@@ -310,7 +311,7 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
         # objective is one pairwise sum and the feasibility one gemv and
         # ddot per row, the bits of a 1-D sum of w |x| and of
         # RecoveryProblem.feasibility_residual
-        objective = (weights[live, :, 0] * np.abs(x_rows)).sum(axis=1).tolist()
+        objective = (w[live, :, 0] * np.abs(x_rows)).sum(axis=1).tolist()
         feasibility = np.maximum(_norms(a @ x_rows[:, :, None] - y[live])[:, 0, 0] - eps, 0.0).tolist()
         residuals = residuals.tolist()
         finished = rows[live]
@@ -335,78 +336,40 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
     # y = 0 or w = 0 leaves 0/0 in omega, which np.where drops; shift = 0
     # leaves sigma_eps/0, which fmax maps to a zero multiplier
     with np.errstate(divide="ignore", invalid="ignore"):
-        norm_w = _norms(weights)
+        norm_w = _norms(all_w)
         scale_y = np.where(norm_y > eps, norm_y - eps, norm_y)
         omega = np.where((norm_w > 0.0) & (scale_y > 0.0), norm_w / scale_y, 1.0)
-        tau, sigma = step / omega, step * omega
-        each = (weights, y, tau, sigma, sigma * eps, dual_scale)  # per problem
+        all_tau, all_sigma = step / omega, step * omega
 
-        def stacks(admit):
-            """The full-size stacks of the problems `admit` selects."""
-            weights, y, tau, sigma, sigma_eps, dual_scale = (v[admit] for v in each)
-            tau_w = tau * weights
-            # the step sizes as full stacks: a same-shape multiply costs
-            # about half of one that broadcasts a (B, 1, 1) stack
-            return (weights, (weights > 0.0).astype(np.int8), y, np.repeat(tau, n, axis=1),
-                    np.repeat(sigma, m, axis=1), tau_w, -tau_w, sigma * y, sigma_eps, dual_scale)
-
-        # a batch that fits takes the per-problem stacks whole; the index
-        # array copies the first rows of a larger one, so that every stack
-        # it holds owns its memory (see the refill below)
-        (weights, positive, y, tau, sigma, tau_w, neg_tau_w, sigma_y, sigma_eps,
-         dual_scale) = stacks(slice(None) if slots == batch else np.arange(slots))
+        rows, x, ax, ax_prev, lam, w, y, tau, sigma, tau_w, sigma_y, sigma_eps, dual_scale = admit(0, slots)
+        admitted = slots  # problems admitted so far, in order
         if not tol.max_iter:  # the unconverged start
+            opt_residual = np.full((slots, 1, 1), math.inf)
             retire_iterate(rows, "max_iter")
             clock["loop_iterations"] = 0
             return reports
         last = tol.max_iter  # the earliest iteration that is some live row's last
 
         for iterations in itertools.count(1):
-            # Each step writes into a preallocated stack, in the order of
-            #   ax_bar = 2 ax - ax_prev
-            #   shift = lam + sigma ax_bar - sigma y
-            #   lam_new = shift fmax(0, 1 - sigma eps / ||shift||)
-            #   x_half = x - tau A^T lam_new
-            #   x_new = x_half - max(min(x_half, tau w), -tau w)  (soft threshold)
-            # so every element rounds as in those formulas. Per-row (B, 1, 1)
-            # values are left to numpy's small-array cache, which is cheaper
-            # than out= at that size.
-            np.add(ax, ax, out=ax_bar)  # 2 ax, exactly
-            np.subtract(ax_bar, ax_prev, out=ax_bar)
-            np.multiply(sigma, ax_bar, out=shift)
-            np.add(lam, shift, out=shift)
-            np.subtract(shift, sigma_y, out=shift)
-            np.multiply(shift, np.fmax(0.0, 1.0 - sigma_eps / _norms(shift)), out=lam_new)
-            np.matmul(a_t, lam_new, out=x_half)
-            np.multiply(tau, x_half, out=x_half)
-            np.subtract(x, x_half, out=x_half)
-            np.minimum(x_half, tau_w, out=x_new)
-            np.maximum(x_new, neg_tau_w, out=x_new)
-            np.subtract(x_half, x_new, out=x_new)
-            np.matmul(a, x_new, out=ax_new)
+            ax_bar = 2.0 * ax - ax_prev
+            shift = lam + sigma * ax_bar - sigma_y
+            lam_new = shift * np.fmax(0.0, 1.0 - sigma_eps / _norms(shift))
+            x_half = x - tau * (a.T @ lam_new)
+            x_new = x_half - np.maximum(np.minimum(x_half, tau_w), -tau_w)  # soft threshold
+            ax_new = a @ x_new
 
             # The stop test runs at each check and at a live row's last
-            # iteration. Both residuals belong to the pair (x_new, lam_new)
-            # that is returned: primal = (x - x_new) / tau lies in the
-            # subdifferential of ||.||_{1,w} at x_new plus A^T lam_new, dual
-            # = (lam - lam_new) / sigma + (ax_bar - ax_new) in the
-            # subdifferential of the noise-ball support function at lam_new
-            # minus A x_new. They reuse the buffers of x_half and shift.
+            # iteration, on the pair (x_new, lam_new) that is returned:
+            # (x - x_new) / tau lies in the subdifferential of ||.||_{1,w} at
+            # x_new plus A^T lam_new, and (lam - lam_new) / sigma + (ax_bar -
+            # ax_new) in that of the noise-ball support function at lam_new
+            # minus A x_new.
             check = iterations % POLISH_EVERY == 0
             stop = check or iterations == last
             if stop:
-                primal, dual = x_half, shift
-                np.subtract(x, x_new, out=primal)
-                np.divide(primal, tau, out=primal)
-                np.subtract(lam, lam_new, out=dual)
-                np.divide(dual, sigma, out=dual)
-                np.subtract(ax_bar, ax_new, out=ax_bar)
-                np.add(dual, ax_bar, out=dual)
-                opt_residual = np.maximum(_norms(primal), _norms(dual) / dual_scale)
-
-            x, x_new = x_new, x
-            ax_prev, ax, ax_new = ax, ax_new, ax_prev
-            lam, lam_new = lam_new, lam
+                opt_residual = np.maximum(_norms((x - x_new) / tau),
+                                          _norms((lam - lam_new) / sigma + (ax_bar - ax_new)) / dual_scale)
+            x, ax_prev, ax, lam = x_new, ax, ax_new, lam_new
             if not stop:
                 continue
             feasible = (_norms(ax - y) - eps <= tol.feas_tol)[:, 0, 0]
@@ -417,6 +380,7 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                     done &= ending
             retire_iterate(np.flatnonzero(done), "converged")
             if check:
+                positive = w > 0.0
                 latest = np.sign(x).astype(np.int8)
                 latest *= positive
                 # a feasible zero-cost iterate that has not moved since the
@@ -442,60 +406,36 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                 tries[rows[trying]] += 1
                 if trying.size:
                     started = perf_counter()
-                    # when every live row tries, as at a first check, the
-                    # stacks go in as views rather than as gathered copies
-                    pick = slice(None) if trying.size == len(rows) else trying
-                    polished = try_polish(a, y[pick, :, 0], eps, weights[pick, :, 0],
-                                          x[pick, :, 0], lam[pick, :, 0], tol)
+                    accepted, *point, steps = try_polish(a, y[:, :, 0], eps, w[:, :, 0], trying,
+                                                         x[:, :, 0], lam[:, :, 0], tol)
                     clock["polish_s"] += perf_counter() - started
-                    *polished, steps = polished
                     clock["polish_steps"] += steps
-                    accepted, *point = polished
-                    live = trying[accepted]
-                    done[live] = True
-                    retire(live, *(part[accepted] for part in point), "polished")
+                    live = np.flatnonzero(accepted)
+                    done |= accepted
+                    retire(live, *(part[live] for part in point), "polished")
                     if eps > 0.0:
-                        for i, key in zip(rows[trying[~accepted]].tolist(),
-                                          itertools.compress(keys, ~accepted)):
+                        failed = ~accepted[trying]
+                        for i, key in zip(rows[trying[failed]].tolist(), itertools.compress(keys, failed)):
                             rejected[i].add(key)
             if iterations == last:
                 ending &= ~done
                 retire_iterate(np.flatnonzero(ending), "max_iter")
                 done |= ending
-            state = (rows, x, ax, ax_prev, lam, weights, positive, y, tau, sigma, tau_w,
-                     neg_tau_w, sigma_y, sigma_eps, dual_scale)
-            work = (x_new, x_half, ax_new, ax_bar, lam_new, shift)  # scratch: they take the view
-            count = len(rows)
-            retiring = done.any()
-            if retiring:
-                keep = np.flatnonzero(~done)
-                count = keep.size
-                if not count and admitted == batch:
+            # retired rows leave every stack; at a check, waiting problems
+            # join the end, so the rows stay in problem order
+            state = [rows, x, ax, ax_prev, lam, w, y, tau, sigma, tau_w, sigma_y, sigma_eps, dual_scale]
+            if done.any():
+                if done.all() and admitted == batch:
                     clock["loop_iterations"] = iterations
                     return reports
-                # compact in place
-                for arr in state:
-                    arr[:count] = arr[keep]
-            # at a check, waiting problems fill the freed tail slots
-            new = min(batch - admitted, slots - count) if check else 0
-            if not retiring and not new:
-                continue
-            size = count + new
-            # a stack grows back from the whole stack it views, which it owns
-            state, work = ([arr[:size] if size <= len(arr) else arr.base[:size] for arr in group]
-                           for group in (state, work))
+                keep = np.flatnonzero(~done)
+                state = [arr[keep] for arr in state]
+            new = min(batch - admitted, slots - len(state[0])) if check else 0
             if new:
-                # each admitted row starts as a lone solve does
-                admit = slice(admitted, admitted + new)
-                start[admit] = iterations
-                for arr, value in zip(state, (np.arange(admitted, admitted + new), 0.0, 0.0, 0.0,
-                                              0.0, *stacks(admit))):
-                    arr[count:] = value
+                state = [np.concatenate(pair) for pair in zip(state, admit(admitted, new))]
                 admitted += new
-            (rows, x, ax, ax_prev, lam, weights, positive, y, tau, sigma, tau_w,
-             neg_tau_w, sigma_y, sigma_eps, dual_scale) = state
-            x_new, x_half, ax_new, ax_bar, lam_new, shift = work
-            if size:
+            rows, x, ax, ax_prev, lam, w, y, tau, sigma, tau_w, sigma_y, sigma_eps, dual_scale = state
+            if rows.size:
                 last = int(start[rows[0]]) + tol.max_iter
 
 

@@ -137,8 +137,6 @@ def _row_sums(values, mask):
     """Sum of each row's entries under mask: rows with equal counts are
     compacted into one (rows, count) array and summed along it."""
     counts = np.count_nonzero(mask, axis=1)
-    if counts.min() == counts.max():  # one count: no regroup
-        return values[mask].reshape(len(counts), -1).sum(axis=1)
     sums = np.empty(len(counts))
     for count in np.flatnonzero(np.bincount(counts)).tolist():
         rows = np.flatnonzero(counts == count)

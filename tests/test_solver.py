@@ -340,8 +340,8 @@ class TestPolish:
         assert report.exit == "polished"
 
         def args(iterate):
-            return (matrix.entries, y[None], 0.05, weights[None], iterate[None], np.zeros((1, 32)),
-                    SolveTolerances())
+            return (matrix.entries, y[None], 0.05, weights[None], np.arange(1), iterate[None],
+                    np.zeros((1, 32)), SolveTolerances())
 
         return np.sign(report.x_star), args
 
@@ -364,7 +364,7 @@ class TestPolish:
         assert expected[0].all() and steps == 0
         assert corrections == 1
         assert [part.tobytes() for part in polished] == [part.tobytes() for part in expected]
-        a, y, eps, w, x, lam, tol = args(iterate)
+        a, y, eps, w, _, x, lam, tol = args(iterate)
         point, made = polish_one(a, y[0], eps, w[0], x[0], lam[0], tol.opt_tol, tol.feas_tol)
         assert made == 1 and point[0].tobytes() == expected[1][0].tobytes()
 
@@ -390,9 +390,12 @@ class TestPolish:
         monkeypatch.setattr(solver, "try_polish", spy)
         run_verify_local(load_config("verify-local", overrides=overrides))
         assert any(result[4] for _, result in calls)  # some try corrected its pattern
-        for (a, y, eps, w, x, lam, tol), (accepted, z, dual, pair, steps) in calls:
+        for (a, y, eps, w, rows, x, lam, tol), (accepted, z, dual, pair, steps) in calls:
+            outside = np.ones(len(x), dtype=bool)
+            outside[rows] = False
+            assert not accepted[outside].any()  # a live row that does not try is not accepted
             made = 0
-            for i in range(len(x)):
+            for i in rows.tolist():
                 point, corrections = polish_one(a, y[i], eps, w[i], x[i], lam[i], tol.opt_tol,
                                                 tol.feas_tol)
                 made += corrections
@@ -411,9 +414,9 @@ class TestPolish:
         sizes = []
         polish = solver.try_polish
 
-        def spy(a, y, eps, w, x, lam, tol):
-            sizes.extend(np.count_nonzero((x != 0.0) | (w == 0.0), axis=1).tolist())
-            return polish(a, y, eps, w, x, lam, tol)
+        def spy(a, y, eps, w, rows, x, lam, tol):
+            sizes.extend(np.count_nonzero((x[rows] != 0.0) | (w[rows] == 0.0), axis=1).tolist())
+            return polish(a, y, eps, w, rows, x, lam, tol)
 
         monkeypatch.setattr(solver, "try_polish", spy)
         timings = {}
@@ -444,10 +447,10 @@ class TestPolish:
         checks = []  # per polish call: each trying row's |F|, whether its gram is singular, accepted
         polish = solver.try_polish
 
-        def spy(a, y, eps, w, x, lam, tol):
-            result = polish(a, y, eps, w, x, lam, tol)
-            free = (x != 0.0) | (w == 0.0)
-            checks.append((free.sum(axis=1), free[:, 7] & free[:, 21], result[0]))
+        def spy(a, y, eps, w, rows, x, lam, tol):
+            result = polish(a, y, eps, w, rows, x, lam, tol)
+            free = (x[rows] != 0.0) | (w[rows] == 0.0)
+            checks.append((free.sum(axis=1), free[:, 7] & free[:, 21], result[0][rows]))
             return result
 
         monkeypatch.setattr(solver, "try_polish", spy)
@@ -616,8 +619,8 @@ class TestBatch:
         # x and y: at most 16 for each of the LIVE_ROWS rows the loop holds
         # (its stacks, each held once, and the polish tries read 14.7), and 4
         # for each problem (its input rows, its report's x and dual, and the
-        # feasibility fit). The default batch reads 19.5 LIVE_ROWS units, or
-        # 4.9 per problem; with every row in the loop at once it read 14.7
+        # feasibility fit). The default batch reads 21.2 LIVE_ROWS units, or
+        # 5.3 per problem; with every row in the loop at once it read 14.7
         # per problem.
         batch, width, peak = self.traced_peak(monkeypatch, {})
         assert batch == 510
