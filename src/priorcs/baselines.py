@@ -194,20 +194,16 @@ def chen_bound(p: GuaranteeParams, delta_a: float | None = None,
     )
 
 
-def ge_bound(p: GuaranteeParams, delta_tk: float | None = None,
-             c1_form: str = "c0-denominator") -> GuaranteeResult:
+def ge_bound(p: GuaranteeParams, delta_tk: float | None = None) -> GuaranteeResult:
     """Global bound from the block-sparse family, reduced to one support estimate.
 
     ups = w + (1-w)*sqrt(1 + rho - 2 alpha rho); d = 1 at w = 1, otherwise 1
     for alpha >= 1/2 and 1 + rho - 2 alpha rho below; needs t > d and the
     premise delta_tk < sqrt((t-d)/(t-d+ups^2)). Without delta_tk, t defaults
-    to 2 and the substitution delta_tk <= (tk-1)*mu applies. c1_form picks
-    the reading of c1 (see _ge_readings).
+    to 2 and the substitution delta_tk <= (tk-1)*mu applies. c1 is the
+    c0-denominator reading; _ge_readings also gives the printed one.
     """
-    if c1_form not in ("c0-denominator", "printed"):
-        raise InvalidInputError(f"unknown c1_form {c1_form!r}")
-    result, printed = _ge_readings(p, delta_tk)
-    return result._replace(c1=printed) if c1_form == "printed" else result
+    return _ge_readings(p, delta_tk)[0]
 
 
 def _ge_readings(p: GuaranteeParams, delta_tk: float | None = None) -> tuple:
@@ -245,7 +241,7 @@ def _ge_readings(p: GuaranteeParams, delta_tk: float | None = None) -> tuple:
         # Its denominator simplifies to (t-d+ups^2) * (sqrt(t-d) - delta), which does
         # not match c0's denominator even though the two coefficients share one
         # denominator in every other guarantee of this family. The default reading
-        # reuses c0's denominator; c1_form="printed" evaluates the literal form.
+        # reuses c0's denominator; the printed reading evaluates the literal form.
         # The comparison experiment reports both.
         inner = (gap - delta_tk * g) * delta_tk
         numer = math.sqrt(2.0) * delta_tk * ups + np.sqrt(inner)

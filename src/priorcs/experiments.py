@@ -205,6 +205,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("alpha_list must be non-empty (or 'auto')")
     if cfg.alpha_list is not None and any(not 0.0 <= a <= 1.0 for a in cfg.alpha_list):
         raise ConfigError(f"alpha values must lie in [0, 1], got {cfg.alpha_list}")
+    # fig1, fig2 and verify make |T| = rho*k, and a derived alpha grid has a
+    # point per overlap 0..min(rho*k, k)
+    if cfg.kind in ("fig1-coeffs", "fig2-error-terms", "verify-local"):
+        for rho in cfg.rho_list:
+            if not math.isfinite(rho * cfg.k):
+                raise ConfigError(f"rho*k must be finite, got rho={rho}, k={cfg.k}")
+            if cfg.alpha_list is None and min(rho * cfg.k, cfg.k) > 1e6:
+                raise ConfigError(f"rho={rho}, k={cfg.k} would make an alpha grid "
+                                  "of over a million points")
     if cfg.kind == "fig2-error-terms" and len(cfg.rho_list) > 1:
         raise ConfigError("fig2 draws one prior support size; give one value of rho_list")
     if cfg.kind == "fig4-comparison" and (len(cfg.rho_list) > 1 or len(cfg.alpha_list or ()) > 1):

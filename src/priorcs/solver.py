@@ -190,17 +190,16 @@ class SolveReport:
     rest, with dual = 0), "converged" (the loop's stop test) or "max_iter"
     (converged is False).
     opt_residual is the pair's first-order residual, 0 when certified.
+    A report holds only what the solve knows; x_star's objective and
+    feasibility residual are the problem's to score.
     """
 
-    __slots__ = ("x_star", "objective", "feasibility_residual", "iterations", "converged",
-                 "opt_residual", "dual", "exit", "polish_tries")
+    __slots__ = ("x_star", "iterations", "converged", "opt_residual", "dual", "exit",
+                 "polish_tries")
 
-    def __init__(self, x_star: np.ndarray, objective: float, feasibility_residual: float,
-                 iterations: int, converged: bool, opt_residual: float, dual: np.ndarray,
-                 exit: str, polish_tries: int):
+    def __init__(self, x_star: np.ndarray, iterations: int, converged: bool, opt_residual: float,
+                 dual: np.ndarray, exit: str, polish_tries: int):
         self.x_star = x_star
-        self.objective = objective
-        self.feasibility_residual = feasibility_residual
         self.iterations = iterations
         self.converged = converged
         self.opt_residual = opt_residual
@@ -305,14 +304,7 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                 w, y, tau, sigma, tau * w, sigma * y, sigma * eps, all_dual_scale[span]]
 
     def retire(live, x_rows, lam_rows, residuals, exit):
-        if not live.size:
-            return
-        # reports for the live rows `live` at the (G, n) points x_rows; the
-        # objective is one pairwise sum and the feasibility one gemv and
-        # ddot per row, the bits of a 1-D sum of w |x| and of
-        # RecoveryProblem.feasibility_residual
-        objective = (w[live, :, 0] * np.abs(x_rows)).sum(axis=1).tolist()
-        feasibility = np.maximum(_norms(a @ x_rows[:, :, None] - y[live])[:, 0, 0] - eps, 0.0).tolist()
+        # reports for the live rows `live` at the (G, n) points x_rows
         residuals = residuals.tolist()
         finished = rows[live]
         steps = (iterations - start[finished]).tolist()
@@ -320,8 +312,6 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
         for j, i in enumerate(finished.tolist()):
             reports[i] = SolveReport(
                 x_star=x_rows[j],
-                objective=objective[j],
-                feasibility_residual=feasibility[j],
                 iterations=steps[j],
                 converged=exit != "max_iter",
                 opt_residual=residuals[j],

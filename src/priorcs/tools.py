@@ -259,8 +259,8 @@ def _cmd_solve(args) -> int:
         SolveTolerances(opt_tol=args.opt_tol, feas_tol=args.feas_tol, max_iter=args.max_iter),
     )
     print("x_star=" + ",".join(format_real(v) for v in report.x_star))
-    print(f"objective={format_real(report.objective)}")
-    print(f"feasibility_residual={format_real(report.feasibility_residual)}")
+    print(f"objective={format_real(np.sum(problem.weights * np.abs(report.x_star)))}")
+    print(f"feasibility_residual={format_real(problem.feasibility_residual(report.x_star))}")
     print(f"iterations={report.iterations}")
     print(f"converged={'true' if report.converged else 'false'}")
     print(f"exit={report.exit}")

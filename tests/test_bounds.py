@@ -16,7 +16,7 @@ from priorcs import (
     k_ratios,
     local_bound,
 )
-from priorcs.baselines import THEOREMS, evaluate
+from priorcs.baselines import THEOREMS, _ge_readings, evaluate
 from priorcs.bounds import _result, local_denominator
 from priorcs.experiments import admissible_alphas, float_grid
 
@@ -288,15 +288,14 @@ class TestChenBound:
 
 class TestGeBound:
     def test_pinned_fig4_point(self):
-        shared = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0))
-        printed = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0),
-                           c1_form="printed")
+        p = GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0)
+        shared = ge_bound(p)
+        _, printed = _ge_readings(p)
         c0, c1_shared, c1_printed = GE_FIG4_W1
         assert shared.valid
         assert shared.c0 == pytest.approx(c0, abs=1e-12)
         assert shared.c1 == pytest.approx(c1_shared, abs=1e-12)
-        assert printed.c1 == pytest.approx(c1_printed, abs=1e-12)
-        assert printed.c0 == shared.c0
+        assert printed == pytest.approx(c1_printed, abs=1e-12)
 
     def test_zero_ric_simplification(self):
         res = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, t=2.0), 0.0)
@@ -309,9 +308,8 @@ class TestGeBound:
         assert res.c0 == pytest.approx(c0, abs=1e-12)
         assert res.c1 == pytest.approx(c1, abs=1e-12)
         # both c1 readings coincide when ups = 0 (g = t - d)
-        printed = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=0.0),
-                           c1_form="printed")
-        assert printed.c1 == pytest.approx(res.c1, abs=1e-14)
+        _, printed = _ge_readings(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=0.0))
+        assert printed == pytest.approx(res.c1, abs=1e-14)
 
     def test_low_alpha_d_branch(self):
         # alpha < 1/2 and w < 1 switches d to 1 + rho - 2 alpha rho
@@ -325,8 +323,6 @@ class TestGeBound:
     def test_t_le_d_rejected(self):
         with pytest.raises(InvalidInputError):
             ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, t=1.0), 0.1)
-        with pytest.raises(InvalidInputError, match="unknown c1_form 'other'"):
-            ge_bound(GuaranteeParams(mu=0.1, k=2), c1_form="other")
 
     def test_premise_failure_recorded(self):
         res = ge_bound(GuaranteeParams(mu=0.1, k=2, rho=1.0, alpha=1.0, w=1.0, t=2.0), 0.9)

@@ -89,6 +89,26 @@ class TestGenMatrixAndAnalyze:
         assert "power of two" in err
 
 
+def write_problem_file(path, matrix, y, epsilon, weights):
+    path.write_text("MATRIX\n" + write_matrix_text(matrix)
+                    + "VECTOR\n" + " ".join(format_real(v) for v in y)
+                    + f"\nEPSILON\n{format_real(epsilon)}\nWEIGHTS\n"
+                    + " ".join(format_real(v) for v in weights) + "\n")
+    return path
+
+
+def write_noisy_problem(tmp_path):
+    """An 8x16 eps = 0.05 problem with a 3-sparse signal and two half weights."""
+    matrix = generate_matrix("gaussian-normalized", 8, 16, 3)
+    x = np.zeros(16)
+    x[[1, 9, 12]] = [1.0, -0.5, 0.25]
+    noise = np.random.default_rng(3).standard_normal(8)
+    noise *= 0.05 / np.linalg.norm(noise)
+    weights = np.ones(16)
+    weights[[1, 4]] = 0.5
+    return write_problem_file(tmp_path / "noisy.txt", matrix, matrix.entries @ x + noise, 0.05, weights)
+
+
 def write_small_problem(tmp_path):
     """A 2x3 noiseless problem whose weighted l1 minimizer is (0, 0, 1)."""
     s = 1.0 / math.sqrt(2.0)
@@ -141,10 +161,7 @@ class TestSolveCommand:
         y = matrix.entries[:, [2, 7]] @ np.array([1.0, -0.5]) + noise
         weights = np.ones(12)
         weights[[2, 7]] = 0.0
-        problem = tmp_path / "p.txt"
-        problem.write_text("MATRIX\n" + write_matrix_text(matrix)
-                           + "VECTOR\n" + " ".join(format_real(v) for v in y)
-                           + "\nEPSILON\n0.1\nWEIGHTS\n" + " ".join(format_real(v) for v in weights) + "\n")
+        problem = write_problem_file(tmp_path / "p.txt", matrix, y, 0.1, weights)
         code, out, _ = run_cli(capsys, "solve", "--problem", str(problem))
         assert code == 0
         lines = dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -164,6 +181,18 @@ class TestSolveCommand:
         # the zero pair is optimal but for its infeasibility, ||y|| - eps
         problem = priorcs.read_problem_file(write_small_problem(tmp_path))
         assert float(lines["kkt_residual"]) == np.linalg.norm(problem.y) - problem.epsilon
+
+    # sha256 of the whole stdout, every x_star entry and score to the bit
+    @pytest.mark.parametrize("write, flags, digest", [
+        (write_noisy_problem, (), "3aa8a0162e24a41514845bbcfb4c2e59e9bf32d665a1326ebb7d9ce866fc386c"),
+        (write_small_problem, (), "22fe6936d7b525ad3daac8e723a9b98c101f2fd08ae917bf121987165a6ef625"),
+        (write_small_problem, ("--max-iter", "0"),
+         "06fc424b00444d46383cc7a9b6a4216e39d9c3fc7b7e5ca37f86780aedd0a771"),
+    ], ids=["polished-eps0.05", "eps0", "max-iter-0"])
+    def test_stdout_is_pinned(self, tmp_path, capsys, write, flags, digest):
+        code, out, err = run_cli(capsys, "solve", "--problem", str(write(tmp_path)), *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
     def test_missing_section_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -479,6 +508,10 @@ class TestExperimentCommands:
         ("fig1", "alpha_list=1.5"),
         ("fig4", "w_grid="),
         ("fig2", "rho_list=0.5,1"),  # fig2 draws one prior support size
+        # rho*k overflows to inf
+        ("fig1", "rho_list=1e308"),
+        ("fig2", "rho_list=1e308"),
+        ("verify", "rho_list=1e308"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, override):
         small = ("-o", "m=16", "-o", "n=32", "-o", "trials=1", "-o", "w_grid=0.5")

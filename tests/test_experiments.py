@@ -80,6 +80,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("fig1-coeffs", overrides={"rho_list": ""})
 
+    def test_derived_alpha_grid_is_capped_before_it_is_built(self):
+        # rho = 0.5, k = 10**12 would derive 5 * 10**11 + 1 alphas; the cap
+        # admits 10**6 + 1, as w_step = 1e-6 does, and a given alpha_list
+        # builds no grid
+        with pytest.raises(ConfigError, match="alpha grid of over a million points"):
+            load_config("fig1-coeffs", overrides={"k": "1000000000000"})
+        assert load_config("fig1-coeffs", overrides={"k": "1000000", "rho_list": "1"}).k == 10**6
+        assert load_config("fig1-coeffs", overrides={"k": "1000000000000", "alpha_list": "0,1"})
+
     def test_defaults_per_kind(self):
         assert default_config("fig4-comparison").k == 2
         assert default_config("fig3-kratio").rho_list == (0.5, 0.75)

@@ -78,7 +78,7 @@ def test_a_tool_command_loads_only_what_it_runs():
 # PYTHONDONTWRITEBYTECODE=1 every process compiles what it loads, and compile
 # time follows the node count (about 1 us a node on a 2-vCPU VM), which
 # docstrings and comments barely move, so the budget counts nodes, not lines.
-VERIFY_NODE_BUDGET = 16_000
+VERIFY_NODE_BUDGET = 15_500
 
 
 def ast_nodes(module: str) -> int:
