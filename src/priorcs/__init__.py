@@ -6,8 +6,7 @@ Library layout:
 - ``supports``: prior-support geometry (rho, alpha) against the top-k
   support, error-multiplier terms.
 - ``solver``: the weighted l1 primal-dual solver (one problem, or a batch
-  that shares one matrix), the first-order optimality check of a solution
-  pair (x, lam); ``polish``: its polish tries.
+  that shares one matrix); ``polish``: its polish tries.
 - ``bounds``: the local recovery guarantee and the records all guarantees
   share.
 - ``baselines``: the five global guarantees on the coherence scale or with
@@ -15,7 +14,8 @@ Library layout:
   ratios.
 - ``tools``: the gen-matrix, analyze, solve and bounds commands, the matrix
   and problem file formats, exact tiny-scale restricted isometry and
-  orthogonality constants.
+  orthogonality constants, and the first-order optimality check of a
+  solution pair (x, lam), which ``solver`` also resolves.
 - ``experiments``: experiment configs and the Monte-Carlo verification;
   ``sweeps``: the deterministic sweeps fig1-fig4; ``tables``: sweep tables
   and CSV; ``plots``: SVG plots.
@@ -50,7 +50,7 @@ _LAZY = {
     ),
     "matrices": ("SensingMatrix", "coherence", "generate_matrix"),
     "solver": (
-        "RecoveryProblem", "SolveReport", "SolveTolerances", "kkt_check", "solve_weighted_l1",
+        "RecoveryProblem", "SolveReport", "SolveTolerances", "solve_weighted_l1",
         "solve_weighted_l1_batch",
     ),
     "supports": (
@@ -58,8 +58,8 @@ _LAZY = {
         "support_model",
     ),
     "tools": (
-        "IsometryReport", "isometry_report", "read_matrix_file", "read_problem_file", "ric_exact",
-        "roc_exact", "write_matrix_file",
+        "IsometryReport", "isometry_report", "kkt_check", "read_matrix_file", "read_problem_file",
+        "ric_exact", "roc_exact", "write_matrix_file",
     ),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}

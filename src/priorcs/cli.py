@@ -36,7 +36,6 @@ import sys
 from .errors import ConfigError, InvalidInputError, PriorCSError
 from .experiments import (
     EXPERIMENT_KINDS,
-    check_fig3,
     emit_experiment_outputs,
     load_config,
     run_experiment,
@@ -115,6 +114,15 @@ def _worst_ratio(table) -> str:
     # are written, raised a 30-trial run's peak RSS by 0.17 MB
     worst = max(range(len(ratios)), key=ratios.__getitem__)
     return f"{ratios[worst]:.6g} at trial {table.column('trial')[judged][worst]}"
+
+
+def check_fig3(table) -> list:
+    """sweeps.check_fig3: messages for any fig3 grid point whose ratio is not
+    strictly above 1. It is looked up here, where bench/traced_cli.py wraps
+    it, and imported on call, so that only fig3 loads it."""
+    from .sweeps import check_fig3
+
+    return check_fig3(table)
 
 
 def _cmd_experiment(args) -> int:

@@ -10,10 +10,10 @@ are in ``sweeps`` and their plots in ``plots``, which verify never loads.
 
 from __future__ import annotations
 
-import functools
 import importlib
 import math
 import os
+import sys
 import time
 from typing import NamedTuple
 
@@ -23,11 +23,11 @@ from . import MATRIX_KINDS, MAX_ITER, bounds
 from .errors import ConfigError
 from .tables import SweepTable, emit_csv
 
-# Names of the modules that only some commands run: run_verify_local,
-# run_experiment and emit_experiment_outputs bind them into this module's
-# namespace with _bind, and a lookup from outside, such as
-# experiments.solve_weighted_l1_batch or the supports names that
-# sweeps.run_fig2 reads here, binds them through __getattr__ (PEP 562).
+# Names of the modules that only some commands run: the functions here that
+# call them bind them into this module's namespace with _bind (a verify run
+# without a w_grid loads sweeps for float_grid alone), and a lookup from
+# outside, such as experiments.solve_weighted_l1_batch or the supports names
+# that sweeps.run_fig2 reads here, binds them through __getattr__ (PEP 562).
 # They stay module attributes that the function bodies read as globals, and
 # _bind never replaces one already set, so a wrapper that a test or
 # bench/traced_cli.py sets here is what the runs call. No function here
@@ -39,7 +39,8 @@ _LAZY = {
     "solver": ("EXITS", "RecoveryProblem", "SolveTolerances", "solve_weighted_l1",
                "solve_weighted_l1_batch"),
     "supports": ("error_terms", "format_index_set", "prior_support_for", "support_model"),
-    "sweeps": ("panels", "run_fig1", "run_fig2", "run_fig3", "run_fig4"),
+    "sweeps": ("check_fig3", "check_sweep_config", "float_grid", "panels", "run_fig1", "run_fig2",
+               "run_fig3", "run_fig4"),
 }
 
 
@@ -187,6 +188,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"mu must be in (0, 1], got {cfg.mu}")
     if cfg.k < 1:
         raise ConfigError(f"k must be >= 1, got {cfg.k}")
+    if cfg.k > sys.float_info.max:  # rho * k and the bounds work in floats
+        raise ConfigError(f"k must be at most {sys.float_info.max:g}")
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.epsilon < 0:
@@ -214,10 +217,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if cfg.alpha_list is None and min(rho * cfg.k, cfg.k) > 1e6:
                 raise ConfigError(f"rho={rho}, k={cfg.k} would make an alpha grid "
                                   "of over a million points")
-    if cfg.kind == "fig2-error-terms" and len(cfg.rho_list) > 1:
-        raise ConfigError("fig2 draws one prior support size; give one value of rho_list")
-    if cfg.kind == "fig4-comparison" and (len(cfg.rho_list) > 1 or len(cfg.alpha_list or ()) > 1):
-        raise ConfigError("fig4 compares at one (rho, alpha); give one value of each")
     if not 0.0 < cfg.w_step <= 1.0:
         raise ConfigError(f"w_step must be in (0, 1], got {cfg.w_step}")
     if cfg.w_step < 1e-6:
@@ -234,26 +233,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         values = getattr(cfg, name) or ()
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} must not repeat a value, got {values}")
-    # and each rho of a sweep's panels names its SVGs by {:g} (fig2 and fig4
-    # passed the one-rho check above, so only fig1 and fig3 can fail here)
     if cfg.kind != "verify-local":
-        labels = [f"{rho:g}" for rho in cfg.rho_list]
-        if len(set(labels)) < len(labels):
-            raise ConfigError(f"rho_list values must differ in their panel labels {labels}, "
-                              f"got {cfg.rho_list}")
-
-
-@functools.lru_cache(maxsize=16)  # one build per grid: the checks, the run and each panel share it
-def float_grid(step: float) -> tuple:
-    """round(i * step, 12) for i = 0..1/step."""
-    count = round(1.0 / step)
-    if abs(count * step - 1.0) > 1e-9:
-        raise ConfigError(f"step {step} does not divide [0, 1] evenly")
-    return tuple(round(i * step, 12) for i in range(count + 1))
+        _bind("sweeps")
+        check_sweep_config(cfg)
 
 
 def w_values(cfg: ExperimentConfig) -> tuple:
-    return cfg.w_grid if cfg.w_grid is not None else float_grid(cfg.w_step)
+    if cfg.w_grid is not None:
+        return cfg.w_grid
+    _bind("sweeps")  # which builds the grid of w_step
+    return float_grid(cfg.w_step)
 
 
 def admissible_alphas(rho: float, k: int) -> tuple:
@@ -298,18 +287,6 @@ def _draw_signal(cfg: ExperimentConfig, rng) -> np.ndarray:
             values = rng.standard_normal(cfg.k)
         x[support] = values
     return x / np.linalg.norm(x)
-
-
-def check_fig3(table: SweepTable) -> list:
-    """Messages for any grid point whose ratio is not strictly above 1."""
-    standard, weighted = table.column("ratio_standard"), table.column("ratio_weighted")
-    problems = []
-    for i in np.flatnonzero(~(standard > 1.0) | ~(weighted > 1.0)).tolist():
-        rho, alpha, w = (table.column(name)[i].item() for name in ("rho", "alpha", "w"))
-        for label, ratio in (("standard", standard[i]), ("weighted", weighted[i])):
-            if not ratio > 1.0:
-                problems.append(f"{label} ratio {ratio:.6g} <= 1 at rho={rho} alpha={alpha} w={w}")
-    return problems
 
 
 def run_verify_local(cfg: ExperimentConfig, timings: dict | None = None) -> SweepTable:

@@ -84,7 +84,8 @@ singularity: a row whose gram it finds singular gets a NaN point and fails
 alone.
 
 kkt_check reads the first-order residual of a given pair (x, lam), such as
-a report's (x_star, dual), which is thus its own certificate.
+a report's (x_star, dual), which is thus its own certificate. It is defined
+in ``tools`` and resolves here on first access (PEP 562).
 """
 
 from __future__ import annotations
@@ -429,34 +430,11 @@ def solve_weighted_l1_batch(problems, tolerances: SolveTolerances | None = None,
                 last = int(start[rows[0]]) + tol.max_iter
 
 
-def kkt_check(problem: RecoveryProblem, x, lam) -> float:
-    """First-order optimality residual of the pair (x, lam), 0 iff x is
-    optimal with multiplier lam. It is the largest of:
+def __getattr__(name):
+    # kkt_check is defined in tools, which verify does not load; this keeps
+    # solver.kkt_check and "from priorcs.solver import kkt_check" working
+    if name == "kkt_check":
+        from .tools import kkt_check
 
-    - stationarity: |A^T lam + w sign(x)| on the free set
-      {x_i != 0} | {w_i = 0}, and (|A^T lam| - w)_+ off it;
-    - infeasibility: (||Ax - y|| - eps)_+;
-    - for lam != 0, the distance ||(Ax - y) - eps lam / ||lam|| || of the
-      residual from the normal cone, relative to max(1, ||y||) as in the
-      stop test.
-
-    The check reads the pair it is given, such as a report's (x_star, dual),
-    so it judges a solution independently of the solver that produced it.
-    """
-    x, lam = np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
-    for name, v, size in (("x", x, problem.matrix.n), ("lam", lam, problem.matrix.m)):
-        if v.shape != (size,):
-            raise InvalidInputError(f"{name} has shape {v.shape}, expected ({size},)")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError(f"{name} must be finite")
-    a, w, eps = problem.matrix.entries, problem.weights, problem.epsilon
-    residual = a @ x - problem.y
-    v = a.T @ lam
-    free = (x != 0.0) | (w == 0.0)
-    terms = [float(np.where(free, np.abs(v + w * np.sign(x)), np.abs(v) - w).max()),
-             float(np.linalg.norm(residual)) - eps]
-    norm_lam = float(np.linalg.norm(lam))
-    if norm_lam > 0.0:
-        normal = float(np.linalg.norm(residual - eps / norm_lam * lam))
-        terms.append(normal / max(1.0, float(np.linalg.norm(problem.y))))
-    return max(0.0, *terms)
+        return kkt_check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,22 +1,25 @@
-"""The deterministic sweeps fig1-fig4 and their SVG panels.
+"""The deterministic sweeps fig1-fig4, their SVG panels, the w grid of a
+w_step, the config checks only a sweep needs, and fig3's k-ratio check.
 
 Each sweep is one calculator call per figure over a grid of (rho, alpha, w)
 built from its config, and carries no randomness but fig2's one drawn
 signal, whose generator derives from the config's seed. The experiment
-config, its checks and the w grid are in ``experiments``, which runs a sweep
+config and its common checks are in ``experiments``, which runs a sweep
 through its run_fig* names and writes the panels that panels() lays out.
-Only the sweeps load this module, and only fig3 and fig4 the global
-guarantees of ``baselines``.
+Only the sweeps load this module (and a verify run without a w_grid, for
+float_grid), and only fig3 and fig4 the global guarantees of ``baselines``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import bounds, experiments
 from .errors import ConfigError, InvalidInputError
-from .experiments import ExperimentConfig, _alphas_for, _draw_signal, float_grid, w_values
-from .tables import SweepTable
+from .experiments import ExperimentConfig, _alphas_for, _draw_signal, w_values
+from .tables import SweepTable, rint_scaled
 
 # the theorems fig4 compares, in baselines.THEOREMS order: every one but
 # cai, the one global bound that ignores the prior support
@@ -30,11 +33,39 @@ _PANELS = {
 }
 
 
+@functools.lru_cache(maxsize=16)  # one build per grid: the checks, the run and each panel share it
+def float_grid(step: float) -> tuple:
+    """round(i * step, 12) for i = 0..1/step: rint(i * step * 1e12) / 1e12,
+    and Python's round where tables.rint_scaled doubts the rint."""
+    count = round(1.0 / step)
+    if abs(count * step - 1.0) > 1e-9:
+        raise ConfigError(f"step {step} does not divide [0, 1] evenly")
+    values = np.arange(count + 1) * step
+    n, near = rint_scaled(values, 12)
+    grid = n / 1e12
+    grid[near] = [round(v, 12) for v in values[near].tolist()]
+    return tuple(grid.tolist())
+
+
 def _blocks(per_block, ws):
     """Columns that hold each block's values once per point of the w grid ws,
     then the w column: one block per tuple of per_block, in order."""
     return (*np.repeat(np.array(per_block, dtype=float), len(ws), axis=0).T,
             np.tile(np.asarray(ws, dtype=float), len(per_block)))
+
+
+def check_sweep_config(cfg: ExperimentConfig) -> None:
+    """The config checks that only a sweep needs, after the common ones."""
+    if cfg.kind == "fig2-error-terms" and len(cfg.rho_list) > 1:
+        raise ConfigError("fig2 draws one prior support size; give one value of rho_list")
+    if cfg.kind == "fig4-comparison" and (len(cfg.rho_list) > 1 or len(cfg.alpha_list or ()) > 1):
+        raise ConfigError("fig4 compares at one (rho, alpha); give one value of each")
+    # each rho of a sweep's panels names its SVGs by {:g} (fig2 and fig4
+    # passed the one-rho check above, so only fig1 and fig3 can fail here)
+    labels = [f"{rho:g}" for rho in cfg.rho_list]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"rho_list values must differ in their panel labels {labels}, "
+                          f"got {cfg.rho_list}")
 
 
 def run_fig1(cfg: ExperimentConfig) -> SweepTable:
@@ -88,6 +119,18 @@ def run_fig3(cfg: ExperimentConfig) -> SweepTable:
                       data=[rho, alpha, w, *baselines.k_ratios(p)])
 
 
+def check_fig3(table: SweepTable) -> list:
+    """Messages for any grid point whose ratio is not strictly above 1."""
+    standard, weighted = table.column("ratio_standard"), table.column("ratio_weighted")
+    problems = []
+    for i in np.flatnonzero(~(standard > 1.0) | ~(weighted > 1.0)).tolist():
+        rho, alpha, w = (table.column(name)[i].item() for name in ("rho", "alpha", "w"))
+        for label, ratio in (("standard", standard[i]), ("weighted", weighted[i])):
+            if not ratio > 1.0:
+                problems.append(f"{label} ratio {ratio:.6g} <= 1 at rho={rho} alpha={alpha} w={w}")
+    return problems
+
+
 def run_fig4(cfg: ExperimentConfig) -> SweepTable:
     """Local vs global coefficients when the error terms coincide (T = T0).
 
@@ -127,6 +170,14 @@ def _series_pivot(table: SweepTable, quantity: str, n_w: int) -> SweepTable:
     )
 
 
+def select(table: SweepTable, **filters) -> SweepTable:
+    """The rows of a table whose cells equal every filter value."""
+    keep = np.ones(len(table), dtype=bool)
+    for name, value in filters.items():
+        keep &= table.column(name) == value
+    return SweepTable(columns=list(table.columns), data=[values[keep] for values in table.data])
+
+
 def panels(cfg: ExperimentConfig, table: SweepTable):
     """The SVG panels of a sweep's table, in the order they are written: each
     its file name without the kind and extension, wide table, title and y
@@ -141,7 +192,7 @@ def panels(cfg: ExperimentConfig, table: SweepTable):
         return
     quantities, per_rho = _PANELS[cfg.kind]
     for rho in cfg.rho_list if per_rho else (None,):
-        sub = table if rho is None else table.select(rho=rho)
+        sub = table if rho is None else select(table, rho=rho)
         suffix, note = ("", "") if rho is None else (f"_rho{rho:g}", f" (rho={rho:g})")
         for quantity in quantities:
             yield (f"{quantity}{suffix}", _series_pivot(sub, quantity, len(w_values(cfg))),

@@ -1,5 +1,6 @@
 """The tool commands gen-matrix, analyze, solve and bounds, and the file
-formats and exact isometry constants that only they use.
+formats, exact isometry constants and optimality check that only they (and
+the tests) use.
 
 Matrix and problem files are plain text (see README), every real written as
 the shortest decimal that round-trips the double. The restricted isometry
@@ -104,6 +105,39 @@ def isometry_report(matrix: SensingMatrix, k: int, exact: bool = True) -> Isomet
     return IsometryReport(
         k=k, delta_coherence_bound=bound, delta_exact=delta, theta_exact=theta
     )
+
+
+def kkt_check(problem: RecoveryProblem, x, lam) -> float:
+    """First-order optimality residual of the pair (x, lam), 0 iff x is
+    optimal with multiplier lam. It is the largest of:
+
+    - stationarity: |A^T lam + w sign(x)| on the free set
+      {x_i != 0} | {w_i = 0}, and (|A^T lam| - w)_+ off it;
+    - infeasibility: (||Ax - y|| - eps)_+;
+    - for lam != 0, the distance ||(Ax - y) - eps lam / ||lam|| || of the
+      residual from the normal cone, relative to max(1, ||y||) as in the
+      stop test.
+
+    The check reads the pair it is given, such as a report's (x_star, dual),
+    so it judges a solution independently of the solver that produced it.
+    """
+    x, lam = np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
+    for name, v, size in (("x", x, problem.matrix.n), ("lam", lam, problem.matrix.m)):
+        if v.shape != (size,):
+            raise InvalidInputError(f"{name} has shape {v.shape}, expected ({size},)")
+        if not np.all(np.isfinite(v)):
+            raise InvalidInputError(f"{name} must be finite")
+    a, w, eps = problem.matrix.entries, problem.weights, problem.epsilon
+    residual = a @ x - problem.y
+    v = a.T @ lam
+    free = (x != 0.0) | (w == 0.0)
+    terms = [float(np.where(free, np.abs(v + w * np.sign(x)), np.abs(v) - w).max()),
+             float(np.linalg.norm(residual)) - eps]
+    norm_lam = float(np.linalg.norm(lam))
+    if norm_lam > 0.0:
+        normal = float(np.linalg.norm(residual - eps / norm_lam * lam))
+        terms.append(normal / max(1.0, float(np.linalg.norm(problem.y))))
+    return max(0.0, *terms)
 
 
 def format_real(v: float) -> str:
@@ -251,7 +285,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .solver import SolveTolerances, kkt_check, solve_weighted_l1
+    from .solver import SolveTolerances, solve_weighted_l1
 
     problem = read_problem_file(args.problem)
     report = solve_weighted_l1(

@@ -524,6 +524,15 @@ class TestExperimentCommands:
         assert line.startswith("error: ")
         assert out == "" and os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command", ["fig1", "fig3", "fig4"])
+    def test_k_beyond_a_float_exits_2(self, tmp_path, capsys, command):
+        code, out, err = run_cli(capsys, command, "--out-dir", str(tmp_path),
+                                 "-o", "k=1" + "0" * 400, "-o", "w_grid=0.5")
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error: k must be at most")
+        assert out == "" and os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", ["fig2", "verify"])
     def test_alphas_of_one_overlap_exit_2(self, tmp_path, capsys, command):
         # both alphas pass the integer-overlap check and realize the same overlap

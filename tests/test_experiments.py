@@ -26,6 +26,7 @@ from priorcs.experiments import (
     run_verify_local,
     summarize_verify,
 )
+from priorcs.sweeps import select
 from priorcs.tables import to_csv_text
 
 
@@ -117,12 +118,15 @@ class TestConfig:
         assume(abs(round(1.0 / step) * step - 1.0) <= 1e-9)
         assert float_grid(step) == self.rounded_grid(step)
 
-    # the smallest admissible steps, and 2**-13, whose odd multiples scale to
-    # exact half-integers (ties to even)
-    @pytest.mark.parametrize("step", [1e-5, 2e-6, 1e-6, 2.0 ** -13, 2.0 ** -17])
+    # the smallest admissible steps; 2**-13, whose odd multiples scale to
+    # exact half-integers (ties to even); the benchmark's steps; and one that
+    # divides [0, 1] only to 1e-9
+    @pytest.mark.parametrize("step", [1e-5, 2e-6, 1e-6, 2.0 ** -13, 2.0 ** -17,
+                                      1e-4, 1e-3, 0.05, 0.3333333333])
     def test_float_grid_is_python_round_on_fine_grids(self, step):
         grid = float_grid(step)
-        assert grid == self.rounded_grid(step)
+        bits = np.array(self.rounded_grid(step)).view(np.int64)
+        assert np.array(grid).view(np.int64).tolist() == bits.tolist()
         assert all(type(v) is float for v in grid)
 
     def test_admissible_alphas(self):
@@ -181,7 +185,7 @@ class TestFig2:
     def test_e_increases_with_w_at_fixed_alpha(self):
         table = run_fig2(default_config("fig2-error-terms"))
         for alpha in set(table.column("alpha")):
-            sub = table.select(alpha=alpha)
+            sub = select(table, alpha=alpha)
             es = sub.column("e_local")
             assert all(a <= b + 1e-12 for a, b in zip(es, es[1:]))
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import csv_text, svg_polyline_points
 from priorcs.errors import InvalidInputError
 from priorcs.plots import _fixed2, to_svg_text
+from priorcs.sweeps import select
 from priorcs.tables import SweepTable, to_csv_text
 
 
@@ -45,8 +46,8 @@ class TestSweepTable:
     def test_column_and_select(self):
         t = small_table()
         assert t.column("w").tolist() == [0.0, 0.05]
-        assert t.select(valid=True).rows == [[0.0, 2.3306863292670034, True, ""]]
-        assert len(t) == 2 and len(t.select(valid=True)) == 1
+        assert select(t, valid=True).rows == [[0.0, 2.3306863292670034, True, ""]]
+        assert len(t) == 2 and len(select(t, valid=True)) == 1
         with pytest.raises(InvalidInputError):
             t.column("nope")
 
@@ -100,7 +101,8 @@ class TestCsv:
 
 
 # text cells that need sanitizing or quoting, and plain ones
-TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n;x1'), max_size=6)
+# NUL and a two-byte UTF-8 character: a NUL-padded block of text cells keeps both
+TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n;x1\0é'), max_size=6)
 SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                                   2.2250738585072014e-308, 1e300, -1e-300, 0.1])
 # a few reals, -0.0 beside 0.0, so that most cells of a column repeat one
@@ -165,6 +167,51 @@ class TestCsvMatchesPerCellOracle:
         for table in (SweepTable(columns=[], data=[]),
                       SweepTable(columns=["a", "b,c"], data=[np.array([]), np.array([], dtype=bool)])):
             assert to_csv_text(table) == csv_text(table.columns, table.data)
+
+
+# where the real kernel could go wrong: signed zeros, subnormals, roundings
+# that carry into the next decade, the decades where "%.12g" switches to and
+# from an exponent and those where the kernel hands over to Python, integers
+# whose trailing zeros stand before the point, and plain values
+EDGE_VALUES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+               9.9999999999995, 9.99999999999949, 0.99999999999995, 99999.9999999995,
+               999999999999.5, 999999.9999995, 9999999.9999995, 9999999.99999949,
+               9.9999999999995e-5, 9.99999999999949e-5, 1e-4, 1.00000000000005e-4,
+               1e-5, 9.99999999999e-5, 1e11, 99999999999.95, 1e12, 999999999999.4, 1e7,
+               1e-10, 9.9999999999995e-11, 9.99999999999949e-11, 1e-11, 1.5e-9,
+               1e33, 9.9999999999995e32, 9.99999999999949e32, 1e32, 1.5e21, 123456789012345.0,
+               1.0, 10.0, 100.0, 2500.0, 1e6, 120.5, 0.1, 0.5, 1.5, 123456.789, 7.5e-3,
+               math.nan, math.inf, 1e300, 1e-300]
+
+
+def decimal_ties():
+    """The doubles nearest to 12-digit decimal ties (k + 0.5) 10**(e - 11),
+    k of 12 digits, for every e from -12 to 34, and two neighbours each side."""
+    rng = np.random.default_rng(7)
+    ties = np.array([float(f"{k}5e{e - 12}") for e in range(-12, 35)
+                     for k in rng.integers(10 ** 11, 10 ** 12, 25).tolist()])
+    below, above = np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)
+    return np.concatenate([ties, below, above, np.nextafter(below, -np.inf),
+                           np.nextafter(above, np.inf)])
+
+
+class TestRealCellsMatchPercentFormat:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.longdouble])
+    def test_edge_values(self, dtype):
+        values = np.concatenate([EDGE_VALUES, decimal_ties()])
+        with np.errstate(over="ignore"):
+            column = np.concatenate([values, -values]).astype(dtype)
+        table = SweepTable(columns=["x", "third"], data=[column, column / 3])
+        assert to_csv_text(table) == csv_text(table.columns, table.data)
+
+    def test_random_doubles_of_every_exponent(self):
+        rng = np.random.default_rng(2024)
+        n = 50_000
+        # random bits: every exponent, subnormals, infinities and NaNs
+        bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+        decades = rng.random(n) * 10.0 ** rng.integers(-14, 37, n) * rng.choice([-1.0, 1.0], n)
+        table = SweepTable(columns=["bits", "decades"], data=[bits, decades])
+        assert to_csv_text(table) == csv_text(table.columns, table.data)
 
 
 class TestSvg:
